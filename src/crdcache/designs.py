@@ -26,6 +26,7 @@ from .errors import (
     ClassNotPartitionOfPoints,
     EmptyBlock,
     IndexOutOfRange,
+    MalformedDesignJson,
     NonUniformBlockSize,
     NotAPartitionOfBlocks,
     PointOutOfRange,
@@ -197,10 +198,35 @@ def design_to_json(res: Resolution) -> dict:
     }
 
 
+def _json_int(value: object, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedDesignJson(f"design JSON {where} must be an integer, got {value!r}")
+    return value
+
+
+def _json_int_lists(obj: Mapping, key: str) -> list[list[int]]:
+    value = obj[key]
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise MalformedDesignJson(
+            f"design JSON key {key!r} must be a list of lists, got {type(value).__name__}"
+        )
+    return [
+        [_json_int(x, f"{key!r} entry {pos + 1}") for x in row] for pos, row in enumerate(value)
+    ]
+
+
 def resolution_from_json(obj: Mapping) -> Resolution:
     """Parse and fully validate the 1-based JSON interchange format."""
-    design = validate_design(int(obj["v"]), obj["blocks"])
-    classes = [[int(j) - 1 for j in cls] for cls in obj["classes"]]
+    if not isinstance(obj, Mapping):
+        raise MalformedDesignJson(
+            f"design JSON must be an object with keys 'v', 'blocks' and 'classes', "
+            f"got {type(obj).__name__}"
+        )
+    for key in ("v", "blocks", "classes"):
+        if key not in obj:
+            raise MalformedDesignJson(f"design JSON is missing the key {key!r}")
+    design = validate_design(_json_int(obj["v"], "key 'v'"), _json_int_lists(obj, "blocks"))
+    classes = [[j - 1 for j in cls] for cls in _json_int_lists(obj, "classes")]
     for cls in classes:
         for j in cls:
             if j < 0 or j >= design.b:

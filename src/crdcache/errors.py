@@ -31,6 +31,10 @@ class ClassNotPartitionOfPoints(CrdCacheError):
     """Blocks grouped into one parallel class fail to tile the point set."""
 
 
+class MalformedDesignJson(CrdCacheError):
+    """A design JSON document lacks a key or has a value of the wrong type."""
+
+
 class IndexOutOfRange(CrdCacheError):
     """An intersection order or similar index lies outside its valid range."""
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
-from math import comb
+from math import comb, isqrt
 from typing import Mapping, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -107,15 +108,32 @@ def coding_gain(z: int) -> int:
     return 2**z
 
 
+def _integer_root(n: int, z: int) -> int:
+    """floor(n ** (1/z)) for n >= 0 and z >= 1, exact at any size."""
+    if z == 1 or n < 2:
+        return n
+    if z == 2:
+        return isqrt(n)
+    # integer Newton from above: x starts at a power of two >= the root and
+    # decreases monotonically until it reaches floor(n ** (1/z))
+    x = 1 << -(-n.bit_length() // z)
+    while True:
+        y = ((z - 1) * x + n // x ** (z - 1)) // z
+        if y >= x:
+            return x
+        x = y
+
+
 def subpacketization_from_counts(k: int, big_k: int, r: int, z: int) -> int:
     """Recover v from the user count: v = k * (K / C(r,z))^(1/z), exactly."""
+    if not 1 <= z <= r or big_k < 0:
+        raise IndexOutOfRange(f"need 1 <= z <= r and K >= 0, got z={z}, r={r}, K={big_k}")
     per_subset, rem = divmod(big_k, comb(r, z))
     if rem:
         raise NonIntegerResult(f"K={big_k} is not a multiple of C({r},{z})")
-    guess = round(per_subset ** (1.0 / z))
-    for b_r in (guess - 1, guess, guess + 1):
-        if b_r >= 0 and b_r**z == per_subset:
-            return k * b_r
+    b_r = _integer_root(per_subset, z)
+    if b_r**z == per_subset:
+        return k * b_r
     raise NonIntegerResult(f"{per_subset} is not a perfect {z}-th power")
 
 
@@ -223,6 +241,19 @@ class DeliverySchedule:
     scheme: SchemeInstance
     demands: tuple[int, ...]
     transmissions: tuple[CodedTransmission, ...]
+
+    @cached_property
+    def participation(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per user, its (transmission index, own subfile) rows in schedule order.
+
+        Built in one pass over ``transmissions`` on first use, so a user's
+        decoder visits only the mu_z (b_r-1)^z transmissions it is part of.
+        """
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.scheme.n_users)]
+        for t_idx, t in enumerate(self.transmissions):
+            for uid, y in t.terms:
+                rows[uid].append((t_idx, y))
+        return tuple(tuple(r) for r in rows)
 
 
 def build_delivery_schedule(

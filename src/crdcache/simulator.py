@@ -1,23 +1,31 @@
 """Byte-exact execution of a delivery schedule.
 
-The server holds N equal-length pseudo-random files; caches are filled
-according to the placement; every coded transmission is materialized as
-the bytewise XOR of its subfiles.  Each user then decodes exactly the way
-the scheme promises it can: for every transmission it participates in, it
-strips the other terms using subfiles read from its own caches, and
-finally stitches the demanded file together from cached plus over-the-air
-subfiles.  ``verify_all`` additionally checks, on every transmission, that
-the side-information set of each participant (intersection of the
-complementary blocks) equals the intersection of what the other
-participants can read - the set identity the delivery argument rests on.
+The server holds N equal-length pseudo-random files.  They are split once,
+per subpacketization v, into one read-only zero-padded ``uint8`` library
+array of shape (N, v, sub); placement, encoding and decoding all read that
+one array.  A cache is a read-only view over it, restricted to the index
+set of its block, so filling b caches copies no bytes.  Every coded
+transmission is the bytewise XOR of its subfiles, gathered one term column
+at a time.  Each user then decodes exactly the way the scheme promises it
+can: for every transmission it participates in, found through the
+schedule's per-user participation index, it strips the other terms using
+subfiles read from its own caches, and finally stitches the demanded file
+together from cached plus over-the-air subfiles.  Decoding all K users thus
+touches K * mu_z (b_r-1)^z transmissions, not K * T.  ``verify_all``
+additionally checks, on every transmission, that the side-information set
+of each participant (intersection of the complementary blocks) equals the
+intersection of what the other participants can read - the set identity
+the delivery argument rests on.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .designs import Resolution
@@ -39,6 +47,25 @@ class FileStore:
     file_len: int
     seed: int
     files: tuple[bytes, ...]
+    _libraries: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def library(self, v: int) -> np.ndarray:
+        """The files split into v subfiles: a read-only (N, v, sub) uint8 array.
+
+        Built on first use for each v and shared by every later caller.
+        """
+        lib = self._libraries.get(v)
+        if lib is None:
+            sub = subfile_length(self.file_len, v)
+            lib = np.zeros((self.n_files, v * sub), dtype=np.uint8)
+            for i, data in enumerate(self.files):
+                lib[i, : self.file_len] = np.frombuffer(data, dtype=np.uint8)
+            lib = lib.reshape(self.n_files, v, sub)
+            lib.flags.writeable = False
+            self._libraries[v] = lib
+        return lib
 
 
 def make_file_store(n_files: int, file_len: int, seed: int = 0) -> FileStore:
@@ -66,75 +93,85 @@ def split_subfiles(data: bytes, v: int) -> list[bytes]:
     return [padded[i * sub : (i + 1) * sub] for i in range(v)]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+class CacheView(Mapping[tuple[int, int], bytes]):
+    """One cache's contents: (file id, point) -> subfile bytes, for every
+    file and every point of the cache's block.
+
+    A read-only view over the shared library array; any key outside the
+    block (or outside 1..N) raises ``KeyError``.
+    """
+
+    def __init__(self, library: np.ndarray, block: frozenset[int]):
+        self.library = library
+        self.block = block
+
+    def __getitem__(self, key: tuple[int, int]) -> bytes:
+        file_id, point = key
+        if point not in self.block or not 1 <= file_id <= len(self.library):
+            raise KeyError(key)
+        return self.library[file_id - 1, point - 1].tobytes()
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        points = sorted(self.block)
+        for file_id in range(1, len(self.library) + 1):
+            for point in points:
+                yield file_id, point
+
+    def __len__(self) -> int:
+        return len(self.library) * len(self.block)
 
 
-def build_caches(store: FileStore, res: Resolution) -> list[dict[tuple[int, int], bytes]]:
-    """Materialize cache contents: cache j maps (file id, point) -> subfile bytes."""
-    v = res.design.v
-    per_file = [split_subfiles(data, v) for data in store.files]
-    caches = []
-    for block in res.design.blocks:
-        caches.append(
-            {
-                (i + 1, p): per_file[i][p - 1]
-                for i in range(store.n_files)
-                for p in block
-            }
-        )
-    return caches
+def build_caches(store: FileStore, res: Resolution) -> list[CacheView]:
+    """Cache contents: cache j maps (file id, point in block j) -> subfile bytes."""
+    library = store.library(res.design.v)
+    return [CacheView(library, block) for block in res.design.blocks]
 
 
 def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> list[bytes]:
     """One XOR payload per coded transmission, in schedule order."""
-    v = schedule.scheme.res.design.v
-    per_file = [split_subfiles(data, v) for data in store.files]
-    payloads = []
-    for t in schedule.transmissions:
-        acc = None
-        for uid, y in t.terms:
-            sub = per_file[schedule.demands[uid] - 1][y - 1]
-            acc = sub if acc is None else _xor(acc, sub)
-        payloads.append(acc)
-    return payloads
+    library = store.library(schedule.scheme.res.design.v)
+    if not schedule.transmissions:
+        return []
+    terms = np.array([t.terms for t in schedule.transmissions], dtype=np.intp)
+    files = np.array(schedule.demands, dtype=np.intp)[terms[:, :, 0]] - 1
+    points = terms[:, :, 1] - 1
+    acc = library[files[:, 0], points[:, 0]]
+    for col in range(1, terms.shape[1]):
+        np.bitwise_xor(acc, library[files[:, col], points[:, col]], out=acc)
+    return [row.tobytes() for row in acc]
 
 
 def decode_user(
     user_idx: int,
     payloads: Sequence[bytes],
     schedule: DeliverySchedule,
-    caches: Sequence[dict[tuple[int, int], bytes]],
+    caches: Sequence[CacheView],
     demand: int,
     file_len: int,
 ) -> tuple[bytes, int, int]:
     """Reconstruct the demanded file for one user.
 
-    Reads only the user's own caches plus the broadcast payloads;
-    ``file_len`` is the true (pre-padding) length to strip back to.
-    Returns (file bytes, subfiles from cache, subfiles from the air).
+    Reads only the user's own caches plus the broadcast payloads of the
+    transmissions it takes part in; ``file_len`` is the true (pre-padding)
+    length to strip back to.  Returns (file bytes, subfiles from cache,
+    subfiles from the air).
     """
     scheme = schedule.scheme
     res = scheme.res
     v = res.design.v
     user = scheme.users[user_idx]
     readable = accessible_indices(res, user)
+    # every cache views the same library array; the readability checks
+    # below keep each gather inside the user's own caches
+    library = caches[user[0]].library
 
-    def read_cached(file_id: int, point: int) -> bytes:
-        for j in user:
-            if point in res.design.blocks[j]:
-                return caches[j][(file_id, point)]
-        raise MissingSideInformation(
-            f"user {user_idx + 1} has no cache holding subfile {point}"
-        )
-
-    from_air: dict[int, bytes] = {}
-    for t_idx, t in enumerate(schedule.transmissions):
-        mine = next(((uid, y) for uid, y in t.terms if uid == user_idx), None)
-        if mine is None:
-            continue
-        acc = payloads[t_idx]
-        for uid, y in t.terms:
+    rows = schedule.participation[user_idx]
+    files: list[list[int]] = []
+    points: list[list[int]] = []
+    for t_idx, _ in rows:
+        row_files = []
+        row_points = []
+        for uid, y in schedule.transmissions[t_idx].terms:
             if uid == user_idx:
                 continue
             if y not in readable:
@@ -142,20 +179,32 @@ def decode_user(
                     f"transmission {t_idx + 1}: user {user_idx + 1} cannot strip "
                     f"subfile {y} of user {uid + 1}'s term"
                 )
-            acc = _xor(acc, read_cached(schedule.demands[uid], y))
-        from_air[mine[1]] = acc
-
-    pieces: list[bytes] = []
+            row_files.append(schedule.demands[uid] - 1)
+            row_points.append(y - 1)
+        files.append(row_files)
+        points.append(row_points)
+    from_air = {y for _, y in rows}
     for point in range(1, v + 1):
-        if point in readable:
-            pieces.append(read_cached(demand, point))
-        elif point in from_air:
-            pieces.append(from_air[point])
-        else:
+        if point not in readable and point not in from_air:
             raise IncompleteRecovery(
                 f"user {user_idx + 1} never obtained subfile {point} of file {demand}"
             )
-    return b"".join(pieces)[:file_len], len(readable), len(from_air)
+
+    out = np.empty_like(library[demand - 1])
+    if rows:
+        acc = np.frombuffer(
+            b"".join(payloads[t_idx] for t_idx, _ in rows), dtype=np.uint8
+        ).reshape(len(rows), -1).copy()
+        file_cols = np.array(files, dtype=np.intp)
+        point_cols = np.array(points, dtype=np.intp)
+        for col in range(file_cols.shape[1]):
+            np.bitwise_xor(acc, library[file_cols[:, col], point_cols[:, col]], out=acc)
+        out[[y - 1 for _, y in rows]] = acc
+    # a subfile the user can read is taken from its caches, even if it also
+    # came over the air
+    cached = np.array(sorted(readable), dtype=np.intp) - 1
+    out[cached] = library[demand - 1, cached]
+    return out.tobytes()[:file_len], len(readable), len(from_air)
 
 
 @dataclass(frozen=True)

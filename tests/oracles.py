@@ -10,6 +10,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from crdcache.designs import Resolution
+from crdcache.scheme import DeliverySchedule
+from crdcache.simulator import FileStore, split_subfiles
 
 
 def brute_cross_intersection(res: Resolution, i: int) -> int | None:
@@ -49,3 +51,29 @@ def count_users_seeing_point(res: Resolution, users, point: int) -> int:
 
 def count_users_on_cache(users, cache: int) -> int:
     return sum(1 for user in users if cache in user)
+
+
+def int_xor_payloads(schedule: DeliverySchedule, store: FileStore) -> list[bytes]:
+    """Split every file afresh and XOR each transmission's subfiles as big ints."""
+    v = schedule.scheme.res.design.v
+    per_file = [split_subfiles(data, v) for data in store.files]
+    payloads = []
+    for t in schedule.transmissions:
+        acc = 0
+        size = 0
+        for uid, y in t.terms:
+            sub = per_file[schedule.demands[uid] - 1][y - 1]
+            acc ^= int.from_bytes(sub, "big")
+            size = len(sub)
+        payloads.append(acc.to_bytes(size, "big"))
+    return payloads
+
+
+def scan_participation(schedule: DeliverySchedule, user: int) -> list[tuple[int, int]]:
+    """Every (transmission index, subfile) term of one user, scanning all T."""
+    return [
+        (t_idx, y)
+        for t_idx, t in enumerate(schedule.transmissions)
+        for uid, y in t.terms
+        if uid == user
+    ]

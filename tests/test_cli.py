@@ -1,7 +1,14 @@
 """Command-line behaviour: outputs, exit codes, round trips, cap overrides."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import crdcache
 from crdcache.cli import main
 
 AFFINE_SWEEP_GOLDEN = """\
@@ -55,6 +62,27 @@ class TestConstruct:
         assert main(["construct", "--design", "mystery:n=3"]) == 1
         err = capsys.readouterr().err
         assert "no such file" in err.lower() or "No such file" in err
+
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"v": 4, "blocks": [[1, 2], [3, 4]]}, "missing the key 'classes'"),
+            ([[1, 2], [3, 4]], "must be an object"),
+        ],
+    )
+    def test_malformed_design_json_is_reported_without_traceback(self, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(crdcache.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "crdcache.cli", "construct", "--design", str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode != 0
+        assert message in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestAnalyze:

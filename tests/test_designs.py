@@ -195,3 +195,18 @@ class TestJson:
         obj["classes"][0][0] = 99
         with pytest.raises(errors.NotAPartitionOfBlocks):
             resolution_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"v": 4, "blocks": [[1, 2], [3, 4]]}, "missing the key 'classes'"),
+            ({"blocks": [[1, 2], [3, 4]], "classes": [[1, 2]]}, "missing the key 'v'"),
+            ([[1, 2], [3, 4]], "must be an object"),
+            ({"v": "4", "blocks": [[1, 2], [3, 4]], "classes": [[1, 2]]}, "'v' must be an integer"),
+            ({"v": 4, "blocks": [[1, 2], [3, 4]], "classes": 5}, "'classes' must be a list of lists"),
+            ({"v": 4, "blocks": [[1, None], [3, 4]], "classes": [[1, 2]]}, "'blocks' entry 1"),
+        ],
+    )
+    def test_malformed_document_is_a_typed_error(self, obj, message):
+        with pytest.raises(errors.MalformedDesignJson, match=message):
+            resolution_from_json(obj)

@@ -160,6 +160,37 @@ class TestSubpacketizationIdentity:
         with pytest.raises(errors.NonIntegerResult):
             subpacketization_from_counts(9, 30, 3, 2)
 
+    def test_user_counts_beyond_the_float_range(self):
+        # K / C(r,z) = (10**200)**2 > 1e308 used to overflow a float root
+        b_r = 10**200
+        big_k = comb(6, 2) * b_r**2
+        assert big_k > 1e308
+        assert subpacketization_from_counts(5, big_k, 6, 2) == 5 * b_r
+        assert subpacketization_from_counts(3, comb(7, 3) * (b_r + 1) ** 3, 7, 3) == 3 * (b_r + 1)
+        with pytest.raises(errors.NonIntegerResult):
+            subpacketization_from_counts(5, comb(6, 2) * (b_r**2 + 1), 6, 2)
+        with pytest.raises(errors.NonIntegerResult):
+            subpacketization_from_counts(3, comb(7, 3) * (b_r**3 - 1), 7, 3)
+
+    @pytest.mark.parametrize("big_k, r, z", [(-9, 3, 2), (9, 3, 0), (9, 3, 4)])
+    def test_out_of_range_arguments_are_typed_errors(self, big_k, r, z):
+        with pytest.raises(errors.IndexOutOfRange):
+            subpacketization_from_counts(3, big_k, r, z)
+
+    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5])
+    def test_exact_roots_near_perfect_powers(self, z):
+        # r = z makes C(r,z) = 1, so per-subset count and K coincide
+        for base in list(range(40)) + [2**61 - 1, 10**30 + 7]:
+            for big_k in (base**z - 1, base**z, base**z + 1):
+                if big_k < 0:
+                    continue
+                roots = [x for x in (base - 1, base, base + 1) if x >= 0 and x**z == big_k]
+                if roots:
+                    assert subpacketization_from_counts(2, big_k, z, z) == 2 * roots[0]
+                else:
+                    with pytest.raises(errors.NonIntegerResult):
+                        subpacketization_from_counts(2, big_k, z, z)
+
     def test_round_trips_all_points(self):
         for _example, res, z in _catalog_points():
             metrics = scheme_metrics(res, z)

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crdcache import errors
-from crdcache.constructions import affine_plane, catalog_example
+from crdcache.constructions import affine_plane, catalog_example, from_spec
+from crdcache.designs import crd_profile
 from crdcache.scheme import CodedTransmission, DeliverySchedule, build_delivery_schedule, build_scheme
 from crdcache.simulator import (
+    CacheView,
     build_caches,
     decode_user,
     encode_payloads,
@@ -20,6 +22,28 @@ from crdcache.simulator import (
     subfile_length,
     verify_all,
 )
+from oracles import int_xor_payloads, scan_participation
+
+ORACLE_SPECS = (
+    [f"example:{i}" for i in range(1, 10)]
+    + [f"affine:n={n}" for n in range(2, 6)]
+    + [f"hadamard:m={m}" for m in range(1, 5)]
+)
+
+
+def _oracle_points():
+    for spec in ORACLE_SPECS:
+        res = from_spec(spec)
+        for z in [1] + sorted(crd_profile(res).mu):
+            yield pytest.param(spec, z, id=f"{spec}-z{z}")
+
+
+class CountingTuple(tuple):
+    """A tuple that counts how often it is iterated from the start."""
+
+    def __iter__(self):
+        self.iterations = getattr(self, "iterations", 0) + 1
+        return super().__iter__()
 
 
 class TestFileStore:
@@ -81,6 +105,77 @@ class TestPayloads:
         lines = payload_hex_dump(schedule, encode_payloads(schedule, store))
         assert len(lines) == 9
         assert lines[0].startswith("classes=1,2 pairs=1-2;4-5 s=1: ")
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("spec, z", list(_oracle_points()))
+    def test_payloads_and_participation_match_brute_force(self, spec, z):
+        res = from_spec(spec)
+        v = res.design.v
+        n_users = build_scheme(res, z, 1).n_users
+        cases = [
+            (n_users, range(1, n_users + 1), 2 * v),  # distinct demands, even split
+            (n_users, range(1, n_users + 1), 2 * v + 3),  # uneven file length
+            (3, [uid % 3 + 1 for uid in range(n_users)], 2 * v - 1),  # repeated demands
+        ]
+        for n_files, demands, file_len in cases:
+            schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
+            store = make_file_store(n_files, file_len, seed=z)
+            assert encode_payloads(schedule, store) == int_xor_payloads(schedule, store)
+        for uid in range(n_users):
+            assert list(schedule.participation[uid]) == scan_participation(schedule, uid)
+
+    def test_decoding_every_user_walks_the_schedule_at_most_once(self):
+        res = affine_plane(4)
+        scheme = build_scheme(res, 2, 160)
+        built = build_delivery_schedule(scheme, range(1, 161))
+        store = make_file_store(160, 50, 6)
+        caches = build_caches(store, res)
+        payloads = encode_payloads(built, store)
+        counted = CountingTuple(built.transmissions)
+        schedule = DeliverySchedule(scheme=scheme, demands=built.demands, transmissions=counted)
+        for uid in range(scheme.n_users):
+            demand = schedule.demands[uid]
+            data, _, n_air = decode_user(uid, payloads, schedule, caches, demand, 50)
+            assert data == store.files[demand - 1]
+            assert n_air == scheme.mu_z * (res.b_r - 1) ** 2
+        assert counted.iterations <= 1
+
+
+class TestCacheViews:
+    def test_views_over_each_block(self):
+        res = catalog_example(9)
+        design = res.design
+        store = make_file_store(5, 37, 2)
+        sub = subfile_length(37, design.v)
+        subs = [split_subfiles(f, design.v) for f in store.files]
+        caches = build_caches(store, res)
+        assert len(caches) == design.b
+        for block, cache in zip(design.blocks, caches):
+            assert isinstance(cache, CacheView)
+            assert len(cache) == 5 * design.k
+            assert set(cache) == {(i, p) for i in range(1, 6) for p in block}
+            for (i, p), value in cache.items():
+                assert len(value) == sub
+                assert value == subs[i - 1][p - 1]
+            outside = min(set(range(1, design.v + 1)) - block)
+            assert (1, outside) not in cache
+            with pytest.raises(KeyError):
+                cache[(1, outside)]
+            with pytest.raises(KeyError):
+                cache[(6, min(block))]
+            with pytest.raises(TypeError):
+                cache[(1, min(block))] = b"x" * sub
+
+    def test_one_read_only_library_per_v(self):
+        res = catalog_example(9)
+        store = make_file_store(5, 37, 2)
+        library = store.library(res.design.v)
+        assert library.shape == (5, res.design.v, subfile_length(37, res.design.v))
+        assert not library.flags.writeable
+        assert store.library(res.design.v) is library
+        assert all(cache.library is library for cache in build_caches(store, res))
+        assert store == make_file_store(5, 37, 2)
 
 
 class TestEndToEnd:
