@@ -34,7 +34,6 @@ from .scheme import (
     delivery_rate,
     enumerate_users,
     per_user_rate_ratio,
-    placement,
     scheme_metrics,
     schedule_to_json,
     subpacketization_from_counts,
@@ -84,7 +83,6 @@ __all__ = [
     "make_file_store",
     "man_point",
     "per_user_rate_ratio",
-    "placement",
     "resolution_from_json",
     "schedule_to_json",
     "scheme_metrics",

@@ -35,6 +35,7 @@ from .constructions import (
 )
 from .designs import Resolution, crd_profile
 from .errors import (
+    BadFamilyParameter,
     CrdCacheError,
     NonIntegerCacheRedundancy,
     NonIntegerSubpacketization,
@@ -102,11 +103,6 @@ def spe_structural(b: int, z: int) -> SpeStructural:
     )
 
 
-def scheme_table_row(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> SchemeMetrics:
-    """The multi-access scheme's column for one (design, z)."""
-    return scheme_metrics(res, z, caps)
-
-
 def man_counterpart(res: Resolution) -> ManPoint:
     """MaN point with the same cache count and per-cache fraction as a design."""
     return man_point(res.design.b, Fraction(res.design.k, res.design.v))
@@ -117,6 +113,8 @@ def man_counterpart(res: Resolution) -> ManPoint:
 
 def affine_family_table(n: int) -> dict[str, object]:
     """Formula cells for the affine-plane family at order n, z = 2."""
+    if n < 2:
+        raise BadFamilyParameter(f"the affine-plane family needs n >= 2, got n={n}")
     man = man_point(n * (n + 1), Fraction(1, n))
     return {
         "caches": n * (n + 1),
@@ -146,6 +144,10 @@ def affine_family_z1_table(n: int) -> dict[str, object]:
 
 def ag_family_table(q: int, m: int) -> dict[str, object]:
     """Formula cells for the affine-geometry family at (q, m), z = 2."""
+    if q < 2 or m < 2:
+        raise BadFamilyParameter(
+            f"the affine-geometry family needs q >= 2 and m >= 2, got q={q}, m={m}"
+        )
     b = q * (q**m - 1) // (q - 1)
     man = man_point(b, Fraction(1, q))
     return {
@@ -166,6 +168,8 @@ def ag_family_table(q: int, m: int) -> dict[str, object]:
 
 def hadamard_family_table(m: int) -> dict[str, object]:
     """Formula cells for the Hadamard family at order parameter m, z = 2."""
+    if m < 1:
+        raise BadFamilyParameter(f"the Hadamard family needs m >= 1, got m={m}")
     b = 2 * (4 * m - 1)
     man = man_point(b, Fraction(1, 2))
     return {

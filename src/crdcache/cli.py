@@ -38,7 +38,7 @@ from .baselines import (
 from .caps import DEFAULT_CAPS, SizeCaps
 from .constructions import from_spec
 from .designs import Resolution, crd_profile, design_to_json, resolution_from_json
-from .errors import CrdCacheError, DemandOutOfRange
+from .errors import BadFamilyParameter, CrdCacheError
 from .render import cell_text, sweep_csv, table_csv, table_text
 from .scheme import build_delivery_schedule, build_scheme, schedule_to_json
 from .simulator import encode_payloads, make_file_store, payload_hex_dump, report_to_json, verify_all
@@ -77,18 +77,22 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_kv(text: str) -> dict[str, int]:
-    out = {}
+def _table_params(name: str, text: str, *keys: str) -> list[int]:
+    """The values of ``keys`` in a ``k=v,...`` list, in that order."""
+    kv = {}
     for item in text.split(","):
         if item.strip():
             key, _, value = item.partition("=")
-            out[key.strip()] = int(value)
-    return out
+            kv[key.strip()] = int(value)
+    for key in keys:
+        if key not in kv:
+            raise BadFamilyParameter(f"table {name!r} is missing parameter {key!r}")
+    return [kv[key] for key in keys]
 
 
 def _parse_demands(spec: str, n_users: int) -> tuple[int, ...] | None:
     if spec == "distinct":
-        return None  # verify_all / schedule callers fill in 1..K after the N >= K check
+        return None  # build_delivery_schedule fills in 1..K after the N >= K check
     if spec == "equal":
         return (1,) * n_users
     return tuple(int(x) for x in spec.split(","))
@@ -142,14 +146,7 @@ def cmd_analyze(args: argparse.Namespace, caps: SizeCaps) -> int:
 def cmd_schedule(args: argparse.Namespace, caps: SizeCaps) -> int:
     res = _load_design(args.design, caps)
     scheme = build_scheme(res, args.z, args.files, caps)
-    demands = _parse_demands(args.demands, scheme.n_users)
-    if demands is None:
-        if args.files < scheme.n_users:
-            raise DemandOutOfRange(
-                f"distinct demands need N >= K, got N={args.files}, K={scheme.n_users}"
-            )
-        demands = tuple(range(1, scheme.n_users + 1))
-    schedule = build_delivery_schedule(scheme, demands)
+    schedule = build_delivery_schedule(scheme, _parse_demands(args.demands, scheme.n_users))
     if args.format == "text":
         lines = [
             f"K={scheme.n_users} transmissions={len(schedule.transmissions)} "
@@ -172,8 +169,6 @@ def cmd_simulate(args: argparse.Namespace, caps: SizeCaps) -> int:
     demands = _parse_demands(args.demands, scheme.n_users)
     report = verify_all(res, args.z, args.files, args.len, args.seed, demands, caps)
     if args.dump_payloads:
-        if demands is None:
-            demands = tuple(range(1, scheme.n_users + 1))
         schedule = build_delivery_schedule(scheme, demands)
         store = make_file_store(args.files, args.len, args.seed)
         payloads = encode_payloads(schedule, store)
@@ -204,14 +199,13 @@ def cmd_table(args: argparse.Namespace, caps: SizeCaps) -> int:
     elif name == "examples-spe":
         table = spe_example_table(caps)
     elif name == "affine-man":
-        table = affine_man_table(_parse_kv(rest)["n"])
+        table = affine_man_table(*_table_params(args.name, rest, "n"))
     elif name == "affine-z1":
-        table = affine_z1_man_table(_parse_kv(rest)["n"])
+        table = affine_z1_man_table(*_table_params(args.name, rest, "n"))
     elif name == "ag-man":
-        kv = _parse_kv(rest)
-        table = ag_man_table(kv["q"], kv["m"])
+        table = ag_man_table(*_table_params(args.name, rest, "q", "m"))
     elif name == "hadamard-man":
-        table = hadamard_man_table(_parse_kv(rest)["m"])
+        table = hadamard_man_table(*_table_params(args.name, rest, "m"))
     elif name == "zsweep":
         table = z_sweep_table(_load_design(rest, caps), rest, caps)
     else:

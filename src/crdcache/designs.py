@@ -6,7 +6,8 @@ a set of pairwise-disjoint blocks tiling the whole point set.  When every
 choice of i blocks from i distinct parallel classes meets in the same
 nonzero number of points, that common size is the i-th cross intersection
 number mu_i; a design with at least one mu_i (i >= 2) is cross resolvable,
-and the largest such i is its cross resolution number.
+and the largest such i is its cross resolution number.  ``crd_profile`` is
+the one search for these numbers; it is memoized on the resolution.
 
 Conventions: points are 1-based everywhere (they double as subfile
 indices).  Block and class indices are 0-based in the Python API and
@@ -16,9 +17,10 @@ indices).  Block and class indices are 0-based in the Python API and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -58,21 +60,26 @@ class Resolution:
     design: Design
     classes: tuple[tuple[int, ...], ...]
     b_r: int
+    _profiles: dict[SizeCaps, CrdProfile] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def r(self) -> int:
         return len(self.classes)
 
-    def class_blocks(self, c: int) -> list[frozenset[int]]:
-        return [self.design.blocks[j] for j in self.classes[c]]
+    def __getstate__(self) -> dict:
+        # a copy or pickle starts with an empty memo: mappingproxy does not pickle
+        return {**self.__dict__, "_profiles": {}}
 
 
 @dataclass(frozen=True)
 class CrdProfile:
     """Existing cross intersection numbers and the cross resolution number.
 
-    ``mu`` maps i -> mu_i for every i in 2..r where mu_i exists; ``crn`` is
-    the largest such i (None when the design is not cross resolvable).
+    ``mu`` is a read-only mapping i -> mu_i for every i in 2..r where mu_i
+    exists; ``crn`` is the largest such i (None when the design is not
+    cross resolvable).
     """
 
     mu: Mapping[int, int]
@@ -166,17 +173,26 @@ def cross_intersection_number(
 
 
 def crd_profile(res: Resolution, caps: SizeCaps = DEFAULT_CAPS) -> CrdProfile:
-    """All existing cross intersection numbers of a resolution."""
-    mu: dict[int, int] = {}
-    for i in range(2, res.r + 1):
-        value = cross_intersection_number(res, i, caps)
-        if value is None:
-            # an absent mu_i forces every higher one absent: a common
-            # (i+1)-wise size would make each i-wise intersection equal
-            # mu_{i+1} * v/k for all choices
-            break
-        mu[i] = value
-    return CrdProfile(mu=mu, crn=max(mu) if mu else None, is_crd=bool(mu))
+    """All existing cross intersection numbers of a resolution.
+
+    Each order is searched at most once per (resolution, caps): the first
+    call memoizes the profile on the resolution and later calls with equal
+    caps share it.  Other caps search afresh, so a smaller cap still fails.
+    """
+    profile = res._profiles.get(caps)
+    if profile is None:
+        mu: dict[int, int] = {}
+        for i in range(2, res.r + 1):
+            value = cross_intersection_number(res, i, caps)
+            if value is None:
+                # an absent mu_i forces every higher one absent: a common
+                # (i+1)-wise size would make each i-wise intersection equal
+                # mu_{i+1} * v/k for all choices
+                break
+            mu[i] = value
+        profile = CrdProfile(mu=MappingProxyType(mu), crn=max(mu) if mu else None, is_crd=bool(mu))
+        res._profiles[caps] = profile
+    return profile
 
 
 def users_per_subfile(r: int, z: int, b_r: int) -> int:

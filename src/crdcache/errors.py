@@ -61,6 +61,10 @@ class UnknownExample(CrdCacheError):
     """Catalog example id outside the built-in range."""
 
 
+class BadFamilyParameter(CrdCacheError):
+    """A family table parameter is missing or outside the family's range."""
+
+
 # --- scheme -------------------------------------------------------------------
 
 class MuUndefinedForZ(CrdCacheError):

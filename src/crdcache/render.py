@@ -27,10 +27,6 @@ SWEEP_HEADER = (
 )
 
 
-def fraction_text(x: Fraction | int) -> str:
-    return str(x)
-
-
 def decimal_text(x: Fraction | int, digits: int = 12) -> str:
     return format(float(x), f".{digits}g")
 
@@ -83,11 +79,11 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
         writer.writerow(
             [
                 row.param,
-                fraction_text(row.m_over_n),
+                row.m_over_n,
                 decimal_text(row.m_over_n),
-                fraction_text(row.rk_crd),
+                row.rk_crd,
                 decimal_text(row.rk_crd),
-                fraction_text(row.rk_man),
+                row.rk_man,
                 decimal_text(row.rk_man),
                 row.f_crd,
                 row.f_man,

@@ -28,7 +28,7 @@ from math import comb, isqrt
 from typing import Mapping, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
-from .designs import Resolution, cross_intersection_number
+from .designs import Resolution, crd_profile
 from .errors import (
     BadDemandLength,
     DemandOutOfRange,
@@ -39,20 +39,18 @@ from .errors import (
 )
 
 
-def admissible_mu(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> dict[int, int]:
-    """mu_t for t in 2..z, raising MuUndefinedForZ when any is missing.
+def admissible_mu(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> Mapping[int, int]:
+    """The resolution's read-only mu profile, once z is known to be admissible.
 
-    z = 1 is always admissible and yields an empty map.
+    Raises MuUndefinedForZ unless 1 <= z <= r and mu_2..mu_z all exist;
+    z = 1 is always admissible.
     """
     if z < 1 or z > res.r:
         raise MuUndefinedForZ(f"z must be in 1..{res.r}, got {z}")
-    mu: dict[int, int] = {}
-    for t in range(2, z + 1):
-        value = cross_intersection_number(res, t, caps)
-        if value is None:
-            raise MuUndefinedForZ(f"mu_{t} does not exist; z={z} is not admissible")
-        mu[t] = value
-    return mu
+    profile = crd_profile(res, caps)
+    if z > 1 and z not in profile.mu:
+        raise MuUndefinedForZ(f"mu_{(profile.crn or 1) + 1} does not exist; z={z} is not admissible")
+    return profile.mu
 
 
 def enumerate_users(
@@ -66,11 +64,6 @@ def enumerate_users(
         for positions in product(range(res.b_r), repeat=z):
             users.append(tuple(class_lists[s][positions[s]] for s in range(z)))
     return tuple(users)
-
-
-def placement(res: Resolution) -> tuple[frozenset[int], ...]:
-    """Subfile indices stored by each cache: cache j holds block j, per file."""
-    return res.design.blocks
 
 
 def accessible_indices(res: Resolution, user: Sequence[int]) -> frozenset[int]:
@@ -257,14 +250,21 @@ class DeliverySchedule:
 
 
 def build_delivery_schedule(
-    scheme: SchemeInstance, demands: Sequence[int]
+    scheme: SchemeInstance, demands: Sequence[int] | None = None
 ) -> DeliverySchedule:
     """All coded transmissions, in their canonical lexicographic order.
 
     The schedule itself does not depend on the demand values (no savings
     are attempted for repeated demands); the vector fixes which file each
-    term refers to and is validated here.
+    term refers to and is validated here.  ``None`` means the distinct
+    worst case: user i demands file i, which needs N >= K files.
     """
+    if demands is None:
+        if scheme.n_files < scheme.n_users:
+            raise DemandOutOfRange(
+                f"distinct demands need N >= K, got N={scheme.n_files}, K={scheme.n_users}"
+            )
+        demands = range(1, scheme.n_users + 1)
     demands = tuple(int(d) for d in demands)
     if len(demands) != scheme.n_users:
         raise BadDemandLength(

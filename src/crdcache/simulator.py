@@ -86,13 +86,6 @@ def subfile_length(file_len: int, v: int) -> int:
     return -(-file_len // v)
 
 
-def split_subfiles(data: bytes, v: int) -> list[bytes]:
-    """Zero-pad to a multiple of v and slice into v equal subfiles."""
-    sub = subfile_length(len(data), v)
-    padded = data + b"\x00" * (sub * v - len(data))
-    return [padded[i * sub : (i + 1) * sub] for i in range(v)]
-
-
 class CacheView(Mapping[tuple[int, int], bytes]):
     """One cache's contents: (file id, point) -> subfile bytes, for every
     file and every point of the cache's block.
@@ -277,12 +270,6 @@ def verify_all(
 ) -> SimulationReport:
     """End-to-end run: place, schedule, broadcast, decode and compare bytes."""
     scheme = build_scheme(res, z, n_files, caps)
-    if demands is None:
-        if n_files < scheme.n_users:
-            raise DemandOutOfRange(
-                f"worst-case demands need N >= K, got N={n_files}, K={scheme.n_users}"
-            )
-        demands = tuple(range(1, scheme.n_users + 1))
     schedule = build_delivery_schedule(scheme, demands)
     _check_side_information_sets(schedule)
     store = make_file_store(n_files, file_len, seed)

@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 from crdcache.designs import Resolution
 from crdcache.scheme import DeliverySchedule
-from crdcache.simulator import FileStore, split_subfiles
+from crdcache.simulator import FileStore, subfile_length
 
 
 def brute_cross_intersection(res: Resolution, i: int) -> int | None:
@@ -51,6 +51,13 @@ def count_users_seeing_point(res: Resolution, users, point: int) -> int:
 
 def count_users_on_cache(users, cache: int) -> int:
     return sum(1 for user in users if cache in user)
+
+
+def split_subfiles(data: bytes, v: int) -> list[bytes]:
+    """Zero-pad to a multiple of v and slice into v equal subfiles."""
+    sub = subfile_length(len(data), v)
+    padded = data + b"\x00" * (sub * v - len(data))
+    return [padded[i * sub : (i + 1) * sub] for i in range(v)]
 
 
 def int_xor_payloads(schedule: DeliverySchedule, store: FileStore) -> list[bytes]:

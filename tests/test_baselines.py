@@ -15,7 +15,6 @@ from crdcache.baselines import (
     man_counterpart,
     man_example_table,
     man_point,
-    scheme_table_row,
     spe_example_table,
     spe_structural,
     sweep_family,
@@ -27,6 +26,7 @@ from crdcache.constructions import (
     catalog_example,
     hadamard_crd,
 )
+from crdcache.scheme import scheme_metrics
 
 
 class TestManPoint:
@@ -57,6 +57,28 @@ class TestManPoint:
         assert point.subpacketization == comb(90, 10)
 
 
+class TestFamilyParameters:
+    @pytest.mark.parametrize(
+        "build, args, parameter",
+        [
+            (affine_family_table, (0,), "n=0"),
+            (affine_family_table, (1,), "n=1"),
+            (affine_family_z1_table, (1,), "n=1"),
+            (ag_family_table, (1, 3), "q=1"),
+            (ag_family_table, (3, 1), "m=1"),
+            (hadamard_family_table, (0,), "m=0"),
+        ],
+    )
+    def test_out_of_range_is_a_typed_error(self, build, args, parameter):
+        with pytest.raises(errors.BadFamilyParameter, match=parameter):
+            build(*args)
+
+    def test_smallest_members_build(self):
+        assert affine_family_table(2)["crd_users"] == 12
+        assert ag_family_table(2, 2)["caches"] == 6
+        assert hadamard_family_table(1)["caches"] == 6
+
+
 class TestSpeStructural:
     def test_values(self):
         eight = spe_structural(8, 2)
@@ -84,7 +106,7 @@ class TestFamilyFormulaTables:
     def test_affine_matches_built_design(self, n):
         cells = affine_family_table(n)
         res = affine_plane(n)
-        metrics = scheme_table_row(res, 2)
+        metrics = scheme_metrics(res, 2)
         man = man_counterpart(res)
         assert metrics.users == cells["crd_users"]
         assert metrics.subpacketization == cells["crd_subpacketization"]
@@ -99,7 +121,7 @@ class TestFamilyFormulaTables:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_affine_z1_matches_built_design(self, n):
         cells = affine_family_z1_table(n)
-        metrics = scheme_table_row(affine_plane(n), 1)
+        metrics = scheme_metrics(affine_plane(n), 1)
         assert metrics.users == cells["crd_users"] == n * (n + 1)
         assert metrics.rate == cells["crd_rate"] == Fraction((n + 1) * (n - 1), 2)
         assert metrics.gain == 2
@@ -108,7 +130,7 @@ class TestFamilyFormulaTables:
     def test_geometry_matches_built_design(self, q, m):
         cells = ag_family_table(q, m)
         res = affine_geometry_bibd(q, m)
-        metrics = scheme_table_row(res, 2)
+        metrics = scheme_metrics(res, 2)
         man = man_counterpart(res)
         assert metrics.users == cells["crd_users"]
         assert metrics.rate == cells["crd_rate"]
@@ -123,7 +145,7 @@ class TestFamilyFormulaTables:
     def test_hadamard_matches_built_design(self, m):
         cells = hadamard_family_table(m)
         res = hadamard_crd(m)
-        metrics = scheme_table_row(res, 2)
+        metrics = scheme_metrics(res, 2)
         man = man_counterpart(res)
         assert metrics.users == cells["crd_users"]
         assert metrics.rate == cells["crd_rate"]

@@ -228,6 +228,30 @@ class TestTable:
         assert main(["table", "--name", "bogus"]) == 1
         assert "unknown table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("affine-man", "table 'affine-man' is missing parameter 'n'"),
+            ("ag-man:q=2", "table 'ag-man:q=2' is missing parameter 'm'"),
+            ("affine-man:n=0", "needs n >= 2, got n=0"),
+            ("affine-z1:n=1", "needs n >= 2, got n=1"),
+            ("ag-man:q=1,m=3", "needs q >= 2 and m >= 2, got q=1, m=3"),
+            ("hadamard-man:m=0", "needs m >= 1, got m=0"),
+        ],
+    )
+    def test_bad_family_parameters_are_reported_without_traceback(self, name, message):
+        src = str(Path(crdcache.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "crdcache.cli", "table", "--name", name],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 1
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert "Traceback" not in out.stderr
+
 
 class TestSweep:
     def test_affine_csv_golden(self, capsys):

@@ -1,9 +1,14 @@
 """Design and resolution axioms, cross intersection numbers, counting formulas."""
 
+import copy
+import pickle
+from collections import Counter
+
 import pytest
 
-from crdcache import errors
-from crdcache.caps import SizeCaps
+from crdcache import baselines, cli, designs, errors, scheme, simulator
+from crdcache.baselines import analyze_table, z_sweep_table
+from crdcache.caps import DEFAULT_CAPS, SizeCaps
 from crdcache.constructions import catalog_example
 from crdcache.designs import (
     crd_profile,
@@ -15,6 +20,7 @@ from crdcache.designs import (
     validate_design,
     validate_resolution,
 )
+from crdcache.scheme import build_scheme, enumerate_users, scheme_metrics
 from oracles import (
     brute_cross_intersection,
     count_users_on_cache,
@@ -210,3 +216,61 @@ class TestJson:
     def test_malformed_document_is_a_typed_error(self, obj, message):
         with pytest.raises(errors.MalformedDesignJson, match=message):
             resolution_from_json(obj)
+
+
+class TestProfileMemo:
+    @pytest.mark.parametrize("example, orders", [(6, {2, 3}), (9, {2, 3, 4})])
+    def test_each_order_is_searched_once(self, monkeypatch, example, orders):
+        real = designs.cross_intersection_number
+        calls = Counter()
+
+        def counting(res, i, caps=DEFAULT_CAPS):
+            calls[i, caps] += 1
+            return real(res, i, caps)
+
+        # patch every module that could hold its own reference to the search
+        for module in (designs, scheme, baselines, cli, simulator):
+            if hasattr(module, "cross_intersection_number"):
+                monkeypatch.setattr(module, "cross_intersection_number", counting)
+        res = catalog_example(example)
+        z_values = [1] + sorted(crd_profile(res).mu)
+        build_scheme(res, z_values[-1], 10**4)
+        enumerate_users(res, z_values[-1])
+        for z in z_values:
+            scheme_metrics(res, z)
+            analyze_table(res, z)
+        z_sweep_table(res, f"example:{example}")
+        assert {i for i, _ in calls} == orders
+        assert all(n == 1 for n in calls.values()), calls
+
+    def test_smaller_caps_still_raise(self):
+        res = catalog_example(6)
+        assert crd_profile(res).mu[2] == 1
+        small = SizeCaps(max_intersections=3)
+        with pytest.raises(errors.SizeCapExceeded):
+            crd_profile(res, small)
+        with pytest.raises(errors.SizeCapExceeded):
+            scheme_metrics(res, 2, small)
+        assert crd_profile(res) is crd_profile(res, SizeCaps())
+
+    def test_mu_is_read_only(self):
+        profile = crd_profile(catalog_example(9))
+        with pytest.raises(TypeError):
+            profile.mu[2] = 0
+        assert dict(crd_profile(catalog_example(9)).mu) == {2: 4, 3: 2, 4: 1}
+
+    def test_memo_is_not_part_of_equality_or_repr(self):
+        res = catalog_example(9)
+        crd_profile(res)
+        assert res == catalog_example(9)
+        assert hash(res) == hash(catalog_example(9))
+        assert "_profiles" not in repr(res)
+
+    def test_pickle_and_copy_drop_the_memo(self):
+        res = catalog_example(9)
+        profile = crd_profile(res)
+        for other in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res), copy.copy(res)):
+            assert other == res
+            assert crd_profile(other) is not profile
+            assert crd_profile(other) == profile
+        assert crd_profile(res) is profile

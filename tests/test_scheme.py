@@ -17,7 +17,6 @@ from crdcache.scheme import (
     delivery_rate,
     enumerate_users,
     per_user_rate_ratio,
-    placement,
     scheme_metrics,
     schedule_to_json,
     subpacketization_from_counts,
@@ -56,6 +55,28 @@ class TestUsers:
         users = enumerate_users(res, 1)
         assert sorted(u[0] for u in users) == list(range(res.design.b))
 
+    @pytest.mark.parametrize(
+        "example, z, message",
+        [
+            (2, 2, "mu_2 does not exist; z=2 is not admissible"),
+            (2, 3, "z must be in 1..2, got 3"),
+            (4, 4, "z must be in 1..3, got 4"),
+            (4, 0, "z must be in 1..3, got 0"),
+            (6, 3, "mu_3 does not exist; z=3 is not admissible"),
+            (6, 4, "mu_3 does not exist; z=4 is not admissible"),
+            (9, 5, "z must be in 1..4, got 5"),
+        ],
+    )
+    def test_inadmissible_z_messages(self, example, z, message):
+        res = catalog_example(example)
+        for call in (enumerate_users, scheme_metrics):
+            with pytest.raises(errors.MuUndefinedForZ) as info:
+                call(res, z)
+            assert str(info.value) == message
+        with pytest.raises(errors.MuUndefinedForZ) as info:
+            build_scheme(res, z, 100)
+        assert str(info.value) == message
+
     def test_inadmissible_z(self):
         with pytest.raises(errors.MuUndefinedForZ):
             enumerate_users(catalog_example(2), 2)
@@ -70,14 +91,14 @@ class TestUsers:
 class TestPlacement:
     def test_cache_holds_its_block(self):
         res = catalog_example(3)
-        assert placement(res)[0] == frozenset({1, 2, 3})
+        assert res.design.blocks[0] == frozenset({1, 2, 3})
         res1 = catalog_example(1)
-        assert placement(res1)[5] == frozenset({3, 4})
+        assert res1.design.blocks[5] == frozenset({3, 4})
 
     def test_total_indices(self):
         for example in ADMISSIBLE:
             res = catalog_example(example)
-            assert sum(len(a) for a in placement(res)) == res.design.b * res.design.k
+            assert sum(len(a) for a in res.design.blocks) == res.design.b * res.design.k
 
 
 class TestMemoryFraction:
@@ -302,6 +323,15 @@ class TestSchedule:
             build_delivery_schedule(scheme, [1] * 8 + [10])
         with pytest.raises(errors.DemandOutOfRange):
             build_delivery_schedule(scheme, [0] + [1] * 8)
+
+    def test_default_demands_are_distinct(self):
+        scheme = build_scheme(catalog_example(3), 2, 9)
+        assert build_delivery_schedule(scheme).demands == tuple(range(1, 10))
+        assert build_delivery_schedule(scheme) == build_delivery_schedule(scheme, range(1, 10))
+        few_files = build_scheme(catalog_example(3), 2, 8)
+        with pytest.raises(errors.DemandOutOfRange, match="distinct demands need N >= K, got N=8, K=9"):
+            build_delivery_schedule(few_files)
+        assert build_delivery_schedule(few_files, [1] * 9).demands == (1,) * 9
 
     def test_forged_mu_is_surfaced_loudly(self):
         from dataclasses import replace

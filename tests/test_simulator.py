@@ -18,11 +18,10 @@ from crdcache.simulator import (
     make_file_store,
     payload_hex_dump,
     report_to_json,
-    split_subfiles,
     subfile_length,
     verify_all,
 )
-from oracles import int_xor_payloads, scan_participation
+from oracles import int_xor_payloads, scan_participation, split_subfiles
 
 ORACLE_SPECS = (
     [f"example:{i}" for i in range(1, 10)]
