@@ -24,18 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
-from .constructions import (
-    affine_geometry_bibd,
-    affine_plane,
-    catalog_example,
-    hadamard_crd,
-)
+from .constructions import FAMILIES, catalog_example
 from .designs import Resolution, crd_profile
 from .errors import (
     BadFamilyParameter,
+    BadSpec,
     CrdCacheError,
     NonIntegerCacheRedundancy,
     NonIntegerSubpacketization,
@@ -325,7 +321,8 @@ def z_sweep_table(res: Resolution, label: str, caps: SizeCaps = DEFAULT_CAPS) ->
     )
 
 
-def _family_comparison(cells: dict[str, object], z: int, title: str) -> ComparisonTable:
+def family_comparison(cells: dict[str, object], z: int, title: str) -> ComparisonTable:
+    """MaN and CRD columns of one family's formula cells."""
     man_col = (
         cells["caches"],
         1,
@@ -355,28 +352,15 @@ def _family_comparison(cells: dict[str, object], z: int, title: str) -> Comparis
     )
 
 
-def affine_man_table(n: int) -> ComparisonTable:
-    return _family_comparison(
-        affine_family_table(n), 2, f"Affine-plane family at n={n}, z=2 (formulas)"
-    )
-
-
-def affine_z1_man_table(n: int) -> ComparisonTable:
-    return _family_comparison(
-        affine_family_z1_table(n), 1, f"Affine-plane family at n={n}, z=1 (formulas)"
-    )
-
-
-def ag_man_table(q: int, m: int) -> ComparisonTable:
-    return _family_comparison(
-        ag_family_table(q, m), 2, f"Affine-geometry family at q={q}, m={m}, z=2 (formulas)"
-    )
-
-
-def hadamard_man_table(m: int) -> ComparisonTable:
-    return _family_comparison(
-        hadamard_family_table(m), 2, f"Hadamard family at m={m}, z=2 (formulas)"
-    )
+# table name -> (parameters, formula cells, z, title)
+FAMILY_TABLES: dict[str, tuple[tuple[str, ...], Callable[..., dict[str, object]], int, str]] = {
+    "affine-man": (("n",), affine_family_table, 2, "Affine-plane family at n={n}, z=2 (formulas)"),
+    "affine-z1": (("n",), affine_family_z1_table, 1, "Affine-plane family at n={n}, z=1 (formulas)"),
+    "ag-man": (
+        ("q", "m"), ag_family_table, 2, "Affine-geometry family at q={q}, m={m}, z=2 (formulas)"
+    ),
+    "hadamard-man": (("m",), hadamard_family_table, 2, "Hadamard family at m={m}, z=2 (formulas)"),
+}
 
 
 # --- sweeps ---------------------------------------------------------------------
@@ -413,22 +397,19 @@ def sweep_family(
     m: int | None = None,
     caps: SizeCaps = DEFAULT_CAPS,
 ) -> list[SweepRow]:
-    """Per-parameter operating points for plotting; invalid values become
+    """Per-parameter operating points for plotting, sweeping the family's
+    first parameter (``m`` fixes the ag dimension); invalid values become
     warning rows instead of aborting the sweep."""
+    if family not in FAMILIES:
+        raise BadSpec(f"unknown sweep family {family!r}")
+    keys, build = FAMILIES[family]
+    if len(keys) > 1 and m is None:
+        raise BadSpec(f"the {family} sweep needs a fixed dimension {keys[1]}")
+    fixed = (m,) * (len(keys) - 1)
     rows = []
     for value in values:
         try:
-            if family == "affine":
-                res = affine_plane(value, caps)
-            elif family == "ag":
-                if m is None:
-                    raise ValueError("the ag sweep needs a fixed dimension m")
-                res = affine_geometry_bibd(value, m, caps)
-            elif family == "hadamard":
-                res = hadamard_crd(value, caps)
-            else:
-                raise ValueError(f"unknown sweep family {family!r}")
-            rows.append(_sweep_point(res, z, str(value), caps))
+            rows.append(_sweep_point(build(value, *fixed, caps), z, str(value), caps))
         except CrdCacheError as exc:
             rows.append(SweepRow(param=str(value), note=str(exc)))
     return rows

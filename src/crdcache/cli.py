@@ -9,10 +9,13 @@ Subcommands::
     table      reproduce one of the built-in comparison tables
     sweep      CSV series over a construction family, for plotting
 
-Designs are given either as a spec string (``affine:n=3``, ``ag:q=2,m=3``,
-``hadamard:m=2``, ``example:4``) or as a path to a design JSON file.
-Size caps may be overridden with ``--cap-points`` / ``--cap-intersections``
-or the env var ``CRD_CACHE_CAPS=points=8192,intersections=20000000``.
+A design is a spec ``family:key=int,...`` with the families ``affine:n``,
+``ag:q,m``, ``hadamard:m`` and ``example:id`` (``example:4`` is short for
+``example:id=4``; family names ignore case), or else a design JSON path.
+Table parameters, ``--values`` / ``--demands`` lists and the env var
+``CRD_CACHE_CAPS=points=8192,intersections=20000000`` (which the flags
+``--cap-points`` / ``--cap-intersections`` override) use the same integer
+grammar: a missing, unknown or repeated key or a non-integer is an error.
 """
 
 from __future__ import annotations
@@ -24,47 +27,35 @@ import sys
 from pathlib import Path
 
 from .baselines import (
+    FAMILY_TABLES,
     ComparisonTable,
-    affine_man_table,
-    affine_z1_man_table,
-    ag_man_table,
     analyze_table,
-    hadamard_man_table,
+    family_comparison,
     man_example_table,
     spe_example_table,
     sweep_family,
     z_sweep_table,
 )
-from .caps import DEFAULT_CAPS, SizeCaps
-from .constructions import from_spec
+from .caps import SizeCaps
+from .constructions import FAMILIES, from_spec, parse_ints, parse_params
 from .designs import Resolution, crd_profile, design_to_json, resolution_from_json
-from .errors import BadFamilyParameter, CrdCacheError
+from .errors import BadSpec, CrdCacheError
 from .render import cell_text, sweep_csv, table_csv, table_text
 from .scheme import build_delivery_schedule, build_scheme, schedule_to_json
 from .simulator import encode_payloads, make_file_store, payload_hex_dump, report_to_json, verify_all
 
-_FAMILIES = {"affine", "ag", "hadamard", "example"}
-
 
 def _caps_from(args: argparse.Namespace) -> SizeCaps:
-    points = DEFAULT_CAPS.max_points
-    intersections = DEFAULT_CAPS.max_intersections
-    for item in os.environ.get("CRD_CACHE_CAPS", "").split(","):
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key == "points":
-            points = int(value)
-        elif key == "intersections":
-            intersections = int(value)
-    if getattr(args, "cap_points", None) is not None:
-        points = args.cap_points
-    if getattr(args, "cap_intersections", None) is not None:
-        intersections = args.cap_intersections
-    return SizeCaps(max_points=points, max_intersections=intersections)
+    text = os.environ.get("CRD_CACHE_CAPS", "")
+    limits = parse_params(f"CRD_CACHE_CAPS {text!r}", text, ("points", "intersections"), required=False)
+    flags = {"points": args.cap_points, "intersections": args.cap_intersections}
+    limits.update((key, value) for key, value in flags.items() if value is not None)
+    # each key names a SizeCaps field without its max_ prefix; absent keys keep the default
+    return SizeCaps(**{f"max_{key}": value for key, value in limits.items()})
 
 
 def _load_design(text: str, caps: SizeCaps) -> Resolution:
-    if text.split(":", 1)[0].lower() in _FAMILIES:
+    if text.split(":", 1)[0].lower() in FAMILIES:
         return from_spec(text, caps)
     with open(text, encoding="utf-8") as fh:
         return resolution_from_json(json.load(fh))
@@ -77,25 +68,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _table_params(name: str, text: str, *keys: str) -> list[int]:
-    """The values of ``keys`` in a ``k=v,...`` list, in that order."""
-    kv = {}
-    for item in text.split(","):
-        if item.strip():
-            key, _, value = item.partition("=")
-            kv[key.strip()] = int(value)
-    for key in keys:
-        if key not in kv:
-            raise BadFamilyParameter(f"table {name!r} is missing parameter {key!r}")
-    return [kv[key] for key in keys]
-
-
 def _parse_demands(spec: str, n_users: int) -> tuple[int, ...] | None:
     if spec == "distinct":
         return None  # build_delivery_schedule fills in 1..K after the N >= K check
     if spec == "equal":
         return (1,) * n_users
-    return tuple(int(x) for x in spec.split(","))
+    return tuple(parse_ints(f"--demands {spec!r}", spec))
 
 
 def cmd_construct(args: argparse.Namespace, caps: SizeCaps) -> int:
@@ -153,10 +131,8 @@ def cmd_schedule(args: argparse.Namespace, caps: SizeCaps) -> int:
             f"rate={len(schedule.transmissions)}/{res.design.v}"
         ]
         for idx, t in enumerate(schedule.transmissions):
-            classes = ",".join(str(c + 1) for c in t.classes)
-            pairs = ";".join(f"{i + 1}-{j + 1}" for i, j in t.pairs)
             terms = " ".join(f"u{uid + 1}:{y}" for uid, y in t.terms)
-            lines.append(f"{idx + 1}: classes={classes} pairs={pairs} s={t.s} {terms}")
+            lines.append(f"{idx + 1}: {t.label()} {terms}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(json.dumps(schedule_to_json(schedule), indent=2) + "\n", args.out)
@@ -198,28 +174,26 @@ def cmd_table(args: argparse.Namespace, caps: SizeCaps) -> int:
         table = man_example_table(caps)
     elif name == "examples-spe":
         table = spe_example_table(caps)
-    elif name == "affine-man":
-        table = affine_man_table(*_table_params(args.name, rest, "n"))
-    elif name == "affine-z1":
-        table = affine_z1_man_table(*_table_params(args.name, rest, "n"))
-    elif name == "ag-man":
-        table = ag_man_table(*_table_params(args.name, rest, "q", "m"))
-    elif name == "hadamard-man":
-        table = hadamard_man_table(*_table_params(args.name, rest, "m"))
     elif name == "zsweep":
         table = z_sweep_table(_load_design(rest, caps), rest, caps)
+    elif name in FAMILY_TABLES:
+        keys, cells, z, title = FAMILY_TABLES[name]
+        params = parse_params(f"table {args.name!r}", rest, keys)
+        table = family_comparison(cells(*params.values()), z, title.format(**params))
     else:
-        raise ValueError(
+        formulas = [
+            f"{n}:" + ",".join(f"{k}=.." for k in keys) for n, (keys, *_) in FAMILY_TABLES.items()
+        ]
+        raise BadSpec(
             f"unknown table {args.name!r}; available: examples-man, examples-spe, "
-            "affine-man:n=..., affine-z1:n=..., ag-man:q=..,m=.., hadamard-man:m=.., "
-            "zsweep:<design>"
+            f"{', '.join(formulas)}, zsweep:<design>"
         )
     _emit_table(table, args.format, args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace, caps: SizeCaps) -> int:
-    values = [int(x) for x in args.values.split(",")]
+    values = parse_ints(f"--values {args.values!r}", args.values)
     rows = sweep_family(args.family, values, z=args.z, m=args.m, caps=caps)
     _emit(sweep_csv(rows), args.out)
     return 0
@@ -289,10 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         caps = _caps_from(args)
         return args.func(args, caps)
-    except CrdCacheError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    # design files fail with OSError or ValueError (NUL byte, non-UTF-8, bad JSON)
+    except (CrdCacheError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .designs import Resolution, validate_design, validate_resolution
-from .errors import NoConstructionAvailable, SizeCapExceeded, UnknownExample
+from .errors import BadSpec, NoConstructionAvailable, SizeCapExceeded, UnknownExample
 from .gf import GF, prime_power
 
 
@@ -264,34 +265,68 @@ def catalog_example(number: int) -> Resolution:
     return validate_resolution(design, [[j - 1 for j in cls] for cls in classes])
 
 
+def _int(where: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadSpec(f"{where} is not an integer: {text!r}") from None
+
+
+def parse_ints(source: str, text: str) -> list[int]:
+    """The integers of a comma list; ``source`` names the input in errors."""
+    return [_int(f"{source} item {pos + 1}", item) for pos, item in enumerate(text.split(","))]
+
+
+def parse_params(
+    source: str, text: str, keys: Sequence[str], required: bool = True
+) -> dict[str, int]:
+    """The integers of a ``key=value,...`` list by key, in ``keys`` order.
+
+    Blank items are skipped.  A missing key (when ``required``), an unknown
+    or repeated key and a non-integer value raise BadSpec naming ``source``
+    and the key.
+    """
+    raw: dict[str, str] = {}
+    for item in text.split(","):
+        if item.strip():
+            key, _, value = item.partition("=")
+            key = key.strip()
+            if key in raw:
+                raise BadSpec(f"{source} repeats parameter {key!r}")
+            raw[key] = value
+    for key in keys:
+        if required and key not in raw:
+            raise BadSpec(f"{source} is missing parameter {key!r}")
+    for key in raw:
+        if key not in keys:
+            raise BadSpec(f"{source} has unknown parameter {key!r} (expected {', '.join(keys)})")
+    return {key: _int(f"{source} parameter {key!r}", raw[key]) for key in keys if key in raw}
+
+
+# family name -> (parameter names, builder taking those values and the caps)
+FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Resolution]]] = {
+    "affine": (("n",), affine_plane),
+    "ag": (("q", "m"), affine_geometry_bibd),
+    "hadamard": (("m",), hadamard_crd),
+    "example": (("id",), lambda number, caps: catalog_example(number)),
+}
+
+
 def from_spec(text: str, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
     """Build a resolution from a spec string.
 
-    Formats: ``affine:n=3``, ``ag:q=2,m=3``, ``hadamard:m=2``, ``example:4``.
+    Formats: ``affine:n=3``, ``ag:q=2,m=3``, ``hadamard:m=2``, ``example:4``
+    (short for ``example:id=4``).  The family name is case-insensitive; an
+    unknown family and a malformed parameter list raise BadSpec.
     """
     family, _, arg_text = text.partition(":")
     family = family.strip().lower()
-    args: dict[str, int] = {}
+    if family not in FAMILIES:
+        raise BadSpec(
+            f"unknown construction family {family!r} "
+            "(expected affine:n=..., ag:q=...,m=..., hadamard:m=..., example:...)"
+        )
+    keys, build = FAMILIES[family]
     if family == "example" and "=" not in arg_text:
-        args["id"] = int(arg_text)
-    else:
-        for item in arg_text.split(","):
-            if not item.strip():
-                continue
-            key, _, val = item.partition("=")
-            args[key.strip()] = int(val)
-    try:
-        if family == "affine":
-            return affine_plane(args["n"], caps)
-        if family == "ag":
-            return affine_geometry_bibd(args["q"], args["m"], caps)
-        if family == "hadamard":
-            return hadamard_crd(args["m"], caps)
-        if family == "example":
-            return catalog_example(args["id"])
-    except KeyError as missing:
-        raise ValueError(f"spec {text!r} is missing parameter {missing}") from None
-    raise ValueError(
-        f"unknown construction family {family!r} "
-        "(expected affine:n=..., ag:q=...,m=..., hadamard:m=..., example:...)"
-    )
+        arg_text = f"id={arg_text}"
+    return build(*parse_params(f"spec {text!r}", arg_text, keys).values(), caps)

@@ -69,7 +69,7 @@ class Resolution:
         return len(self.classes)
 
     def __getstate__(self) -> dict:
-        # a copy or pickle starts with an empty memo: mappingproxy does not pickle
+        # a copy or pickle starts with an empty memo; profiles are recomputed on use
         return {**self.__dict__, "_profiles": {}}
 
 
@@ -85,6 +85,13 @@ class CrdProfile:
     mu: Mapping[int, int]
     crn: int | None
     is_crd: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mu", MappingProxyType(dict(self.mu)))
+
+    def __reduce__(self) -> tuple:
+        # mappingproxy does not pickle: send a dict, __post_init__ wraps it again
+        return CrdProfile, (dict(self.mu), self.crn, self.is_crd)
 
 
 def validate_design(v: int, raw_blocks: Iterable[Iterable[int]]) -> Design:
@@ -190,7 +197,7 @@ def crd_profile(res: Resolution, caps: SizeCaps = DEFAULT_CAPS) -> CrdProfile:
                 # mu_{i+1} * v/k for all choices
                 break
             mu[i] = value
-        profile = CrdProfile(mu=MappingProxyType(mu), crn=max(mu) if mu else None, is_crd=bool(mu))
+        profile = CrdProfile(mu=mu, crn=max(mu) if mu else None, is_crd=bool(mu))
         res._profiles[caps] = profile
     return profile
 

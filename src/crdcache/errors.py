@@ -61,8 +61,13 @@ class UnknownExample(CrdCacheError):
     """Catalog example id outside the built-in range."""
 
 
+class BadSpec(CrdCacheError):
+    """A spec, table or family name, or an integer list does not parse: an
+    unknown name, a missing, unknown or repeated key, or a non-integer value."""
+
+
 class BadFamilyParameter(CrdCacheError):
-    """A family table parameter is missing or outside the family's range."""
+    """A family table parameter lies outside the family's range."""
 
 
 # --- scheme -------------------------------------------------------------------

@@ -152,7 +152,6 @@ class SchemeInstance:
     z: int
     n_files: int
     users: tuple[tuple[int, ...], ...]
-    mu: Mapping[int, int]
     mu_z: int  # mu_z, with mu_1 := k in the z = 1 case
 
     @property
@@ -190,7 +189,6 @@ def build_scheme(
         z=z,
         n_files=n_files,
         users=enumerate_users(res, z, caps),
-        mu=mu,
         mu_z=res.design.k if z == 1 else mu[z],
     )
 
@@ -227,6 +225,12 @@ class CodedTransmission:
     pairs: tuple[tuple[int, int], ...]
     s: int
     terms: tuple[tuple[int, int], ...]
+
+    def label(self) -> str:
+        """Provenance as ``classes=1,2 pairs=1-2;3-4 s=1`` (1-based)."""
+        classes = ",".join(str(c + 1) for c in self.classes)
+        pairs = ";".join(f"{i + 1}-{j + 1}" for i, j in self.pairs)
+        return f"classes={classes} pairs={pairs} s={self.s}"
 
 
 @dataclass(frozen=True)

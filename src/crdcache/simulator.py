@@ -328,9 +328,4 @@ def report_to_json(report: SimulationReport) -> dict:
 
 def payload_hex_dump(schedule: DeliverySchedule, payloads: Sequence[bytes]) -> list[str]:
     """Debug view: one line per transmission, provenance triple then hex bytes."""
-    lines = []
-    for t, payload in zip(schedule.transmissions, payloads):
-        classes = ",".join(str(c + 1) for c in t.classes)
-        pairs = ";".join(f"{i + 1}-{j + 1}" for i, j in t.pairs)
-        lines.append(f"classes={classes} pairs={pairs} s={t.s}: {payload.hex()}")
-    return lines
+    return [f"{t.label()}: {payload.hex()}" for t, payload in zip(schedule.transmissions, payloads)]

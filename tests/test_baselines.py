@@ -268,5 +268,5 @@ class TestSweep:
         assert rows[0].rk_crd == Fraction(1, 4)  # ((n+1)(n-1)/2)/(n(n+1)) at n=2
 
     def test_needs_dimension(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadSpec):
             sweep_family("ag", [2, 3])

@@ -1,15 +1,22 @@
 """Command-line behaviour: outputs, exit codes, round trips, cap overrides."""
 
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crdcache
 from crdcache.cli import main
+from test_constructions import SPEC_ITEMS, SPECS
 
 AFFINE_SWEEP_GOLDEN = """\
 param,m_over_n,m_over_n_dec,rk_crd,rk_crd_dec,rk_man,rk_man_dec,f_crd,f_man,note
@@ -284,3 +291,116 @@ class TestCaps:
             ["construct", "--design", "example:6", "--cap-intersections", "3"]
         ) == 1
         assert "exceeded the cap" in capsys.readouterr().err
+
+
+def _cli(argv, env=None):
+    src = str(Path(crdcache.__file__).resolve().parent.parent)
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "crdcache.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, env, token",
+        [
+            (["construct", "--design", "affine:n=abc"], {}, "parameter 'n' is not an integer: 'abc'"),
+            (["construct", "--design", "affine:n=3,k=9"], {}, "unknown parameter 'k'"),
+            (["construct", "--design", "affine:n=3,n=4"], {}, "repeats parameter 'n'"),
+            (["construct", "--design", "mystery:n=3"], {}, "'mystery:n=3'"),
+            (["construct", "--design", "example:"], {}, "parameter 'id' is not an integer: ''"),
+            (["table", "--name", "affine-man:n=x"], {}, "parameter 'n' is not an integer: 'x'"),
+            (["sweep", "--family", "affine", "--values", "2,x"], {}, "item 2 is not an integer: 'x'"),
+            (["sweep", "--family", "ag", "--values", "2,3"], {}, "needs a fixed dimension m"),
+            (
+                ["schedule", "--design", "example:3", "--z", "2", "--files", "9", "--demands", "1,x"],
+                {},
+                "item 2 is not an integer: 'x'",
+            ),
+            (["construct", "--design", "example:1"], {"CRD_CACHE_CAPS": "point=8"}, "unknown parameter 'point'"),
+            (
+                ["construct", "--design", "example:1"],
+                {"CRD_CACHE_CAPS": "points=abc"},
+                "parameter 'points' is not an integer: 'abc'",
+            ),
+        ],
+    )
+    def test_is_reported_on_one_line_without_traceback(self, argv, env, token):
+        out = _cli(argv, env)
+        assert out.returncode == 1
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert token in lines[0]
+        assert "Traceback" not in out.stderr
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _succeeds_or_reports_one_error(code, err):
+    return (code, err) == (0, "") or (
+        code == 1 and err.startswith("error: ") and len(err.splitlines()) == 1
+    )
+
+
+TABLE_NAMES = st.one_of(
+    st.text(),
+    st.builds(
+        lambda name, sep, items: name + sep + ",".join(items),
+        st.sampled_from(["affine-man", "affine-z1", "ag-man", "hadamard-man", "examples-man", "bogus"]),
+        st.sampled_from([":", "", "::"]),
+        st.lists(SPEC_ITEMS, max_size=4),
+    ),
+    SPECS.map(lambda spec: "zsweep:" + spec),
+)
+
+
+class TestGrammarProperties:
+    # the caps keep any design a name builds small: the property is about the grammar
+    @settings(max_examples=150, deadline=None)
+    @given(TABLE_NAMES)
+    def test_table_names(self, name):
+        argv = ["table", f"--name={name}", "--cap-points", "64", "--cap-intersections", "100000"]
+        assert _succeeds_or_reports_one_error(*_run_quietly(argv))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.text(),
+            st.lists(
+                st.builds(
+                    "".join,
+                    st.tuples(
+                        st.sampled_from(["points", "intersections", "point", " points", ""]),
+                        st.sampled_from(["=", "", "=="]),
+                        st.sampled_from(["", "x", "-1", "0", "3", "64", "9" * 30, " 8"]),
+                    ),
+                ),
+                max_size=3,
+            ).map(",".join),
+        ).filter(lambda text: "\x00" not in text)
+    )
+    def test_caps_env(self, text):
+        with mock.patch.dict(os.environ, {"CRD_CACHE_CAPS": text}):
+            assert _succeeds_or_reports_one_error(*_run_quietly(["construct", "--design", "example:6"]))
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("crdcache ")]
+    assert commands, "the README CLI block lists no crdcache command"
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_cli_examples_run(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

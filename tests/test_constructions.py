@@ -1,6 +1,8 @@
 """Family constructions: predicted parameters, profiles and the catalog."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crdcache import errors
 from crdcache.caps import SizeCaps
@@ -16,6 +18,28 @@ from crdcache.constructions import (
 )
 from crdcache.designs import crd_profile
 from oracles import brute_cross_intersection
+
+
+# Spec-shaped text: names, separators, keys and values mixed with garbage.
+# Values stay small, so the property is about the grammar and not about
+# how long a well-formed large design takes to build.
+SPEC_ITEMS = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["n", "q", "m", "id", "k", "", " n", "N"]),
+        st.sampled_from(["=", "", "=="]),
+        st.sampled_from(["", "x", "1.5", "-1", "0", "1", "2", "3", "4", " 2", "+3", "\u0663"]),
+    ),
+)
+SPECS = st.one_of(
+    st.text(),
+    st.builds(
+        lambda name, sep, items: name + sep + ",".join(items),
+        st.sampled_from(["affine", "ag", "hadamard", "example", "Example", "mystery", ""]),
+        st.sampled_from([":", "", "::"]),
+        st.lists(SPEC_ITEMS, max_size=4),
+    ),
+)
 
 
 def _shape(res):
@@ -190,7 +214,15 @@ class TestSpecStrings:
         assert _shape(from_spec("example:id=4")) == (8, 6, 3, 4)
 
     def test_bad_specs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadSpec):
             from_spec("mystery:n=3")
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.BadSpec):
             from_spec("affine:q=3")
+
+    @settings(max_examples=300, deadline=None)
+    @given(SPECS)
+    def test_malformed_specs_raise_only_package_errors(self, text):
+        try:
+            from_spec(text, SizeCaps(max_points=64))
+        except errors.CrdCacheError:
+            pass

@@ -20,7 +20,7 @@ from crdcache.designs import (
     validate_design,
     validate_resolution,
 )
-from crdcache.scheme import build_scheme, enumerate_users, scheme_metrics
+from crdcache.scheme import build_delivery_schedule, build_scheme, enumerate_users, scheme_metrics
 from oracles import (
     brute_cross_intersection,
     count_users_on_cache,
@@ -274,3 +274,19 @@ class TestProfileMemo:
             assert crd_profile(other) is not profile
             assert crd_profile(other) == profile
         assert crd_profile(res) is profile
+
+    @pytest.mark.parametrize(
+        "round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_profile_scheme_and_schedule_round_trip(self, round_trip):
+        res = catalog_example(3)
+        profile = crd_profile(res)
+        instance = build_scheme(res, 2, 9)
+        schedule = build_delivery_schedule(instance)
+        assert schedule.participation  # a filled cached property travels along
+        for obj in (profile, instance, schedule):
+            assert round_trip(obj) == obj
+        copied = round_trip(profile)
+        assert dict(copied.mu) == {2: 1}
+        with pytest.raises(TypeError):
+            copied.mu[2] = 0
