@@ -75,36 +75,24 @@ def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resol
     if m < 2:
         raise NoConstructionAvailable(f"affine geometry needs dimension >= 2, got {m}")
     field = GF(q, caps)
+    # q >= 2, so an m at or above the cap's bit length is over the cap without forming q**m
+    if m >= caps.max_points.bit_length():
+        raise SizeCapExceeded(f"{q}^{m} points exceed the cap of {caps.max_points}")
     v = q**m
     if v > caps.max_points:
         raise SizeCapExceeded(f"{v} points exceed the cap of {caps.max_points}")
-    points = list(product(field.elements(), repeat=m))
-    point_index = {pt: idx + 1 for idx, pt in enumerate(points)}
-
-    def dot(h: tuple[int, ...], x: tuple[int, ...]) -> int:
-        acc = 0
-        for hc, xc in zip(h, x):
-            acc = field.add(acc, field.mul(hc, xc))
-        return acc
-
+    # row idx holds the coordinates of point idx + 1, most significant first
+    points = np.arange(v)[:, None] // q ** np.arange(m - 1, -1, -1) % q
     # one direction per normal vector whose first nonzero coordinate is 1
-    directions = []
-    for h in points:
-        lead = next((c for c in h if c != 0), None)
-        if lead == 1:
-            directions.append(h)
-
-    blocks: list[frozenset[int]] = []
-    classes: list[tuple[int, ...]] = []
-    for h in directions:
-        cosets: dict[int, list[int]] = {c: [] for c in field.elements()}
-        for x in points:
-            cosets[dot(h, x)].append(point_index[x])
-        start = len(blocks)
-        for c in field.elements():
-            blocks.append(frozenset(cosets[c]))
-        classes.append(tuple(range(start, start + field.q)))
-    design = validate_design(v, blocks)
+    lead = points[np.arange(v), (points != 0).argmax(axis=1)]
+    normals = points[lead == 1]
+    labels = np.zeros((len(normals), v), dtype=field.add_table.dtype)
+    for i in range(m):
+        labels = field.add_table[labels, field.mul_table[normals[:, i, None], points[:, i]]]
+    # block (d, c) holds the q^(m-1) points x with normal d . x == c, in point order
+    blocks = np.argsort(labels, axis=1, kind="stable").reshape(len(normals) * q, v // q) + 1
+    classes = [tuple(range(d * q, (d + 1) * q)) for d in range(len(normals))]
+    design = validate_design(v, blocks.tolist())
     return validate_resolution(design, classes)
 
 
@@ -124,20 +112,18 @@ def _sylvester(order: int) -> np.ndarray:
 def _paley_type1(order: int, caps: SizeCaps) -> np.ndarray:
     q = order - 1
     field = GF(q, caps)
-    squares = {field.mul(x, x) for x in field.elements() if x != 0}
-
-    def chi(a: int) -> int:
-        if a == 0:
-            return 0
-        return 1 if a in squares else -1
-
+    # quadratic character: 0 at 0, 1 on the nonzero squares, -1 elsewhere
+    chi = np.full(q, -1, dtype=np.int8)
+    chi[field.mul_table.diagonal()] = 1
+    chi[0] = 0
+    negatives = field.add_table.argmin(axis=1)
     s = np.zeros((order, order), dtype=int)
     s[0, 1:] = 1
     s[1:, 0] = -1
-    for ai in range(q):
-        for bi in range(q):
-            s[ai + 1, bi + 1] = chi(field.sub(bi, ai))
-    return s + np.eye(order, dtype=int)
+    # entry (a, b) is chi(b - a): row a of add_table gathered at -a
+    s[1:, 1:] = chi[field.add_table[negatives]]
+    s.flat[:: order + 1] += 1
+    return s
 
 
 def hadamard_crd(m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
@@ -159,7 +145,6 @@ def hadamard_crd(m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
                 f"(need a power of two, or {order - 1} a prime power = 3 mod 4)"
             )
     # normalize so row 0 and column 0 are all ones, then drop row 0
-    h = h.copy()
     h[:, h[0] == -1] *= -1
     h[h[:, 0] == -1] *= -1
     blocks: list[frozenset[int]] = []

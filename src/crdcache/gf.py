@@ -1,14 +1,21 @@
 """Arithmetic in small finite fields GF(p^e).
 
-Elements are plain ints in ``range(q)``: the base-p digits of an element
-are its polynomial coefficients over GF(p), least significant digit first,
-so in GF(4) the int 3 is x+1 and 2 is x.  Extension fields reduce modulo a
-fixed irreducible polynomial from a built-in table, which keeps the
-element numbering (and every point ordering built on it) identical across
-runs and platforms.
+A field is its two operation tables.  Elements are plain ints in
+``range(q)``: the base-p digits of an element are its polynomial
+coefficients over GF(p), least significant digit first, so in GF(4) the int
+3 is x+1 and 2 is x.  ``add_table[a, b]`` and ``mul_table[a, b]`` are
+read-only q x q arrays, each computed once, on first use, from the digit
+vectors of all q elements; a prime field is the one-digit case.  Extension
+fields reduce modulo a fixed irreducible polynomial from a built-in table,
+which keeps the element numbering (and every point ordering built on it)
+identical across runs and platforms.  Every operation reads the tables.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+
+import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .errors import NotAPrimePower, SizeCapExceeded, UnsupportedDegree
@@ -63,23 +70,19 @@ class GF:
     """A field of q = p^e elements with canonical element order range(q)."""
 
     def __init__(self, q: int, caps: SizeCaps = DEFAULT_CAPS):
+        # the cap comes first: trial division of a huge q would not finish
+        if q > caps.max_points:
+            raise SizeCapExceeded(f"GF({q}) exceeds the point cap {caps.max_points}")
         pe = prime_power(q)
         if pe is None:
             raise NotAPrimePower(f"{q} is not a prime power")
-        if q > caps.max_points:
-            raise SizeCapExceeded(f"GF({q}) exceeds the point cap {caps.max_points}")
         self.q = q
         self.p, self.e = pe
-        if self.e > 1:
-            try:
-                self.modulus = _IRREDUCIBLE[(self.p, self.e)]
-            except KeyError:
-                raise UnsupportedDegree(
-                    f"no built-in irreducible polynomial for GF({self.p}^{self.e})"
-                ) from None
-        else:
-            self.modulus = None
-        self._inverse: dict[int, int] = {}
+        self.modulus = _IRREDUCIBLE.get(pe)
+        if self.modulus is None and self.e > 1:
+            raise UnsupportedDegree(
+                f"no built-in irreducible polynomial for GF({self.p}^{self.e})"
+            )
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -87,63 +90,58 @@ class GF:
     def elements(self) -> range:
         return range(self.q)
 
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            a, d = divmod(a, self.p)
-            out.append(d)
-        return out
+    def _coefficients(self, largest: int) -> list[np.ndarray]:
+        """Digit i of every element, in the smallest dtype holding ``largest`` and q - 1."""
+        elements = np.arange(self.q, dtype=np.min_scalar_type(max(largest, self.q - 1)))
+        return [elements // self.p**i % self.p for i in range(self.e)]
 
-    def _undigits(self, digits: list[int]) -> int:
-        val = 0
-        for d in reversed(digits):
-            val = val * self.p + d
-        return val
+    def _table(self, digits: list[np.ndarray]) -> np.ndarray:
+        """The read-only array of the elements whose base-p digits are ``digits``."""
+        table = digits[-1].astype(np.min_scalar_type(self.q - 1))
+        for d in reversed(digits[:-1]):
+            table *= self.p
+            table += d
+        table.flags.writeable = False
+        return table
+
+    @cached_property
+    def add_table(self) -> np.ndarray:
+        """``add_table[a, b]`` is a + b: digit-wise addition mod p."""
+        return self._table([(d[:, None] + d) % self.p for d in self._coefficients(2 * self.p - 2)])
+
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """``mul_table[a, b]`` is a * b: polynomial product reduced by the modulus."""
+        p, e = self.p, self.e
+        x = self._coefficients(p * p - 1)
+        prod: list = [0] * (2 * e - 1)
+        for i in range(e):
+            for j in range(e):
+                term = x[i][:, None] * x[j]
+                term += prod[i + j]
+                term %= p
+                prod[i + j] = term
+        # x^e == -(m_0 + m_1 x + ... + m_{e-1} x^{e-1}); add p - m_j to stay unsigned
+        for top in range(2 * e - 2, e - 1, -1):
+            for j in range(e):
+                prod[top - e + j] += prod[top] * (p - self.modulus[j])
+                prod[top - e + j] %= p
+        return self._table(prod[:e])
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._undigits([(-d) % self.p for d in self._digits(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        # row a of add_table is a permutation; -a is where it holds 0
+        return int(self.add_table[a].argmin())
 
     def mul(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a * b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        # reduce by the monic modulus: x^e == -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
-        for i in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.e):
-                    prod[i - self.e + j] = (prod[i - self.e + j] - c * self.modulus[j]) % self.p
-        return self._undigits(prod[: self.e])
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        hit = self._inverse.get(a)
-        if hit is None:
-            for x in range(1, self.q):
-                if self.mul(a, x) == 1:
-                    hit = x
-                    break
-            assert hit is not None, "nonzero element without inverse: modulus not irreducible"
-            self._inverse[a] = hit
-        return hit
+        return int((self.mul_table[a] == 1).argmax())
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:

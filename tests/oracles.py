@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from crdcache.designs import Resolution
+import numpy as np
+
+from crdcache.caps import DEFAULT_CAPS, SizeCaps
+from crdcache.designs import Resolution, validate_design, validate_resolution
+from crdcache.gf import _IRREDUCIBLE, prime_power
 from crdcache.scheme import DeliverySchedule
 from crdcache.simulator import FileStore, subfile_length
 
@@ -84,3 +88,91 @@ def scan_participation(schedule: DeliverySchedule, user: int) -> list[tuple[int,
         for uid, y in t.terms
         if uid == user
     ]
+
+
+class DigitField:
+    """GF(p^e) by per-call digit lists and polynomial loops, with no tables."""
+
+    def __init__(self, q: int):
+        self.q = q
+        self.p, self.e = prime_power(q)
+        self.modulus = _IRREDUCIBLE.get((self.p, self.e))
+
+    def _digits(self, a: int) -> list[int]:
+        out = []
+        for _ in range(self.e):
+            a, d = divmod(a, self.p)
+            out.append(d)
+        return out
+
+    def _undigits(self, digits: list[int]) -> int:
+        val = 0
+        for d in reversed(digits):
+            val = val * self.p + d
+        return val
+
+    def add(self, a: int, b: int) -> int:
+        da, db = self._digits(a), self._digits(b)
+        return self._undigits([(x + y) % self.p for x, y in zip(da, db)])
+
+    def neg(self, a: int) -> int:
+        return self._undigits([(-d) % self.p for d in self._digits(a)])
+
+    def mul(self, a: int, b: int) -> int:
+        da, db = self._digits(a), self._digits(b)
+        prod = [0] * (2 * self.e - 1)
+        for i, x in enumerate(da):
+            for j, y in enumerate(db):
+                prod[i + j] = (prod[i + j] + x * y) % self.p
+        # reduce by the monic modulus: x^e == -(m_0 + m_1 x + ... + m_{e-1} x^{e-1})
+        for i in range(len(prod) - 1, self.e - 1, -1):
+            c = prod[i]
+            prod[i] = 0
+            for j in range(self.e):
+                prod[i - self.e + j] = (prod[i - self.e + j] - c * self.modulus[j]) % self.p
+        return self._undigits(prod[: self.e])
+
+
+def coset_affine_geometry(q: int, m: int) -> Resolution:
+    """Hyperplane design of GF(q)^m: one dot product per (direction, point) pair."""
+    field = DigitField(q)
+    points = list(product(range(q), repeat=m))
+    point_index = {pt: idx + 1 for idx, pt in enumerate(points)}
+
+    def dot(h: tuple[int, ...], x: tuple[int, ...]) -> int:
+        acc = 0
+        for hc, xc in zip(h, x):
+            acc = field.add(acc, field.mul(hc, xc))
+        return acc
+
+    directions = [h for h in points if next((c for c in h if c != 0), None) == 1]
+    blocks: list[frozenset[int]] = []
+    classes: list[tuple[int, ...]] = []
+    for h in directions:
+        cosets: dict[int, list[int]] = {c: [] for c in range(q)}
+        for x in points:
+            cosets[dot(h, x)].append(point_index[x])
+        start = len(blocks)
+        blocks.extend(frozenset(cosets[c]) for c in range(q))
+        classes.append(tuple(range(start, start + q)))
+    return validate_resolution(validate_design(q**m, blocks), classes)
+
+
+def double_loop_paley(order: int, caps: SizeCaps = DEFAULT_CAPS) -> np.ndarray:
+    """Paley type I matrix of order q + 1, one quadratic character per entry."""
+    q = order - 1
+    field = DigitField(q)
+    squares = {field.mul(x, x) for x in range(1, q)}
+
+    def chi(a: int) -> int:
+        if a == 0:
+            return 0
+        return 1 if a in squares else -1
+
+    s = np.zeros((order, order), dtype=int)
+    s[0, 1:] = 1
+    s[1:, 0] = -1
+    for a in range(q):
+        for b in range(q):
+            s[a + 1, b + 1] = chi(field.add(b, field.neg(a)))
+    return s + np.eye(order, dtype=int)

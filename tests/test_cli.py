@@ -293,13 +293,13 @@ class TestCaps:
         assert "exceeded the cap" in capsys.readouterr().err
 
 
-def _cli(argv, env=None):
+def _cli(argv, env=None, timeout=60):
     src = str(Path(crdcache.__file__).resolve().parent.parent)
     env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "crdcache.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -334,6 +334,15 @@ class TestBadInput:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert token in lines[0]
+        assert "Traceback" not in out.stderr
+
+    def test_huge_field_order_is_refused_at_once(self):
+        # the cap comes before trial division of the prime 10**20 + 39
+        out = _cli(["construct", "--design", "affine:n=100000000000000000039"], timeout=10)
+        assert out.returncode == 1
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "exceeds the point cap" in lines[0]
         assert "Traceback" not in out.stderr
 
 

@@ -17,6 +17,7 @@ from crdcache.constructions import (
     hadamard_params,
 )
 from crdcache.designs import crd_profile
+from crdcache.gf import GF
 from oracles import brute_cross_intersection
 
 
@@ -203,6 +204,40 @@ class TestErrors:
     def test_point_cap(self):
         with pytest.raises(errors.SizeCapExceeded):
             affine_geometry_bibd(3, 3, SizeCaps(max_points=26))
+
+    def test_huge_dimension_is_refused_before_forming_the_power(self):
+        with pytest.raises(errors.SizeCapExceeded, match=r"2\^1000000000000 points"):
+            affine_geometry_bibd(2, 10**12)
+
+    def test_huge_order_is_refused_before_factoring(self):
+        # trial division of the prime 10**20 + 39 would not finish
+        with pytest.raises(errors.SizeCapExceeded):
+            affine_plane(10**20 + 39)
+
+    def test_non_prime_power_above_the_cap_is_a_cap_error(self):
+        with pytest.raises(errors.SizeCapExceeded):
+            affine_plane(5000)
+
+    @pytest.mark.parametrize(
+        "q, m, error",
+        [(6, 5, errors.NotAPrimePower), (343, 2, errors.UnsupportedDegree)],
+    )
+    def test_field_errors_come_before_the_point_cap(self, q, m, error):
+        with pytest.raises(error):
+            affine_geometry_bibd(q, m)
+
+    @pytest.mark.parametrize("q, m", [(4093, 2), (16, 4), (2, 13), (2, 10**12)])
+    def test_rejected_design_builds_no_table(self, q, m, monkeypatch):
+        built = []
+        coefficients = GF._coefficients
+        monkeypatch.setattr(
+            GF, "_coefficients", lambda field, largest: built.append(field.q) or coefficients(field, largest)
+        )
+        with pytest.raises(errors.SizeCapExceeded):
+            affine_geometry_bibd(q, m)
+        assert built == []
+        affine_plane(3)
+        assert built == [3, 3]
 
 
 class TestSpecStrings:

@@ -5,12 +5,15 @@ import pickle
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crdcache import baselines, cli, designs, errors, scheme, simulator
 from crdcache.baselines import analyze_table, z_sweep_table
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
 from crdcache.constructions import catalog_example
 from crdcache.designs import (
+    Resolution,
     crd_profile,
     cross_intersection_number,
     design_to_json,
@@ -28,6 +31,30 @@ from oracles import (
 )
 
 EXAMPLE1_BLOCKS = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+
+# JSON-shaped documents: arbitrary JSON values, design-shaped objects with
+# small integer rows, and catalog designs with one key replaced.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["v", "blocks", "classes", "x"]), children, max_size=4),
+    max_leaves=20,
+)
+INT_ROWS = st.lists(st.lists(st.integers(-1, 9), max_size=4), max_size=5)
+CATALOG_DOCS = st.integers(1, 9).map(lambda number: design_to_json(catalog_example(number)))
+DESIGN_DOCS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {"v": st.integers(-1, 9) | JSON_VALUES, "blocks": INT_ROWS | JSON_VALUES, "classes": INT_ROWS | JSON_VALUES}
+    ),
+    CATALOG_DOCS,
+    st.builds(
+        lambda doc, key, value: {**doc, key: value},
+        CATALOG_DOCS,
+        st.sampled_from(["v", "blocks", "classes"]),
+        st.integers(-1, 30) | INT_ROWS | JSON_VALUES,
+    ),
+)
 
 
 class TestValidateDesign:
@@ -216,6 +243,15 @@ class TestJson:
     def test_malformed_document_is_a_typed_error(self, obj, message):
         with pytest.raises(errors.MalformedDesignJson, match=message):
             resolution_from_json(obj)
+
+    @settings(max_examples=500, deadline=None)
+    @given(DESIGN_DOCS)
+    def test_any_document_is_a_resolution_or_a_typed_error(self, obj):
+        try:
+            res = resolution_from_json(obj)
+        except errors.CrdCacheError:
+            return
+        assert isinstance(res, Resolution)
 
 
 class TestProfileMemo:

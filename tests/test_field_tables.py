@@ -1,0 +1,67 @@
+"""Field tables and the field designs built from them, against per-call oracles."""
+
+import numpy as np
+import pytest
+
+from crdcache import constructions
+from crdcache.constructions import affine_geometry_bibd, affine_plane, hadamard_crd
+from crdcache.gf import _IRREDUCIBLE, GF
+from oracles import DigitField, coset_affine_geometry, double_loop_paley
+
+# every built-in extension modulus and the primes 2..13
+ORDERS = sorted({p**e for p, e in _IRREDUCIBLE} | {2, 3, 5, 7, 11, 13})
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_tables_match_digit_arithmetic(q):
+    field, oracle = GF(q), DigitField(q)
+    assert field.add_table.tolist() == [[oracle.add(a, b) for b in range(q)] for a in range(q)]
+    assert field.mul_table.tolist() == [[oracle.mul(a, b) for b in range(q)] for a in range(q)]
+    assert [field.neg(a) for a in range(q)] == [oracle.neg(a) for a in range(q)]
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_every_element_has_one_negative_and_one_inverse(q):
+    field = GF(q)
+    assert all(sorted(row) == list(range(q)) for row in field.add_table.tolist())
+    assert all(row.count(1) == 1 for row in field.mul_table.tolist()[1:])
+
+
+@pytest.mark.parametrize("q, dtype", [(2, np.uint8), (169, np.uint8), (251, np.uint8), (257, np.uint16)])
+def test_tables_are_read_only_in_the_smallest_dtype(q, dtype):
+    field = GF(q)
+    for table in (field.add_table, field.mul_table):
+        assert table.shape == (q, q) and table.dtype == dtype
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
+def test_operations_return_python_ints():
+    field = GF(9)
+    values = [field.add(2, 7), field.neg(4), field.mul(5, 8), field.inv(3), field.pow(5, -2)]
+    assert all(type(x) is int for x in values)
+
+
+@pytest.mark.parametrize(
+    "family, q, m",
+    [("affine", n, 2) for n in (2, 3, 4, 5, 7, 8, 9, 16)]
+    + [("ag", q, m) for q, m in [(2, 3), (3, 3), (2, 4), (4, 3), (2, 6)]],
+)
+def test_affine_geometry_matches_coset_loop(family, q, m):
+    res = affine_plane(q) if family == "affine" else affine_geometry_bibd(q, m)
+    ref = coset_affine_geometry(q, m)
+    assert res.design.v == ref.design.v
+    assert res.design.blocks == ref.design.blocks
+    assert res.classes == ref.classes
+    assert res == ref
+
+
+@pytest.mark.parametrize("m", [3, 5, 6, 7])
+def test_paley_hadamard_matches_double_loop(m, monkeypatch):
+    order = 4 * m
+    assert (constructions._paley_type1(order, constructions.DEFAULT_CAPS) == double_loop_paley(order)).all()
+    res = hadamard_crd(m)
+    monkeypatch.setattr(constructions, "_paley_type1", double_loop_paley)
+    ref = hadamard_crd(m)
+    assert res.design.blocks == ref.design.blocks
+    assert res.classes == ref.classes
