@@ -2,9 +2,9 @@
 
 The cross-intersection search and the field/point constructions are
 exhaustive by design; the caps below bound how much work a single call may
-do.  ``max_intersections`` counts intersections actually computed (the
-search aborts early on the first mismatch, so designs whose profile dies
-quickly stay cheap even when the worst-case product is huge).
+do.  ``max_intersections`` counts b_r^i intersections per i-subset of classes
+the mu_i search counts (it stops at the first non-uniform chunk, so a design
+whose profile dies quickly stays cheap even when C(r,i) b_r^i is huge).
 """
 
 from __future__ import annotations

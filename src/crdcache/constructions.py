@@ -16,17 +16,18 @@ Three infinite families plus a small hand-built catalog:
   quadratic-residue (Paley type I) matrices cover orders q+1 with q a
   prime power congruent to 3 mod 4.
 * ``catalog_example(1..9)`` - small worked designs used by the test suite
-  and the comparison tables, kept verbatim (block order included).
+  and the comparison tables.  Examples 3, 4, 8 and 9 are the grid designs
+  [3]^2, [2]^3, [3]^3 and [2]^4; the rest are kept verbatim.
 
-Point numbering for the field constructions: coordinate vectors are sorted
-by canonical field-element order, most significant coordinate first, then
-mapped to 1..v.
+The family and grid builders emit ``Resolution.labels``, class c becoming
+blocks c*b_r .. c*b_r + b_r - 1.  Point numbering for the field
+constructions: coordinate vectors are sorted by canonical field-element
+order, most significant coordinate first, then mapped to 1..v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -70,6 +71,22 @@ def hadamard_params(m: int) -> FamilyParams:
     return FamilyParams(v=4 * m, b=2 * (4 * m - 1), r=4 * m - 1, k=2 * m, mu2=m)
 
 
+def _from_labels(labels: np.ndarray) -> Resolution:
+    """The resolution putting point x in block ``labels[c, x-1]`` of class c;
+    every label value must mark v / b_r points of its row."""
+    r, v = labels.shape
+    b_r = int(labels.max()) + 1
+    blocks = np.argsort(labels, axis=1, kind="stable").reshape(r * b_r, v // b_r) + 1
+    classes = [range(c * b_r, (c + 1) * b_r) for c in range(r)]
+    return validate_resolution(validate_design(v, blocks.tolist()), classes)
+
+
+def _grid(b_r: int, r: int) -> np.ndarray:
+    """Labels of the grid design [b_r]^r: the base-b_r digits of x - 1, most
+    significant first; its profile is mu_i = b_r^(r-i) for every i <= r."""
+    return np.arange(b_r**r) // b_r ** np.arange(r - 1, -1, -1)[:, None] % b_r
+
+
 def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
     """Hyperplane design of GF(q)^m, resolved by direction."""
     if m < 2:
@@ -86,14 +103,11 @@ def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resol
     # one direction per normal vector whose first nonzero coordinate is 1
     lead = points[np.arange(v), (points != 0).argmax(axis=1)]
     normals = points[lead == 1]
+    # point x lies in block c of class d exactly when normal d . x == c
     labels = np.zeros((len(normals), v), dtype=field.add_table.dtype)
     for i in range(m):
         labels = field.add_table[labels, field.mul_table[normals[:, i, None], points[:, i]]]
-    # block (d, c) holds the q^(m-1) points x with normal d . x == c, in point order
-    blocks = np.argsort(labels, axis=1, kind="stable").reshape(len(normals) * q, v // q) + 1
-    classes = [tuple(range(d * q, (d + 1) * q)) for d in range(len(normals))]
-    design = validate_design(v, blocks.tolist())
-    return validate_resolution(design, classes)
+    return _from_labels(labels)
 
 
 def affine_plane(n: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
@@ -144,18 +158,10 @@ def hadamard_crd(m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
                 f"no Hadamard matrix construction for order {order} "
                 f"(need a power of two, or {order - 1} a prime power = 3 mod 4)"
             )
-    # normalize so row 0 and column 0 are all ones, then drop row 0
+    # normalize row 0 and column 0 to all ones, then drop row 0; the +1 block comes first
     h[:, h[0] == -1] *= -1
     h[h[:, 0] == -1] *= -1
-    blocks: list[frozenset[int]] = []
-    classes: list[tuple[int, ...]] = []
-    for i in range(1, order):
-        plus = frozenset(int(j) + 1 for j in np.flatnonzero(h[i] == 1))
-        minus = frozenset(int(j) + 1 for j in np.flatnonzero(h[i] == -1))
-        classes.append((len(blocks), len(blocks) + 1))
-        blocks.extend([plus, minus])
-    design = validate_design(order, blocks)
-    return validate_resolution(design, classes)
+    return _from_labels(h[1:] == -1)
 
 
 # Hand-built catalog.  Blocks and class groupings (1-based block numbers)
@@ -171,16 +177,6 @@ _CATALOG: dict[int, tuple[int, list[list[int]], list[list[int]]]] = {
         6,
         [[1, 2, 3], [4, 5, 6], [1, 4, 5], [2, 3, 6]],
         [[1, 2], [3, 4]],
-    ),
-    3: (
-        9,
-        [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 4, 7], [2, 5, 8], [3, 6, 9]],
-        [[1, 2, 3], [4, 5, 6]],
-    ),
-    4: (
-        8,
-        [[1, 2, 3, 4], [5, 6, 7, 8], [1, 2, 5, 6], [3, 4, 7, 8], [1, 3, 5, 7], [2, 4, 6, 8]],
-        [[1, 2], [3, 4], [5, 6]],
     ),
     5: (
         12,
@@ -210,44 +206,20 @@ _CATALOG: dict[int, tuple[int, list[list[int]], list[list[int]]]] = {
         ],
         [[1, 2], [3, 6], [5, 4], [7, 8]],
     ),
-    9: (
-        16,
-        [
-            [1, 2, 3, 4, 5, 6, 7, 8], [9, 10, 11, 12, 13, 14, 15, 16],
-            [1, 2, 3, 4, 9, 10, 11, 12], [5, 6, 7, 8, 13, 14, 15, 16],
-            [1, 2, 5, 6, 9, 10, 13, 14], [3, 4, 7, 8, 11, 12, 15, 16],
-            [1, 3, 5, 7, 9, 11, 13, 15], [2, 4, 6, 8, 10, 12, 14, 16],
-        ],
-        [[1, 2], [3, 4], [5, 6], [7, 8]],
-    ),
 }
 
-
-def _catalog_example_8() -> tuple[int, list[list[int]], list[list[int]]]:
-    # 27 points = ternary triples (most significant digit first); class i
-    # groups points by their i-th digit, giving three 9-point blocks per
-    # class with mu_2 = 3 and mu_3 = 1.
-    blocks = []
-    for coord in range(3):
-        for value in range(3):
-            block = []
-            for idx, digits in enumerate(product(range(3), repeat=3)):
-                if digits[coord] == value:
-                    block.append(idx + 1)
-            blocks.append(block)
-    return 27, blocks, [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+# catalog examples that are grid designs: id -> (b_r, r)
+_GRIDS = {3: (3, 2), 4: (2, 3), 8: (3, 3), 9: (2, 4)}
 
 
 def catalog_example(number: int) -> Resolution:
     """One of the nine built-in worked designs."""
-    if number == 8:
-        v, blocks, classes = _catalog_example_8()
-    elif number in _CATALOG:
-        v, blocks, classes = _CATALOG[number]
-    else:
+    if number in _GRIDS:
+        return _from_labels(_grid(*_GRIDS[number]))
+    if number not in _CATALOG:
         raise UnknownExample(f"catalog has examples 1..9, got {number}")
-    design = validate_design(v, blocks)
-    return validate_resolution(design, [[j - 1 for j in cls] for cls in classes])
+    v, blocks, classes = _CATALOG[number]
+    return validate_resolution(validate_design(v, blocks), [[j - 1 for j in c] for c in classes])
 
 
 def _int(where: str, text: str) -> int:

@@ -7,7 +7,11 @@ choice of i blocks from i distinct parallel classes meets in the same
 nonzero number of points, that common size is the i-th cross intersection
 number mu_i; a design with at least one mu_i (i >= 2) is cross resolvable,
 and the largest such i is its cross resolution number.  ``crd_profile`` is
-the one search for these numbers; it is memoized on the resolution.
+the one search for these numbers; it is memoized on the resolution.  A
+resolution carries its label matrix: ``labels[c, x-1]`` is the position
+in class c of the block holding point x.  Blocks from i classes meet in the
+cells of the points' joint label over those classes, so mu_i exists exactly
+when every joint value marks v / b_r^i points.
 
 Conventions: points are 1-based everywhere (they double as subfile
 indices).  Block and class indices are 0-based in the Python API and
@@ -18,10 +22,12 @@ indices).  Block and class indices are 0-based in the Python API and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .errors import (
@@ -54,12 +60,15 @@ class Resolution:
     """A design plus an ordered partition of its blocks into parallel classes.
 
     ``classes[c]`` lists 0-based block indices; ``b_r`` is the common number
-    of blocks per class (= v/k = b/r).
+    of blocks per class (= v/k = b/r).  ``labels`` is the read-only (r, v)
+    label matrix in the smallest unsigned dtype that holds b_r - 1; it is
+    derived, so equality, hash and repr ignore it.
     """
 
     design: Design
     classes: tuple[tuple[int, ...], ...]
     b_r: int
+    labels: np.ndarray = field(repr=False, compare=False)
     _profiles: dict[SizeCaps, CrdProfile] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -71,6 +80,11 @@ class Resolution:
     def __getstate__(self) -> dict:
         # a copy or pickle starts with an empty memo; profiles are recomputed on use
         return {**self.__dict__, "_profiles": {}}
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle and deepcopy hand back a writeable copy of the labels
+        state["labels"].flags.writeable = False
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True)
@@ -100,7 +114,7 @@ def validate_design(v: int, raw_blocks: Iterable[Iterable[int]]) -> Design:
         raise PointOutOfRange(f"point count must be >= 1, got {v}")
     blocks: list[frozenset[int]] = []
     for pos, raw in enumerate(raw_blocks):
-        block = frozenset(int(x) for x in raw)
+        block = frozenset(map(int, raw))
         if not block:
             raise EmptyBlock(f"block {pos + 1} is empty")
         for x in sorted(block):
@@ -139,11 +153,27 @@ def validate_resolution(design: Design, classes: Sequence[Sequence[int]]) -> Res
             raise ClassNotPartitionOfPoints(
                 f"class {pos + 1} covers {len(covered)} of {design.v} points"
             )
+    b_r = design.b // len(classes)  # each class tiles v points with blocks of size k
+    labels = np.empty((len(classes), design.v), dtype=np.min_scalar_type(b_r - 1))
+    for c, cls in enumerate(classes):
+        points = np.fromiter(chain.from_iterable(design.blocks[j] for j in cls), np.intp, design.v)
+        labels[c, points - 1] = np.repeat(np.arange(b_r), design.k)
+    labels.flags.writeable = False
     return Resolution(
         design=design,
         classes=tuple(tuple(int(j) for j in cls) for cls in classes),
-        b_r=design.b // len(classes),
+        b_r=b_r,
+        labels=labels,
     )
+
+
+def joint_labels(res: Resolution, classes: Sequence[int]) -> np.ndarray:
+    """Each point's mixed-radix block position over ``classes``, the first most
+    significant: the points of one value are one block per class intersected."""
+    joint = np.zeros(res.design.v, dtype=np.intp)
+    for c in classes:
+        joint = joint * res.b_r + res.labels[c]
+    return joint
 
 
 def cross_intersection_number(
@@ -151,32 +181,29 @@ def cross_intersection_number(
 ) -> int | None:
     """Common size of all i-wise block intersections across i distinct classes.
 
-    Returns None as soon as one intersection is empty or two differ; a full
-    scan happens only when mu_i actually exists.
+    It is v / b_r^i if that divides and every i classes have a uniform joint
+    label, else None.  Subsets sharing their first i-1 classes are counted in
+    one bincount, each as b_r^i intersections against the cap.
     """
     if i < 2 or i > res.r:
         raise IndexOutOfRange(f"intersection order must be in 2..{res.r}, got {i}")
-    blocks = res.design.blocks
-    budget = caps.max_intersections
-    steps = 0
-    seen: int | None = None
-    for subset in combinations(res.classes, i):
-        for pick in product(*subset):
-            steps += 1
-            if steps > budget:
-                raise SizeCapExceeded(
-                    f"mu_{i} search exceeded the cap of {budget} intersections"
-                )
-            inter = blocks[pick[0]]
-            for j in pick[1:]:
-                inter = inter & blocks[j]
-                if not inter:
-                    return None
-            if seen is None:
-                seen = len(inter)
-            elif len(inter) != seen:
-                return None
-    return seen
+    cells = res.b_r**i
+    mu, rem = divmod(res.design.v, cells)
+    if rem:
+        return None
+    room = budget = caps.max_intersections
+    for prefix in combinations(range(res.r - 1), i - 1):
+        later = res.labels[prefix[-1] + 1 :]
+        # clamped: a negative cap must not become a negative slice bound
+        take = min(len(later), max(0, room // cells))
+        room -= take * cells
+        joint = later[:take] + joint_labels(res, prefix) * res.b_r
+        joint += np.arange(take)[:, None] * cells  # one block of values per subset
+        if (np.bincount(joint.ravel(), minlength=take * cells) != mu).any():
+            return None
+        if take < len(later):
+            raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {budget} intersections")
+    return mu
 
 
 def crd_profile(res: Resolution, caps: SizeCaps = DEFAULT_CAPS) -> CrdProfile:
@@ -192,9 +219,8 @@ def crd_profile(res: Resolution, caps: SizeCaps = DEFAULT_CAPS) -> CrdProfile:
         for i in range(2, res.r + 1):
             value = cross_intersection_number(res, i, caps)
             if value is None:
-                # an absent mu_i forces every higher one absent: a common
-                # (i+1)-wise size would make each i-wise intersection equal
-                # mu_{i+1} * v/k for all choices
+                # an absent mu_i forces every higher one absent: a uniform (i+1)-wise
+                # joint label is uniform on any i of its classes (cells merge b_r at a time)
                 break
             mu[i] = value
         profile = CrdProfile(mu=mu, crn=max(mu) if mu else None, is_crd=bool(mu))

@@ -27,8 +27,10 @@ from itertools import combinations, product
 from math import comb, isqrt
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .caps import DEFAULT_CAPS, SizeCaps
-from .designs import Resolution, crd_profile
+from .designs import Resolution, crd_profile, joint_labels
 from .errors import (
     BadDemandLength,
     DemandOutOfRange,
@@ -280,31 +282,31 @@ def build_delivery_schedule(
                 f"user {pos + 1} demands file {d} outside 1..{scheme.n_files}"
             )
     res = scheme.res
-    blocks = res.design.blocks
     z = scheme.z
+    radix = [res.b_r ** (z - 1 - s) for s in range(z)]
     user_id = {user: idx for idx, user in enumerate(scheme.users)}
     transmissions: list[CodedTransmission] = []
     for subset in combinations(range(res.r), z):
         class_lists = [res.classes[c] for c in subset]
+        # sides[pick]: the ascending points of the blocks whose positions spell pick
+        joint = joint_labels(res, subset)
+        sizes = np.bincount(joint, minlength=res.b_r**z).tolist()
+        bounds = np.cumsum(sizes)[:-1]
+        sides = [a.tolist() for a in np.split(np.argsort(joint, kind="stable") + 1, bounds)]
         for pair_positions in product(combinations(range(res.b_r), 2), repeat=z):
+            # each participant's complementary blocks, as weighted positions
+            others = product(*[(j * w, i * w) for (i, j), w in zip(pair_positions, radix)])
             group: list[tuple[int, list[int]]] = []
-            for choice in product(*pair_positions):
-                user = tuple(class_lists[s][choice[s]] for s in range(z))
-                side = None
-                for s in range(z):
-                    i_pos, j_pos = pair_positions[s]
-                    other = class_lists[s][j_pos if choice[s] == i_pos else i_pos]
-                    side = blocks[other] if side is None else side & blocks[other]
-                if len(side) != scheme.mu_z:
+            for choice, other in zip(product(*pair_positions), others):
+                pick = sum(other)
+                if sizes[pick] != scheme.mu_z:
                     raise InternalMuMismatch(
-                        f"intersection size {len(side)} != mu_z={scheme.mu_z} "
+                        f"intersection size {sizes[pick]} != mu_z={scheme.mu_z} "
                         f"at classes {subset}, pairs {pair_positions}"
                     )
-                group.append((user_id[user], sorted(side)))
-            pairs = tuple(
-                (class_lists[s][pair_positions[s][0]], class_lists[s][pair_positions[s][1]])
-                for s in range(z)
-            )
+                user = tuple(cls[pos] for cls, pos in zip(class_lists, choice))
+                group.append((user_id[user], sides[pick]))
+            pairs = tuple((cls[i], cls[j]) for cls, (i, j) in zip(class_lists, pair_positions))
             for s_idx in range(scheme.mu_z):
                 terms = tuple(sorted((uid, side[s_idx]) for uid, side in group))
                 transmissions.append(

@@ -13,6 +13,7 @@ import numpy as np
 
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
 from crdcache.designs import Resolution, validate_design, validate_resolution
+from crdcache.errors import SizeCapExceeded
 from crdcache.gf import _IRREDUCIBLE, prime_power
 from crdcache.scheme import DeliverySchedule
 from crdcache.simulator import FileStore, subfile_length
@@ -31,6 +32,30 @@ def brute_cross_intersection(res: Resolution, i: int) -> int | None:
     if len(sizes) == 1 and 0 not in sizes:
         return sizes.pop()
     return None
+
+
+def scan_cross_intersection(res: Resolution, i: int, caps: SizeCaps = DEFAULT_CAPS) -> int | None:
+    """The frozenset scan the label search replaced: one intersection per pick of
+    blocks in ``combinations`` x ``product`` order, None at the first empty or
+    differing one, SizeCapExceeded once the picks exceed the cap."""
+    blocks = res.design.blocks
+    steps = 0
+    seen: int | None = None
+    for subset in combinations(res.classes, i):
+        for pick in product(*subset):
+            steps += 1
+            if steps > caps.max_intersections:
+                raise SizeCapExceeded(f"mu_{i} search exceeded the cap")
+            inter = blocks[pick[0]]
+            for j in pick[1:]:
+                inter = inter & blocks[j]
+                if not inter:
+                    return None
+            if seen is None:
+                seen = len(inter)
+            elif len(inter) != seen:
+                return None
+    return seen
 
 
 def brute_profile(res: Resolution) -> dict[int, int]:

@@ -1,0 +1,184 @@
+"""The resolution label matrix, the label search against the frozenset scan,
+and the grid designs [b_r]^r."""
+
+import copy
+import pickle
+from fractions import Fraction
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crdcache import errors, from_spec, scheme_metrics, verify_all
+from crdcache.caps import SizeCaps
+from crdcache.constructions import _from_labels, _grid, catalog_example
+from crdcache.designs import (
+    crd_profile,
+    cross_intersection_number,
+    resolution_from_json,
+    validate_design,
+    validate_resolution,
+)
+from oracles import scan_cross_intersection
+from test_golden_designs import SPECS
+
+
+def _ladder():
+    for spec in SPECS:
+        try:
+            yield spec, from_spec(spec)
+        except errors.CrdCacheError:
+            continue
+
+
+LADDER = dict(_ladder())
+
+
+@st.composite
+def balanced_labels(draw):
+    """Label matrices with r <= 6 classes of b_r <= 4 equal blocks on v <= 64
+    points: rows are digits of a grid (so some orders are uniform) or random
+    balanced rows, and the points are shuffled."""
+    b_r = draw(st.integers(2, 4))
+    digits = draw(st.integers(1, {2: 6, 3: 3, 4: 3}[b_r]))
+    spare = draw(st.integers(1, 64 // b_r**digits))
+    v = b_r**digits * spare
+    r = draw(st.integers(2, 6))
+    rows = []
+    for _ in range(r):
+        if draw(st.booleans()):
+            d = draw(st.integers(0, digits - 1))
+            rows.append(np.arange(v) // spare // b_r**d % b_r)
+        else:
+            rows.append(np.array(draw(st.permutations(np.repeat(np.arange(b_r), v // b_r).tolist()))))
+    points = np.array(draw(st.permutations(range(v))))
+    return np.array(rows)[:, points]
+
+
+class TestLabelSearch:
+    @pytest.mark.parametrize("spec", list(LADDER))
+    def test_equals_the_scan_on_built_in_designs(self, spec):
+        res = LADDER[spec]
+        for i in range(2, res.r + 1):
+            assert cross_intersection_number(res, i) == scan_cross_intersection(res, i), (spec, i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(balanced_labels())
+    def test_equals_the_scan_on_random_labels(self, labels):
+        res = _from_labels(labels)
+        for i in range(2, res.r + 1):
+            assert cross_intersection_number(res, i) == scan_cross_intersection(res, i)
+
+    @settings(max_examples=100, deadline=None)
+    @given(balanced_labels(), st.integers(0, 60))
+    def test_small_caps(self, labels, cap):
+        """A value from the scan is the search's value; where the scan runs into
+        the cap, the search raises too, or returns None because b_r^i does not
+        divide v; where the scan finds a mismatch, the search returns None or
+        raises at the subset that straddles the cap."""
+        res = _from_labels(labels)
+        caps = SizeCaps(max_intersections=cap)
+        for i in range(2, res.r + 1):
+            try:
+                old = scan_cross_intersection(res, i, caps)
+            except errors.SizeCapExceeded:
+                old = "cap"
+            try:
+                new = cross_intersection_number(res, i, caps)
+            except errors.SizeCapExceeded:
+                new = "cap"
+            if old == "cap":
+                assert new == "cap" or (new is None and res.design.v % res.b_r**i), (i, cap)
+            elif old is None:
+                assert new in (None, "cap"), (i, cap)
+            else:
+                assert new == old, (i, cap)
+
+    def test_negative_cap_raises(self):
+        res = catalog_example(6)
+        caps = SizeCaps(max_intersections=-5)
+        with pytest.raises(errors.SizeCapExceeded):
+            cross_intersection_number(res, 2, caps)
+        with pytest.raises(errors.SizeCapExceeded):
+            crd_profile(res, caps)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("spec", list(LADDER))
+    def test_labels_are_block_membership(self, spec):
+        res = LADDER[spec]
+        labels = res.labels
+        assert labels.shape == (res.r, res.design.v)
+        for c, cls in enumerate(res.classes):
+            for pos, j in enumerate(cls):
+                assert (np.flatnonzero(labels[c] == pos) + 1).tolist() == sorted(res.design.blocks[j])
+
+    @pytest.mark.parametrize("spec", list(LADDER))
+    def test_dtype_is_the_smallest_unsigned_that_fits(self, spec):
+        self._check_dtype(LADDER[spec])
+
+    def test_wide_class_uses_uint16(self):
+        res = validate_resolution(validate_design(300, [[x] for x in range(1, 301)]), [range(300)])
+        assert res.labels.dtype == np.uint16
+        self._check_dtype(res)
+
+    @staticmethod
+    def _check_dtype(res):
+        dtype = res.labels.dtype
+        assert dtype.kind == "u" and np.iinfo(dtype).max >= res.b_r - 1
+        assert dtype.itemsize == 1 or np.iinfo(f"u{dtype.itemsize // 2}").max < res.b_r - 1
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda x: x, lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+        ids=["built", "pickle", "deepcopy", "copy"],
+    )
+    @pytest.mark.parametrize("spec", ["example:1", "example:9", "affine:n=4", "hadamard:m=3"])
+    def test_read_only(self, spec, round_trip):
+        res = round_trip(LADDER[spec])
+        assert res == LADDER[spec]
+        assert np.array_equal(res.labels, LADDER[spec].labels)
+        with pytest.raises(ValueError):
+            res.labels[0, 0] = 1
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        res = catalog_example(9)
+        assert "labels" not in repr(res)
+        assert hash(res) == hash(catalog_example(9))
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["affine:n=5", "affine:n=8", "ag:q=3,m=3", "ag:q=2,m=5", "hadamard:m=4", "hadamard:m=7"]
+        + [f"example:{i}" for i in (3, 4, 8, 9)],
+    )
+    def test_builders_are_their_labels(self, spec):
+        res = LADDER[spec]
+        assert _from_labels(res.labels) == res
+
+    def test_huge_point_count_fails_before_the_fill(self):
+        with pytest.raises(errors.ClassNotPartitionOfPoints, match="covers 1 of 1000000000000"):
+            resolution_from_json({"v": 10**12, "blocks": [[1]], "classes": [[1]]})
+
+
+# verify_all runs where the schedule has at most this many terms; beyond it,
+# the set-based side-information check takes seconds per (b_r, r, z)
+MAX_TERMS = 30_000
+
+
+class TestGrid:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(2, 5))
+    def test_profile_rate_and_memory(self, b_r, r):
+        res = _from_labels(_grid(b_r, r))
+        assert dict(crd_profile(res).mu) == {i: b_r ** (r - i) for i in range(2, r + 1)}
+        for z in range(1, r + 1):
+            metrics = scheme_metrics(res, z)
+            assert metrics.m_prime_over_n == 1 - (1 - Fraction(1, b_r)) ** z
+            mu_z = b_r ** (r - 1) if z == 1 else b_r ** (r - z)
+            if mu_z * comb(b_r, 2) ** z * comb(r, z) * 2**z > MAX_TERMS:
+                continue
+            report = verify_all(res, z, metrics.users, file_len=res.design.v, seed=z)
+            assert report.all_recovered
+            assert report.measured_rate == report.theoretical_rate == metrics.rate
