@@ -16,11 +16,19 @@ yields mu_z coded transmissions per pair choice, so one run transmits
 mu_z * C(b_r,2)^z * C(r,z) subfiles in total (rate = that count / v).
 The z = 1 degenerate case pairs blocks inside one class with mu_1 := k
 and serves 2 users per transmission.
+
+A ``DeliverySchedule`` stores the transmissions as int32 columns, one row
+each: the 2^z users and subfiles of the terms, the classes, the block pairs
+and s.  They are computed by index arithmetic on the label matrix, without
+one Python object per transmission: a user's id is its class subset's rank
+times b_r^z plus its mixed-radix block positions (``enumerate_users``
+order), and f_m is a row of the class subset's points sorted by joint
+label.  ``CodedTransmission`` objects are built only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -66,14 +74,6 @@ def enumerate_users(
         for positions in product(range(res.b_r), repeat=z):
             users.append(tuple(class_lists[s][positions[s]] for s in range(z)))
     return tuple(users)
-
-
-def accessible_indices(res: Resolution, user: Sequence[int]) -> frozenset[int]:
-    """Union of the blocks a user is attached to (its readable subfile indices)."""
-    out: frozenset[int] = frozenset()
-    for j in user:
-        out |= res.design.blocks[j]
-    return out
 
 
 def user_memory_fraction(mu: Mapping[int, int], z: int, k: int, v: int) -> Fraction:
@@ -235,24 +235,86 @@ class CodedTransmission:
         return f"classes={classes} pairs={pairs} s={self.s}"
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("users", "subfiles", "classes", "pairs", "s")
+
+
+@dataclass(frozen=True, eq=False)
 class DeliverySchedule:
+    """Every coded transmission as one row of read-only int32 columns.
+
+    ``users`` (T, 2^z) and ``subfiles`` (T, 2^z) are the terms of each row,
+    users ascending; ``classes`` (T, z), ``pairs`` (T, z, 2) and ``s`` (T,)
+    are the provenance: the 0-based classes, the 0-based block pair per
+    class and the 1-based position inside the side-information sets.
+    """
+
     scheme: SchemeInstance
     demands: tuple[int, ...]
-    transmissions: tuple[CodedTransmission, ...]
+    users: np.ndarray
+    subfiles: np.ndarray
+    classes: np.ndarray
+    pairs: np.ndarray
+    s: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in _COLUMNS:
+            getattr(self, name).flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeliverySchedule):
+            return NotImplemented
+        return (self.scheme, self.demands) == (other.scheme, other.demands) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
+
+    def __getstate__(self) -> dict:
+        # a copy or pickle carries the columns only; cached views are rebuilt on use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle and deepcopy hand back writeable copies of the columns
+        for name in _COLUMNS:
+            state[name].flags.writeable = False
+        self.__dict__.update(state)
 
     @cached_property
-    def participation(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per user, its (transmission index, own subfile) rows in schedule order.
+    def transmissions(self) -> tuple[CodedTransmission, ...]:
+        """The rows as ``CodedTransmission`` objects, built on first use.
 
-        Built in one pass over ``transmissions`` on first use, so a user's
-        decoder visits only the mu_z (b_r-1)^z transmissions it is part of.
+        Only the schedule's JSON and text and the payload hex dump read them;
+        encoding, checking and decoding read the columns.
         """
-        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.scheme.n_users)]
-        for t_idx, t in enumerate(self.transmissions):
-            for uid, y in t.terms:
-                rows[uid].append((t_idx, y))
-        return tuple(tuple(r) for r in rows)
+        pairs = [tuple(map(tuple, row)) for row in self.pairs.tolist()]
+        return tuple(
+            CodedTransmission(classes=tuple(c), pairs=p, s=s, terms=tuple(zip(u, y)))
+            for c, p, s, u, y in zip(
+                self.classes.tolist(), pairs, self.s.tolist(),
+                self.users.tolist(), self.subfiles.tolist(),
+            )
+        )
+
+    @cached_property
+    def participation(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every user's terms: ``(terms, bounds)``, both read-only.
+
+        ``terms`` is one stable argsort of ``users.ravel()``, so user u's
+        terms are the flat positions ``terms[bounds[u]:bounds[u+1]]`` in
+        schedule order, and position p sits in row ``p // 2^z``.  A user's
+        decoder thus visits only the mu_z (b_r-1)^z rows it is part of.
+        """
+        flat = self.users.ravel()
+        terms = np.argsort(flat, kind="stable")
+        bounds = np.zeros(self.scheme.n_users + 1, dtype=np.intp)
+        np.cumsum(np.bincount(flat, minlength=self.scheme.n_users), out=bounds[1:])
+        terms.flags.writeable = bounds.flags.writeable = False
+        return terms, bounds
+
+    @cached_property
+    def demand_rows(self) -> np.ndarray:
+        """Each user's demanded file as a read-only 0-based library row."""
+        rows = np.array(self.demands, dtype=np.intp) - 1
+        rows.flags.writeable = False
+        return rows
 
 
 def build_delivery_schedule(
@@ -264,6 +326,13 @@ def build_delivery_schedule(
     are attempted for repeated demands); the vector fixes which file each
     term refers to and is validated here.  ``None`` means the distinct
     worst case: user i demands file i, which needs N >= K files.
+
+    The columns come from index arithmetic on the label matrix.  The pair
+    choices and, per choice, each participant's own and complementary block
+    positions are the same for every class subset; a subset adds its user
+    offset, its blocks and its side-information table ``sides``, the points
+    sorted by joint label, whose row ``pick`` lists the mu_z ascending points
+    of the blocks at the mixed-radix positions ``pick``.
     """
     if demands is None:
         if scheme.n_files < scheme.n_users:
@@ -282,37 +351,54 @@ def build_delivery_schedule(
                 f"user {pos + 1} demands file {d} outside 1..{scheme.n_files}"
             )
     res = scheme.res
-    z = scheme.z
-    radix = [res.b_r ** (z - 1 - s) for s in range(z)]
-    user_id = {user: idx for idx, user in enumerate(scheme.users)}
-    transmissions: list[CodedTransmission] = []
-    for subset in combinations(range(res.r), z):
-        class_lists = [res.classes[c] for c in subset]
-        # sides[pick]: the ascending points of the blocks whose positions spell pick
+    z, b_r, mu_z = scheme.z, res.b_r, scheme.mu_z
+    cells = b_r**z
+    gain = coding_gain(z)
+    # every pair choice in product order, as (P, z, 2) block positions
+    pair_list = np.array(list(combinations(range(b_r), 2)), dtype=np.intp).reshape(-1, 2)
+    choices = np.indices((len(pair_list),) * z).reshape(z, -1).T
+    chosen = pair_list[choices]
+    n_choices = len(chosen)
+    # participant m takes side bits[m, s] of the pair in class s (product order,
+    # ascending in user id); its side-information blocks are the other sides
+    radix = b_r ** np.arange(z - 1, -1, -1)
+    bits = (np.arange(gain)[:, None] >> np.arange(z - 1, -1, -1)) & 1
+    slot = np.arange(z)
+    own = chosen[:, slot, bits] @ radix
+    pick = chosen[:, slot, 1 - bits] @ radix
+    class_blocks = np.array(res.classes, dtype=np.intp).reshape(res.r, b_r)
+
+    rows_per_subset = n_choices * mu_z
+    n_rows = comb(res.r, z) * rows_per_subset
+    users = np.empty((n_rows, gain), dtype=np.int32)
+    subfiles = np.empty((n_rows, gain), dtype=np.int32)
+    classes = np.empty((n_rows, z), dtype=np.int32)
+    pairs = np.empty((n_rows, z, 2), dtype=np.int32)
+    s = np.empty(n_rows, dtype=np.int32)
+    for rank, subset in enumerate(combinations(range(res.r), z)):
         joint = joint_labels(res, subset)
-        sizes = np.bincount(joint, minlength=res.b_r**z).tolist()
-        bounds = np.cumsum(sizes)[:-1]
-        sides = [a.tolist() for a in np.split(np.argsort(joint, kind="stable") + 1, bounds)]
-        for pair_positions in product(combinations(range(res.b_r), 2), repeat=z):
-            # each participant's complementary blocks, as weighted positions
-            others = product(*[(j * w, i * w) for (i, j), w in zip(pair_positions, radix)])
-            group: list[tuple[int, list[int]]] = []
-            for choice, other in zip(product(*pair_positions), others):
-                pick = sum(other)
-                if sizes[pick] != scheme.mu_z:
-                    raise InternalMuMismatch(
-                        f"intersection size {sizes[pick]} != mu_z={scheme.mu_z} "
-                        f"at classes {subset}, pairs {pair_positions}"
-                    )
-                user = tuple(cls[pos] for cls, pos in zip(class_lists, choice))
-                group.append((user_id[user], sides[pick]))
-            pairs = tuple((cls[i], cls[j]) for cls, (i, j) in zip(class_lists, pair_positions))
-            for s_idx in range(scheme.mu_z):
-                terms = tuple(sorted((uid, side[s_idx]) for uid, side in group))
-                transmissions.append(
-                    CodedTransmission(classes=subset, pairs=pairs, s=s_idx + 1, terms=terms)
-                )
-    return DeliverySchedule(scheme=scheme, demands=demands, transmissions=tuple(transmissions))
+        sizes = np.bincount(joint, minlength=cells)[pick]
+        bad = sizes != mu_z
+        if bad.any():
+            p, m = np.unravel_index(np.argmax(bad), bad.shape)
+            raise InternalMuMismatch(
+                f"intersection size {sizes[p, m]} != mu_z={mu_z} "
+                f"at classes {subset}, pairs {tuple(map(tuple, chosen[p].tolist()))}"
+            )
+        if not n_choices:
+            continue
+        sides = (np.argsort(joint, kind="stable") + 1).reshape(cells, mu_z)
+        rows = slice(rank * rows_per_subset, (rank + 1) * rows_per_subset)
+        users[rows].reshape(n_choices, mu_z, gain)[:] = (rank * cells + own)[:, None]
+        subfiles[rows].reshape(n_choices, mu_z, gain)[:] = sides[pick].transpose(0, 2, 1)
+        classes[rows] = subset
+        pair_blocks = class_blocks[list(subset)][slot[:, None], chosen]
+        pairs[rows].reshape(n_choices, mu_z, z, 2)[:] = pair_blocks[:, None]
+        s[rows].reshape(n_choices, mu_z)[:] = np.arange(1, mu_z + 1)
+    return DeliverySchedule(
+        scheme=scheme, demands=demands, users=users, subfiles=subfiles,
+        classes=classes, pairs=pairs, s=s,
+    )
 
 
 def schedule_to_json(schedule: DeliverySchedule) -> dict:

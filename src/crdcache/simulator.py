@@ -5,17 +5,19 @@ per subpacketization v, into one read-only zero-padded ``uint8`` library
 array of shape (N, v, sub); placement, encoding and decoding all read that
 one array.  A cache is a read-only view over it, restricted to the index
 set of its block, so filling b caches copies no bytes.  Every coded
-transmission is the bytewise XOR of its subfiles, gathered one term column
-at a time.  Each user then decodes exactly the way the scheme promises it
-can: for every transmission it participates in, found through the
-schedule's per-user participation index, it strips the other terms using
-subfiles read from its own caches, and finally stitches the demanded file
-together from cached plus over-the-air subfiles.  Decoding all K users thus
-touches K * mu_z (b_r-1)^z transmissions, not K * T.  ``verify_all``
+transmission is the bytewise XOR of its subfiles, gathered for all rows of
+the schedule's columns one term column at a time.  Each user then decodes
+exactly the way the scheme promises it can: for every transmission it
+participates in, found through the schedule's per-user participation
+index, it strips the other terms using subfiles read from its own caches,
+and finally stitches the demanded file together from cached plus
+over-the-air subfiles.  The decoder runs as array passes over a batch of
+users, so decoding all K users touches K * mu_z (b_r-1)^z transmissions,
+not K * T, and builds no per-transmission object.  ``verify_all``
 additionally checks, on every transmission, that the side-information set
 of each participant (intersection of the complementary blocks) equals the
 intersection of what the other participants can read - the set identity
-the delivery argument rests on.
+the delivery argument rests on - on packed bit rows of the point sets.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -32,11 +35,15 @@ from .designs import Resolution
 from .errors import DemandOutOfRange, IncompleteRecovery, InternalMuMismatch, MissingSideInformation
 from .scheme import (
     DeliverySchedule,
-    accessible_indices,
     build_delivery_schedule,
     build_scheme,
     delivery_rate,
 )
+
+# Working-set bounds: a side-information check chunk and a decode batch are
+# sized to stay under these byte counts
+_CHECK_BYTES = 1 << 22
+_DECODE_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -121,22 +128,114 @@ def build_caches(store: FileStore, res: Resolution) -> list[CacheView]:
 
 
 def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> list[bytes]:
-    """One XOR payload per coded transmission, in schedule order."""
+    """One XOR payload per coded transmission, in schedule order.
+
+    All rows are XORed at once, one gathered term column at a time, into one
+    (T, sub) array that is then cut into ``bytes`` rows.
+    """
     library = store.library(schedule.scheme.res.design.v)
-    if not schedule.transmissions:
-        return []
-    terms = np.array([t.terms for t in schedule.transmissions], dtype=np.intp)
-    files = np.array(schedule.demands, dtype=np.intp)[terms[:, :, 0]] - 1
-    points = terms[:, :, 1] - 1
-    acc = library[files[:, 0], points[:, 0]]
-    for col in range(1, terms.shape[1]):
-        np.bitwise_xor(acc, library[files[:, col], points[:, col]], out=acc)
-    return [row.tobytes() for row in acc]
+    files = schedule.demand_rows[schedule.users[:, 0]]
+    air = library[files, schedule.subfiles[:, 0] - 1]
+    for col in range(1, schedule.users.shape[1]):
+        files = schedule.demand_rows[schedule.users[:, col]]
+        np.bitwise_xor(air, library[files, schedule.subfiles[:, col] - 1], out=air)
+    sub = library.shape[2]
+    blob = air.tobytes()
+    del air
+    return [blob[i : i + sub] for i in range(0, len(blob), sub)]
+
+
+def _incidence(blocks: Sequence[frozenset[int]], v: int) -> np.ndarray:
+    """A (len(blocks), v) bool array: row j marks the points of block j."""
+    out = np.zeros((len(blocks), v), dtype=bool)
+    out[
+        np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]),
+        np.fromiter(chain.from_iterable(blocks), dtype=np.intp) - 1,
+    ] = True
+    return out
+
+
+def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray, sub: int) -> np.ndarray:
+    """A writeable (len(rows), sub) copy of the payloads of ``rows``."""
+    if isinstance(payloads, np.ndarray):
+        return payloads[rows]
+    joined = bytearray(b"".join([payloads[t] for t in rows.tolist()]))
+    return np.frombuffer(joined, dtype=np.uint8).reshape(len(rows), sub)
+
+
+def _decode_users(
+    first: int,
+    stop: int,
+    payloads: Sequence[bytes] | np.ndarray,
+    schedule: DeliverySchedule,
+    caches: Sequence[CacheView],
+    demands: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode users first..stop-1 together: (files (B, v, sub), cache counts,
+    air counts).
+
+    Each user reads only its own caches and the payloads of its own terms,
+    found through the participation index.  Every other term of those rows
+    is stripped with a subfile the user can read; the error names the first
+    term it cannot, in the users' order, then schedule and term order.
+    """
+    scheme = schedule.scheme
+    v = scheme.res.design.v
+    n = stop - first
+    gain = schedule.users.shape[1]
+    users = scheme.users[first:stop]
+    # every cache views the same library array; the readability checks
+    # below keep each gather inside the users' own caches
+    library = caches[users[0][0]].library
+    sub = library.shape[2]
+    own_caches = _incidence([caches[j].block for user in users for j in user], v)
+    readable = own_caches.reshape(n, scheme.z, v).any(axis=1)
+
+    order, bounds = schedule.participation
+    terms = order[bounds[first] : bounds[stop]]
+    rows, col = np.divmod(terms, gain)
+    owner = schedule.users.ravel()[terms] - first
+    own_points = schedule.subfiles.ravel()[terms] - 1
+    # the other columns of each term's row, in term order
+    skip = np.arange(gain - 1)
+    others = skip + (skip >= col[:, None])
+    other_users = schedule.users[rows[:, None], others]
+    other_points = schedule.subfiles[rows[:, None], others] - 1
+    blocked = ~readable[owner[:, None], other_points]
+    got = np.zeros((n, v), dtype=bool)
+    got[owner, own_points] = True
+    missing = ~(readable | got)
+    # a user's unstrippable term is reported before its missing subfiles
+    if blocked.any():
+        term, c = np.unravel_index(np.argmax(blocked), blocked.shape)
+        if not missing[: owner[term]].any():
+            raise MissingSideInformation(
+                f"transmission {rows[term] + 1}: user {first + owner[term] + 1} cannot strip "
+                f"subfile {other_points[term, c] + 1} of user {other_users[term, c] + 1}'s term"
+            )
+    if missing.any():
+        short = np.argmax(missing.any(axis=1))
+        raise IncompleteRecovery(
+            f"user {first + short + 1} never obtained subfile "
+            f"{np.argmax(missing[short]) + 1} of file {demands[short]}"
+        )
+
+    acc = _air_rows(payloads, rows, sub)
+    files = schedule.demand_rows[other_users]
+    for c in range(gain - 1):
+        np.bitwise_xor(acc, library[files[:, c], other_points[:, c]], out=acc)
+    out = np.empty((n, v, sub), dtype=np.uint8)
+    out[owner, own_points] = acc
+    # a subfile the user can read is taken from its caches, even if it also
+    # came over the air
+    user, point = np.nonzero(readable)
+    out[user, point] = library[np.asarray(demands, dtype=np.intp)[user] - 1, point]
+    return out, readable.sum(axis=1), got.sum(axis=1)
 
 
 def decode_user(
     user_idx: int,
-    payloads: Sequence[bytes],
+    payloads: Sequence[bytes] | np.ndarray,
     schedule: DeliverySchedule,
     caches: Sequence[CacheView],
     demand: int,
@@ -145,59 +244,14 @@ def decode_user(
     """Reconstruct the demanded file for one user.
 
     Reads only the user's own caches plus the broadcast payloads of the
-    transmissions it takes part in; ``file_len`` is the true (pre-padding)
-    length to strip back to.  Returns (file bytes, subfiles from cache,
-    subfiles from the air).
+    transmissions it takes part in (``bytes`` per transmission, or their
+    (T, sub) array); ``file_len`` is the true (pre-padding) length to strip
+    back to.  Returns (file bytes, subfiles from cache, subfiles from the air).
     """
-    scheme = schedule.scheme
-    res = scheme.res
-    v = res.design.v
-    user = scheme.users[user_idx]
-    readable = accessible_indices(res, user)
-    # every cache views the same library array; the readability checks
-    # below keep each gather inside the user's own caches
-    library = caches[user[0]].library
-
-    rows = schedule.participation[user_idx]
-    files: list[list[int]] = []
-    points: list[list[int]] = []
-    for t_idx, _ in rows:
-        row_files = []
-        row_points = []
-        for uid, y in schedule.transmissions[t_idx].terms:
-            if uid == user_idx:
-                continue
-            if y not in readable:
-                raise MissingSideInformation(
-                    f"transmission {t_idx + 1}: user {user_idx + 1} cannot strip "
-                    f"subfile {y} of user {uid + 1}'s term"
-                )
-            row_files.append(schedule.demands[uid] - 1)
-            row_points.append(y - 1)
-        files.append(row_files)
-        points.append(row_points)
-    from_air = {y for _, y in rows}
-    for point in range(1, v + 1):
-        if point not in readable and point not in from_air:
-            raise IncompleteRecovery(
-                f"user {user_idx + 1} never obtained subfile {point} of file {demand}"
-            )
-
-    out = np.empty_like(library[demand - 1])
-    if rows:
-        acc = np.frombuffer(
-            b"".join(payloads[t_idx] for t_idx, _ in rows), dtype=np.uint8
-        ).reshape(len(rows), -1).copy()
-        file_cols = np.array(files, dtype=np.intp)
-        point_cols = np.array(points, dtype=np.intp)
-        for col in range(file_cols.shape[1]):
-            np.bitwise_xor(acc, library[file_cols[:, col], point_cols[:, col]], out=acc)
-        out[[y - 1 for _, y in rows]] = acc
-    # a subfile the user can read is taken from its caches, even if it also
-    # came over the air
-    cached = np.array(sorted(readable), dtype=np.intp) - 1
-    out[cached] = library[demand - 1, cached]
-    return out.tobytes()[:file_len], len(readable), len(from_air)
+    out, n_cache, n_air = _decode_users(
+        user_idx, user_idx + 1, payloads, schedule, caches, (demand,)
+    )
+    return out.reshape(-1)[:file_len].tobytes(), int(n_cache[0]), int(n_air[0])
 
 
 @dataclass(frozen=True)
@@ -226,37 +280,67 @@ class SimulationReport:
         return all(u.recovered and u.byte_equal for u in self.users)
 
 
+def _packed(sets: np.ndarray) -> np.ndarray:
+    """Boolean point rows (..., v) as bit rows of uint64 words (..., W)."""
+    words = -(-sets.shape[-1] // 64)
+    padded = np.zeros(sets.shape[:-1] + (words * 64,), dtype=bool)
+    padded[..., : sets.shape[-1]] = sets
+    return np.packbits(padded, axis=-1).view(np.uint64)
+
+
+def _points(bits: np.ndarray, v: int) -> list[int]:
+    """The 1-based points of one packed bit row, ascending."""
+    return (np.flatnonzero(np.unpackbits(bits.view(np.uint8))[:v]) + 1).tolist()
+
+
 def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     """On every transmission: the complementary-block intersection of each
     participant must equal the intersection of all other participants'
-    readable index sets."""
+    readable index sets.
+
+    Point sets are packed bit rows.  Rows are checked in chunks of bounded
+    size; the others' intersection comes from prefix and suffix ANDs over
+    the participants, and rows naming one user twice exclude every copy.
+    """
     scheme = schedule.scheme
     res = scheme.res
-    blocks = res.design.blocks
-    readable = {}
-    for t_idx, t in enumerate(schedule.transmissions):
-        uids = [uid for uid, _ in t.terms]
-        for uid in uids:
-            if uid not in readable:
-                readable[uid] = accessible_indices(res, scheme.users[uid])
-        for uid in uids:
-            mine = scheme.users[uid]
-            direct = None
-            for s, (blk_i, blk_j) in enumerate(t.pairs):
-                other = blk_j if mine[s] == blk_i else blk_i
-                direct = blocks[other] if direct is None else direct & blocks[other]
-            via_others = None
-            for other_uid in uids:
-                if other_uid == uid:
-                    continue
-                y = readable[other_uid]
-                via_others = y if via_others is None else via_others & y
-            if direct != via_others:
-                raise InternalMuMismatch(
-                    f"transmission {t_idx + 1}: side-information set of user "
-                    f"{uid + 1} is {sorted(direct)} but the others share "
-                    f"{sorted(via_others)}"
-                )
+    v = res.design.v
+    incidence = _packed(_incidence(res.design.blocks, v))
+    user_blocks = np.array(scheme.users, dtype=np.intp).reshape(scheme.n_users, scheme.z)
+    readable = np.bitwise_or.reduce(incidence[user_blocks], axis=1)
+    everything = _packed(np.ones(v, dtype=bool))
+
+    n_rows, gain = schedule.users.shape
+    words = incidence.shape[1]
+    step = max(1, _CHECK_BYTES // (gain * 8 * (words + scheme.z)))
+    for start in range(0, n_rows, step):
+        users = schedule.users[start : start + step]
+        pairs = schedule.pairs[start : start + step, None]
+        mine = user_blocks[users]
+        other = np.where(mine == pairs[..., 0], pairs[..., 1], pairs[..., 0])
+        direct = np.bitwise_and.reduce(incidence[other], axis=2)
+        sets = readable[users]
+        via_others = np.empty_like(sets)
+        via_others[:, 0] = everything
+        for m in range(1, gain):
+            np.bitwise_and(via_others[:, m - 1], sets[:, m - 1], out=via_others[:, m])
+        after = np.tile(everything, (len(users), 1))
+        for m in range(gain - 1, -1, -1):
+            via_others[:, m] &= after
+            after &= sets[:, m]
+        ranked = np.sort(users, axis=1)
+        for row in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
+            for m in range(gain):
+                kept = sets[row, users[row] != users[row, m]]
+                via_others[row, m] = np.bitwise_and.reduce(np.vstack([everything, kept]))
+        wrong = (direct != via_others).any(axis=2)
+        if wrong.any():
+            row, m = np.unravel_index(np.argmax(wrong), wrong.shape)
+            raise InternalMuMismatch(
+                f"transmission {start + row + 1}: side-information set of user "
+                f"{users[row, m] + 1} is {_points(direct[row, m], v)} but the others share "
+                f"{_points(via_others[row, m], v)}"
+            )
 
 
 def verify_all(
@@ -275,30 +359,44 @@ def verify_all(
     store = make_file_store(n_files, file_len, seed)
     caches = build_caches(store, res)
     payloads = encode_payloads(schedule, store)
+    v = res.design.v
+    sub = subfile_length(file_len, v)
+    n_sent = len(payloads)
+    air = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(n_sent, sub)
+    del payloads
+    # users decode in batches of at most _DECODE_BYTES of recovered subfiles
+    # plus term indices
+    _, bounds = schedule.participation
+    per_user = v * sub + int(np.diff(bounds).max()) * 8 * schedule.users.shape[1]
+    step = max(1, _DECODE_BYTES // per_user)
     reports = []
-    for uid in range(scheme.n_users):
-        data, n_cache, n_air = decode_user(
-            uid, payloads, schedule, caches, schedule.demands[uid], file_len
-        )
-        reports.append(
-            UserReport(
-                user=uid,
-                demand=schedule.demands[uid],
-                recovered=True,
-                byte_equal=data == store.files[schedule.demands[uid] - 1],
-                subfiles_from_cache=n_cache,
-                subfiles_from_air=n_air,
+    for first in range(0, scheme.n_users, step):
+        stop = min(first + step, scheme.n_users)
+        demands = schedule.demands[first:stop]
+        out, n_cache, n_air = _decode_users(first, stop, air, schedule, caches, demands)
+        out = out.reshape(stop - first, -1)[:, :file_len]
+        counts = zip(demands, n_cache.tolist(), n_air.tolist())
+        for i, (demand, cached, aired) in enumerate(counts):
+            original = np.frombuffer(store.files[demand - 1], dtype=np.uint8)
+            reports.append(
+                UserReport(
+                    user=first + i,
+                    demand=demand,
+                    recovered=True,
+                    byte_equal=np.array_equal(out[i], original),
+                    subfiles_from_cache=cached,
+                    subfiles_from_air=aired,
+                )
             )
-        )
     return SimulationReport(
         z=z,
         n_files=n_files,
         file_len=file_len,
         seed=seed,
         users=tuple(reports),
-        transmissions_sent=len(payloads),
-        measured_rate=Fraction(len(payloads), res.design.v),
-        theoretical_rate=delivery_rate(res.design.v, res.r, res.b_r, z, scheme.mu_z),
+        transmissions_sent=n_sent,
+        measured_rate=Fraction(n_sent, v),
+        theoretical_rate=delivery_rate(v, res.r, res.b_r, z, scheme.mu_z),
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
 from crdcache.designs import Resolution, validate_design, validate_resolution
-from crdcache.errors import SizeCapExceeded
+from crdcache.errors import InternalMuMismatch, SizeCapExceeded
 from crdcache.gf import _IRREDUCIBLE, prime_power
 from crdcache.scheme import DeliverySchedule
 from crdcache.simulator import FileStore, subfile_length
@@ -113,6 +113,39 @@ def scan_participation(schedule: DeliverySchedule, user: int) -> list[tuple[int,
         for uid, y in t.terms
         if uid == user
     ]
+
+
+def scan_side_information_sets(schedule: DeliverySchedule) -> None:
+    """The frozenset form of the side-information check, one transmission at a
+    time: each participant's complementary-block intersection must equal the
+    intersection of the other participants' readable sets (every point when
+    the row names no other user)."""
+    scheme = schedule.scheme
+    res = scheme.res
+    blocks = res.design.blocks
+    everything = frozenset(range(1, res.design.v + 1))
+    readable = {}
+    for t_idx, t in enumerate(schedule.transmissions):
+        uids = [uid for uid, _ in t.terms]
+        for uid in uids:
+            if uid not in readable:
+                readable[uid] = frozenset(access_union(res, scheme.users[uid]))
+        for uid in uids:
+            mine = scheme.users[uid]
+            direct = None
+            for s, (blk_i, blk_j) in enumerate(t.pairs):
+                other = blk_j if mine[s] == blk_i else blk_i
+                direct = blocks[other] if direct is None else direct & blocks[other]
+            via_others = everything
+            for other_uid in uids:
+                if other_uid != uid:
+                    via_others &= readable[other_uid]
+            if direct != via_others:
+                raise InternalMuMismatch(
+                    f"transmission {t_idx + 1}: side-information set of user "
+                    f"{uid + 1} is {sorted(direct)} but the others share "
+                    f"{sorted(via_others)}"
+                )
 
 
 class DigitField:

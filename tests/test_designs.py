@@ -319,9 +319,13 @@ class TestProfileMemo:
         profile = crd_profile(res)
         instance = build_scheme(res, 2, 9)
         schedule = build_delivery_schedule(instance)
-        assert schedule.participation  # a filled cached property travels along
+        assert schedule.participation  # cached views stay behind and are rebuilt
         for obj in (profile, instance, schedule):
             assert round_trip(obj) == obj
+        copied_schedule = round_trip(schedule)
+        assert "participation" not in copied_schedule.__dict__
+        assert not copied_schedule.users.flags.writeable
+        assert copied_schedule.participation[0].tolist() == schedule.participation[0].tolist()
         copied = round_trip(profile)
         assert dict(copied.mu) == {2: 1}
         with pytest.raises(TypeError):

@@ -10,7 +10,6 @@ from crdcache import errors
 from crdcache.constructions import affine_plane, catalog_example, hadamard_crd
 from crdcache.designs import crd_profile
 from crdcache.scheme import (
-    accessible_indices,
     build_delivery_schedule,
     build_scheme,
     coding_gain,
@@ -281,7 +280,7 @@ class TestSchedule:
             scheme = build_scheme(res, z, scheme_metrics(res, z).users)
             schedule = build_delivery_schedule(scheme, range(1, scheme.n_users + 1))
             reach = {
-                uid: accessible_indices(res, user) for uid, user in enumerate(scheme.users)
+                uid: access_union(res, user) for uid, user in enumerate(scheme.users)
             }
             for t in schedule.transmissions:
                 uids = [uid for uid, _ in t.terms]
@@ -338,8 +337,12 @@ class TestSchedule:
 
         scheme = build_scheme(catalog_example(3), 2, 9)
         forged = replace(scheme, mu_z=2)
-        with pytest.raises(errors.InternalMuMismatch):
+        with pytest.raises(errors.InternalMuMismatch) as exc:
             build_delivery_schedule(forged, range(1, 10))
+        # the first pair choice's first participant, in product order
+        assert str(exc.value) == (
+            "intersection size 1 != mu_z=2 at classes (0, 1), pairs ((0, 1), (0, 1))"
+        )
 
     def test_json_shape(self):
         scheme = build_scheme(catalog_example(3), 2, 9)

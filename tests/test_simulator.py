@@ -1,17 +1,21 @@
 """Byte-exact broadcast: stores, caches, payloads, decoders, reports."""
 
 import json
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crdcache import errors
+from crdcache import scheme as scheme_module
 from crdcache.constructions import affine_plane, catalog_example, from_spec
-from crdcache.designs import crd_profile
-from crdcache.scheme import CodedTransmission, DeliverySchedule, build_delivery_schedule, build_scheme
+from crdcache.designs import crd_profile, resolution_from_json
+from crdcache.scheme import CodedTransmission, build_delivery_schedule, build_scheme
 from crdcache.simulator import (
     CacheView,
+    _check_side_information_sets,
     build_caches,
     decode_user,
     encode_payloads,
@@ -21,7 +25,7 @@ from crdcache.simulator import (
     subfile_length,
     verify_all,
 )
-from oracles import int_xor_payloads, scan_participation, split_subfiles
+from oracles import int_xor_payloads, scan_participation, scan_side_information_sets, split_subfiles
 
 ORACLE_SPECS = (
     [f"example:{i}" for i in range(1, 10)]
@@ -37,12 +41,19 @@ def _oracle_points():
             yield pytest.param(spec, z, id=f"{spec}-z{z}")
 
 
-class CountingTuple(tuple):
-    """A tuple that counts how often it is iterated from the start."""
+@lru_cache(maxsize=None)
+def _oracle_schedule(spec, z):
+    scheme = build_scheme(from_spec(spec), z, 1)
+    return build_delivery_schedule(scheme, [1] * scheme.n_users)
 
-    def __iter__(self):
-        self.iterations = getattr(self, "iterations", 0) + 1
-        return super().__iter__()
+
+def _raised(check, schedule):
+    """The InternalMuMismatch message of check(schedule), or None if it passes."""
+    try:
+        check(schedule)
+    except errors.InternalMuMismatch as exc:
+        return str(exc)
+    return None
 
 
 class TestFileStore:
@@ -121,24 +132,60 @@ class TestAgainstOracles:
             schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
             store = make_file_store(n_files, file_len, seed=z)
             assert encode_payloads(schedule, store) == int_xor_payloads(schedule, store)
+        terms, bounds = schedule.participation
+        gain = schedule.users.shape[1]
         for uid in range(n_users):
-            assert list(schedule.participation[uid]) == scan_participation(schedule, uid)
+            mine = terms[bounds[uid] : bounds[uid + 1]].tolist()
+            rows = [(p // gain, int(schedule.subfiles.flat[p])) for p in mine]
+            assert rows == scan_participation(schedule, uid)
 
-    def test_decoding_every_user_walks_the_schedule_at_most_once(self):
-        res = affine_plane(4)
-        scheme = build_scheme(res, 2, 160)
-        built = build_delivery_schedule(scheme, range(1, 161))
-        store = make_file_store(160, 50, 6)
+    def test_verify_all_and_decode_user_build_no_transmission_objects(self, monkeypatch):
+        built = []
+
+        class CountingTransmission(CodedTransmission):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scheme_module, "CodedTransmission", CountingTransmission)
+        res = affine_plane(5)
+        report = verify_all(res, 2, 375, 64, seed=6)
+        assert report.all_recovered and report.transmissions_sent == 1500
+        assert built == []
+        scheme = build_scheme(res, 2, 375)
+        schedule = build_delivery_schedule(scheme)
+        store = make_file_store(375, 64, 6)
         caches = build_caches(store, res)
-        payloads = encode_payloads(built, store)
-        counted = CountingTuple(built.transmissions)
-        schedule = DeliverySchedule(scheme=scheme, demands=built.demands, transmissions=counted)
+        payloads = encode_payloads(schedule, store)
         for uid in range(scheme.n_users):
             demand = schedule.demands[uid]
-            data, _, n_air = decode_user(uid, payloads, schedule, caches, demand, 50)
+            data, _, n_air = decode_user(uid, payloads, schedule, caches, demand, 64)
             assert data == store.files[demand - 1]
             assert n_air == scheme.mu_z * (res.b_r - 1) ** 2
-        assert counted.iterations <= 1
+        assert built == []
+        # the guard sees the objects once something asks for them
+        assert len(schedule.transmissions) == len(built) == 1500
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_side_information_check_matches_the_frozenset_scan(self, data):
+        spec, z = data.draw(st.sampled_from([p.values for p in _oracle_points()]))
+        schedule = _oracle_schedule(spec, z)
+        res = schedule.scheme.res
+        column = data.draw(st.sampled_from(["users", "pairs"]))
+        doctored = getattr(schedule, column).copy()
+        for _ in range(data.draw(st.integers(0, 3))):
+            row = data.draw(st.integers(0, len(doctored) - 1))
+            if column == "users":
+                col = data.draw(st.integers(0, doctored.shape[1] - 1))
+                doctored[row, col] = data.draw(st.integers(0, schedule.scheme.n_users - 1))
+            else:
+                s = data.draw(st.integers(0, z - 1))
+                side = data.draw(st.integers(0, 1))
+                doctored[row, s, side] = data.draw(st.integers(0, res.design.b - 1))
+        broken = replace(schedule, **{column: doctored})
+        expected = _raised(scan_side_information_sets, broken)
+        assert _raised(_check_side_information_sets, broken) == expected
 
 
 class TestCacheViews:
@@ -203,6 +250,16 @@ class TestEndToEnd:
         report = verify_all(catalog_example(1), 2, 12, 13, seed=9)
         assert report.all_recovered
 
+    def test_single_block_classes_send_nothing(self):
+        # b_r = 1: no block pairs, so every user reads its whole file from cache
+        res = resolution_from_json({"v": 2, "blocks": [[1, 2], [1, 2]], "classes": [[1], [2]]})
+        for z in (1, 2):
+            scheme = build_scheme(res, z, 1)
+            schedule = build_delivery_schedule(scheme, [1] * scheme.n_users)
+            assert schedule.users.shape == (0, 2**z) and schedule.transmissions == ()
+            report = verify_all(res, z, 1, 8, demands=[1] * scheme.n_users)
+            assert report.all_recovered and report.transmissions_sent == 0
+
     def test_distinct_needs_enough_files(self):
         with pytest.raises(errors.DemandOutOfRange):
             verify_all(catalog_example(3), 2, 8, 18)
@@ -239,7 +296,7 @@ class TestDecoderFaults:
         res, schedule, store = self._schedule()
         caches = build_caches(store, res)
         payloads = encode_payloads(schedule, store)
-        victim = schedule.transmissions[0].terms[0][0]
+        victim = int(schedule.users[0, 0])
         tampered = list(payloads)
         tampered[0] = bytes([tampered[0][0] ^ 0xFF]) + tampered[0][1:]
         data, _, _ = decode_user(victim, tampered, schedule, caches, victim + 1, 36)
@@ -249,31 +306,27 @@ class TestDecoderFaults:
         res, schedule, store = self._schedule()
         caches = build_caches(store, res)
         payloads = encode_payloads(schedule, store)
-        first = schedule.transmissions[0]
-        # hand user 0 a term whose subfile (9) it cannot read
-        doctored = CodedTransmission(
-            classes=first.classes,
-            pairs=first.pairs,
-            s=first.s,
-            terms=((0, 5), (1, 9)) + first.terms[2:],
-        )
-        broken = DeliverySchedule(
-            scheme=schedule.scheme,
-            demands=schedule.demands,
-            transmissions=(doctored,) + schedule.transmissions[1:],
-        )
-        with pytest.raises(errors.MissingSideInformation):
+        # row 1 is u1:5 u2:4 u4:2 u5:1; hand user 1 a term whose subfile (9) it cannot read
+        subfiles = schedule.subfiles.copy()
+        subfiles[0, 1] = 9
+        broken = replace(schedule, subfiles=subfiles)
+        with pytest.raises(errors.MissingSideInformation) as exc:
             decode_user(0, payloads, broken, caches, 1, 36)
+        assert str(exc.value) == "transmission 1: user 1 cannot strip subfile 9 of user 2's term"
 
     def test_missing_transmission_is_incomplete(self):
         res, schedule, store = self._schedule()
         caches = build_caches(store, res)
         payloads = encode_payloads(schedule, store)
-        victim = schedule.transmissions[0].terms[0][0]
-        clipped = DeliverySchedule(
-            scheme=schedule.scheme,
-            demands=schedule.demands,
-            transmissions=schedule.transmissions[1:],
+        victim = int(schedule.users[0, 0])
+        clipped = replace(
+            schedule,
+            users=schedule.users[1:],
+            subfiles=schedule.subfiles[1:],
+            classes=schedule.classes[1:],
+            pairs=schedule.pairs[1:],
+            s=schedule.s[1:],
         )
-        with pytest.raises(errors.IncompleteRecovery):
+        with pytest.raises(errors.IncompleteRecovery) as exc:
             decode_user(victim, payloads[1:], clipped, caches, victim + 1, 36)
+        assert str(exc.value) == "user 1 never obtained subfile 5 of file 1"
