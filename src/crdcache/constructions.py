@@ -20,9 +20,12 @@ Three infinite families plus a small hand-built catalog:
   [3]^2, [2]^3, [3]^3 and [2]^4; the rest are kept verbatim.
 
 The family and grid builders emit ``Resolution.labels``, class c becoming
-blocks c*b_r .. c*b_r + b_r - 1.  Point numbering for the field
-constructions: coordinate vectors are sorted by canonical field-element
-order, most significant coordinate first, then mapped to 1..v.
+blocks c*b_r .. c*b_r + b_r - 1: a stable argsort of each label row is the
+class's rows of the design's point matrix, which ``validate_resolution``
+checks like any other (every class tiles 1..v once) before it scatters the
+labels back.  Point numbering for the field constructions: coordinate
+vectors are sorted by canonical field-element order, most significant
+coordinate first, then mapped to 1..v.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
-from .designs import Resolution, validate_design, validate_resolution
+from .designs import Design, Resolution, validate_design, validate_resolution
 from .errors import BadSpec, NoConstructionAvailable, SizeCapExceeded, UnknownExample
 from .gf import GF, prime_power
 
@@ -76,9 +79,11 @@ def _from_labels(labels: np.ndarray) -> Resolution:
     every label value must mark v / b_r points of its row."""
     r, v = labels.shape
     b_r = int(labels.max()) + 1
-    blocks = np.argsort(labels, axis=1, kind="stable").reshape(r * b_r, v // b_r) + 1
+    # a stable sort lists each block's points ascending
+    blocks = np.argsort(labels, axis=1, kind="stable").reshape(r * b_r, v // b_r)
+    blocks += 1
     classes = [range(c * b_r, (c + 1) * b_r) for c in range(r)]
-    return validate_resolution(validate_design(v, blocks.tolist()), classes)
+    return validate_resolution(Design(v, blocks, v // b_r), classes)
 
 
 def _grid(b_r: int, r: int) -> np.ndarray:
@@ -103,10 +108,13 @@ def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resol
     # one direction per normal vector whose first nonzero coordinate is 1
     lead = points[np.arange(v), (points != 0).argmax(axis=1)]
     normals = points[lead == 1]
-    # point x lies in block c of class d exactly when normal d . x == c
-    labels = np.zeros((len(normals), v), dtype=field.add_table.dtype)
+    # point x lies in block c of class d exactly when normal d . x == c; the
+    # dot products over the first i coordinates fill q^i columns, one more
+    # coordinate at a time, so the work is about 2 r v lookups, not m r v
+    labels = np.zeros((len(normals), 1), dtype=field.add_table.dtype)
     for i in range(m):
-        labels = field.add_table[labels, field.mul_table[normals[:, i, None], points[:, i]]]
+        terms = field.mul_table[normals[:, i]]
+        labels = field.add_table[labels[:, :, None], terms[:, None, :]].reshape(len(normals), -1)
     return _from_labels(labels)
 
 

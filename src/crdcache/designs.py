@@ -13,6 +13,12 @@ in class c of the block holding point x.  Blocks from i classes meet in the
 cells of the points' joint label over those classes, so mu_i exists exactly
 when every joint value marks v / b_r^i points.
 
+A design stores its blocks once, as a read-only (b, k) point matrix:
+row j lists the points of block j ascending, in the smallest unsigned
+dtype that holds v.  ``validate_design`` is the one step that takes ragged
+outside input; ``validate_resolution`` checks a resolution on that matrix
+and derives the label matrix from it with one scatter.
+
 Conventions: points are 1-based everywhere (they double as subfile
 indices).  Block and class indices are 0-based in the Python API and
 1-based in the JSON interchange format, which is
@@ -22,7 +28,7 @@ indices).  Block and class indices are 0-based in the Python API and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -44,15 +50,38 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Design:
-    """Point count, ordered block list and the uniform block size k."""
+    """Point count, block matrix and the uniform block size k.
+
+    ``blocks`` is read-only, one ascending row of 1-based points per block,
+    cast to the smallest unsigned dtype that holds v; equality and hash
+    compare v, k and the row values.
+    """
 
     v: int
-    blocks: tuple[frozenset[int], ...]
+    blocks: np.ndarray
     k: int
+
+    def __post_init__(self) -> None:
+        blocks = np.asarray(self.blocks, dtype=np.min_scalar_type(self.v))
+        blocks.flags.writeable = False
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def b(self) -> int:
         return len(self.blocks)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Design):
+            return NotImplemented
+        return (self.v, self.k) == (other.v, other.k) and np.array_equal(self.blocks, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.v, self.k, self.blocks.shape, self.blocks.tobytes()))
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle and deepcopy hand back a writeable copy of the blocks
+        state["blocks"].flags.writeable = False
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True)
@@ -109,55 +138,68 @@ class CrdProfile:
 
 
 def validate_design(v: int, raw_blocks: Iterable[Iterable[int]]) -> Design:
-    """Check block-design axioms and return the canonical Design."""
+    """Check block-design axioms on ragged input and return the canonical Design.
+
+    Each block is its distinct points, so a repeated point counts once.
+    """
     if v < 1:
         raise PointOutOfRange(f"point count must be >= 1, got {v}")
-    blocks: list[frozenset[int]] = []
+    rows: list[list[int]] = []
     for pos, raw in enumerate(raw_blocks):
-        block = frozenset(map(int, raw))
-        if not block:
+        row = sorted(set(map(int, raw)))
+        if not row:
             raise EmptyBlock(f"block {pos + 1} is empty")
-        for x in sorted(block):
+        for x in row:
             if x < 1 or x > v:
                 raise PointOutOfRange(f"block {pos + 1} contains point {x} outside 1..{v}")
-        blocks.append(block)
-    if not blocks:
+        rows.append(row)
+    if not rows:
         raise EmptyBlock("a design needs at least one block")
-    k = len(blocks[0])
-    for pos, block in enumerate(blocks):
-        if len(block) != k:
-            raise NonUniformBlockSize(
-                f"block {pos + 1} has {len(block)} points, expected {k}"
-            )
-    return Design(v=v, blocks=tuple(blocks), k=k)
+    k = len(rows[0])
+    for pos, row in enumerate(rows):
+        if len(row) != k:
+            raise NonUniformBlockSize(f"block {pos + 1} has {len(row)} points, expected {k}")
+    return Design(v=v, blocks=rows, k=k)
 
 
 def validate_resolution(design: Design, classes: Sequence[Sequence[int]]) -> Resolution:
-    """Check that ``classes`` (0-based block indices) is a resolution of the design."""
+    """Check that ``classes`` (0-based block indices) is a resolution of the design.
+
+    Each class is checked in order: its first block, in class order, that
+    meets an earlier one is reported at the smallest shared point, found by
+    a stable sort of the class's points; then its coverage.  Nothing of size
+    v is allocated before every class has passed.
+    """
     flat = [j for cls in classes for j in cls]
     if sorted(flat) != list(range(design.b)):
         raise NotAPartitionOfBlocks(
             f"classes must partition the {design.b} block indices exactly once"
         )
+    members = np.array(flat, dtype=np.intp)
+    start = 0
     for pos, cls in enumerate(classes):
-        covered: set[int] = set()
-        for j in cls:
-            block = design.blocks[j]
-            overlap = covered & block
-            if overlap:
-                raise ClassNotPartitionOfPoints(
-                    f"class {pos + 1}: blocks overlap at point {min(overlap)}"
-                )
-            covered |= block
-        if len(covered) != design.v:
+        points = design.blocks[members[start : start + len(cls)]].ravel()
+        start += len(cls)
+        order = np.argsort(points, kind="stable")
+        ranked = points[order]
+        # a repeated point: the later copy belongs to a later block of the class
+        later = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+        if len(later):
+            first = later[np.argmin(order[later] // design.k)]
             raise ClassNotPartitionOfPoints(
-                f"class {pos + 1} covers {len(covered)} of {design.v} points"
+                f"class {pos + 1}: blocks overlap at point {ranked[first]}"
             )
-    b_r = design.b // len(classes)  # each class tiles v points with blocks of size k
-    labels = np.empty((len(classes), design.v), dtype=np.min_scalar_type(b_r - 1))
-    for c, cls in enumerate(classes):
-        points = np.fromiter(chain.from_iterable(design.blocks[j] for j in cls), np.intp, design.v)
-        labels[c, points - 1] = np.repeat(np.arange(b_r), design.k)
+        if len(points) != design.v:
+            raise ClassNotPartitionOfPoints(
+                f"class {pos + 1} covers {len(points)} of {design.v} points"
+            )
+    r = len(classes)
+    b_r = design.b // r  # each class tiles v points with blocks of size k
+    labels = np.empty((r, design.v), dtype=np.min_scalar_type(b_r - 1))
+    rank = np.empty(design.b, dtype=np.intp)
+    rank[members] = np.arange(design.b)
+    class_of, position = np.divmod(rank, b_r)
+    labels[class_of[:, None], design.blocks - 1] = position[:, None]
     labels.flags.writeable = False
     return Resolution(
         design=design,
@@ -242,7 +284,7 @@ def design_to_json(res: Resolution) -> dict:
     """Serialize to the 1-based JSON interchange format."""
     return {
         "v": res.design.v,
-        "blocks": [sorted(block) for block in res.design.blocks],
+        "blocks": res.design.blocks.tolist(),
         "classes": [[j + 1 for j in cls] for cls in res.classes],
     }
 

@@ -3,21 +3,22 @@
 The server holds N equal-length pseudo-random files.  They are split once,
 per subpacketization v, into one read-only zero-padded ``uint8`` library
 array of shape (N, v, sub); placement, encoding and decoding all read that
-one array.  A cache is a read-only view over it, restricted to the index
-set of its block, so filling b caches copies no bytes.  Every coded
-transmission is the bytewise XOR of its subfiles, gathered for all rows of
-the schedule's columns one term column at a time.  Each user then decodes
-exactly the way the scheme promises it can: for every transmission it
-participates in, found through the schedule's per-user participation
-index, it strips the other terms using subfiles read from its own caches,
-and finally stitches the demanded file together from cached plus
-over-the-air subfiles.  The decoder runs as array passes over a batch of
+one array.  A cache is a read-only view over it, restricted to the points
+of its block (that block's row of the design's point matrix), so filling
+b caches copies no bytes.  Every coded transmission is the bytewise XOR of
+its subfiles, gathered for all rows of the schedule's columns one term
+column at a time.  Each user then decodes exactly the way the scheme
+promises it can: for every transmission it participates in, found through
+the schedule's per-user participation index, it strips the other terms
+using subfiles read from its own caches, and finally stitches the
+demanded file together from cached plus over-the-air subfiles.  The decoder runs as array passes over a batch of
 users, so decoding all K users touches K * mu_z (b_r-1)^z transmissions,
 not K * T, and builds no per-transmission object.  ``verify_all``
 additionally checks, on every transmission, that the side-information set
 of each participant (intersection of the complementary blocks) equals the
 intersection of what the other participants can read - the set identity
-the delivery argument rests on - on packed bit rows of the point sets.
+the delivery argument rests on - on packed bit rows of the point sets,
+scattered from the block rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -97,11 +97,12 @@ class CacheView(Mapping[tuple[int, int], bytes]):
     """One cache's contents: (file id, point) -> subfile bytes, for every
     file and every point of the cache's block.
 
-    A read-only view over the shared library array; any key outside the
-    block (or outside 1..N) raises ``KeyError``.
+    A read-only view over the shared library array; ``block`` is the
+    block's ascending row of points.  Any key outside the block (or outside
+    1..N) raises ``KeyError``; keys iterate as Python ints.
     """
 
-    def __init__(self, library: np.ndarray, block: frozenset[int]):
+    def __init__(self, library: np.ndarray, block: np.ndarray):
         self.library = library
         self.block = block
 
@@ -112,7 +113,7 @@ class CacheView(Mapping[tuple[int, int], bytes]):
         return self.library[file_id - 1, point - 1].tobytes()
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        points = sorted(self.block)
+        points = self.block.tolist()
         for file_id in range(1, len(self.library) + 1):
             for point in points:
                 yield file_id, point
@@ -145,13 +146,11 @@ def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> list[bytes]
     return [blob[i : i + sub] for i in range(0, len(blob), sub)]
 
 
-def _incidence(blocks: Sequence[frozenset[int]], v: int) -> np.ndarray:
-    """A (len(blocks), v) bool array: row j marks the points of block j."""
+def _incidence(blocks: np.ndarray, v: int) -> np.ndarray:
+    """A (n, v) bool array from an (n, k) block matrix: row j marks the
+    points of block j."""
     out = np.zeros((len(blocks), v), dtype=bool)
-    out[
-        np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]),
-        np.fromiter(chain.from_iterable(blocks), dtype=np.intp) - 1,
-    ] = True
+    out[np.arange(len(blocks))[:, None], blocks - 1] = True
     return out
 
 
@@ -188,7 +187,7 @@ def _decode_users(
     # below keep each gather inside the users' own caches
     library = caches[users[0][0]].library
     sub = library.shape[2]
-    own_caches = _incidence([caches[j].block for user in users for j in user], v)
+    own_caches = _incidence(np.array([caches[j].block for user in users for j in user]), v)
     readable = own_caches.reshape(n, scheme.z, v).any(axis=1)
 
     order, bounds = schedule.participation

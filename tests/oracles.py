@@ -13,15 +13,88 @@ import numpy as np
 
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
 from crdcache.designs import Resolution, validate_design, validate_resolution
-from crdcache.errors import InternalMuMismatch, SizeCapExceeded
+from crdcache.errors import (
+    ClassNotPartitionOfPoints,
+    EmptyBlock,
+    InternalMuMismatch,
+    NonUniformBlockSize,
+    NotAPartitionOfBlocks,
+    PointOutOfRange,
+    SizeCapExceeded,
+)
 from crdcache.gf import _IRREDUCIBLE, prime_power
 from crdcache.scheme import DeliverySchedule
 from crdcache.simulator import FileStore, subfile_length
 
 
+def block_set(res: Resolution, j: int) -> frozenset[int]:
+    """The points of block j as a set of Python ints."""
+    return frozenset(res.design.blocks[j].tolist())
+
+
+def set_validate_design(
+    v: int, raw_blocks
+) -> tuple[int, tuple[frozenset[int], ...], int]:
+    """The frozenset form of ``validate_design``: (v, blocks, k)."""
+    if v < 1:
+        raise PointOutOfRange(f"point count must be >= 1, got {v}")
+    blocks: list[frozenset[int]] = []
+    for pos, raw in enumerate(raw_blocks):
+        block = frozenset(map(int, raw))
+        if not block:
+            raise EmptyBlock(f"block {pos + 1} is empty")
+        for x in sorted(block):
+            if x < 1 or x > v:
+                raise PointOutOfRange(f"block {pos + 1} contains point {x} outside 1..{v}")
+        blocks.append(block)
+    if not blocks:
+        raise EmptyBlock("a design needs at least one block")
+    k = len(blocks[0])
+    for pos, block in enumerate(blocks):
+        if len(block) != k:
+            raise NonUniformBlockSize(
+                f"block {pos + 1} has {len(block)} points, expected {k}"
+            )
+    return v, tuple(blocks), k
+
+
+def set_validate_resolution(
+    design: tuple[int, tuple[frozenset[int], ...], int], classes
+) -> tuple[tuple[tuple[int, ...], ...], int, np.ndarray]:
+    """The frozenset form of ``validate_resolution`` on a ``set_validate_design``
+    result: (classes, b_r, labels), the labels filled one point at a time."""
+    v, blocks, _ = design
+    flat = [j for cls in classes for j in cls]
+    if sorted(flat) != list(range(len(blocks))):
+        raise NotAPartitionOfBlocks(
+            f"classes must partition the {len(blocks)} block indices exactly once"
+        )
+    for pos, cls in enumerate(classes):
+        covered: set[int] = set()
+        for j in cls:
+            block = blocks[j]
+            overlap = covered & block
+            if overlap:
+                raise ClassNotPartitionOfPoints(
+                    f"class {pos + 1}: blocks overlap at point {min(overlap)}"
+                )
+            covered |= block
+        if len(covered) != v:
+            raise ClassNotPartitionOfPoints(
+                f"class {pos + 1} covers {len(covered)} of {v} points"
+            )
+    b_r = len(blocks) // len(classes)
+    labels = np.empty((len(classes), v), dtype=np.min_scalar_type(b_r - 1))
+    for c, cls in enumerate(classes):
+        for pos, j in enumerate(cls):
+            for x in blocks[j]:
+                labels[c, x - 1] = pos
+    return tuple(tuple(int(j) for j in cls) for cls in classes), b_r, labels
+
+
 def brute_cross_intersection(res: Resolution, i: int) -> int | None:
     """Scan ALL i-tuples of blocks from i distinct classes; no early exit."""
-    blocks = res.design.blocks
+    blocks = [block_set(res, j) for j in range(res.design.b)]
     sizes = set()
     for class_subset in combinations(res.classes, i):
         for pick in product(*class_subset):
@@ -38,7 +111,7 @@ def scan_cross_intersection(res: Resolution, i: int, caps: SizeCaps = DEFAULT_CA
     """The frozenset scan the label search replaced: one intersection per pick of
     blocks in ``combinations`` x ``product`` order, None at the first empty or
     differing one, SizeCapExceeded once the picks exceed the cap."""
-    blocks = res.design.blocks
+    blocks = [block_set(res, j) for j in range(res.design.b)]
     steps = 0
     seen: int | None = None
     for subset in combinations(res.classes, i):
@@ -70,7 +143,7 @@ def brute_profile(res: Resolution) -> dict[int, int]:
 def access_union(res: Resolution, user: tuple[int, ...]) -> set[int]:
     out: set[int] = set()
     for j in user:
-        out |= res.design.blocks[j]
+        out |= block_set(res, j)
     return out
 
 
@@ -122,7 +195,7 @@ def scan_side_information_sets(schedule: DeliverySchedule) -> None:
     the row names no other user)."""
     scheme = schedule.scheme
     res = scheme.res
-    blocks = res.design.blocks
+    blocks = [block_set(res, j) for j in range(res.design.b)]
     everything = frozenset(range(1, res.design.v + 1))
     readable = {}
     for t_idx, t in enumerate(schedule.transmissions):

@@ -1,5 +1,7 @@
 """Family constructions: predicted parameters, profiles and the catalog."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from crdcache.constructions import (
 )
 from crdcache.designs import crd_profile
 from crdcache.gf import GF
-from oracles import brute_cross_intersection
+from oracles import block_set, brute_cross_intersection
 
 
 # Spec-shaped text: names, separators, keys and values mixed with garbage.
@@ -73,7 +75,7 @@ def test_order_three_plane_has_catalog_class_structure():
 
     def class_sets(res):
         return {
-            frozenset(res.design.blocks[j] for j in cls) for cls in res.classes
+            frozenset(block_set(res, j) for j in cls) for cls in res.classes
         }
 
     assert class_sets(plane) == class_sets(catalog)
@@ -106,7 +108,7 @@ def test_hadamard_blocks_are_complementary():
     res = hadamard_crd(3)
     points = frozenset(range(1, res.design.v + 1))
     for cls in res.classes:
-        assert res.design.blocks[cls[0]] | res.design.blocks[cls[1]] == points
+        assert block_set(res, cls[0]) | block_set(res, cls[1]) == points
 
 
 def test_matching_small_parameters_across_families():
@@ -165,11 +167,11 @@ class TestCatalog:
 
     def test_block_order_preserved(self):
         res = catalog_example(3)
-        assert [sorted(b) for b in res.design.blocks] == [
+        assert [sorted(block_set(res, j)) for j in range(res.design.b)] == [
             [1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 4, 7], [2, 5, 8], [3, 6, 9],
         ]
         res7 = catalog_example(7)
-        assert sorted(res7.design.blocks[3]) == [1, 3, 5, 7]
+        assert sorted(block_set(res7, 3)) == [1, 3, 5, 7]
         # the third class lists block 5 before block 4, as printed
         assert res7.classes == ((0, 1), (2, 5), (4, 3), (6, 7))
 
@@ -261,3 +263,18 @@ class TestSpecStrings:
             from_spec(text, SizeCaps(max_points=64))
         except errors.CrdCacheError:
             pass
+
+
+@pytest.mark.parametrize("spec", ["ag:q=2,m=10", "hadamard:m=255"])
+def test_build_memory_per_incidence(spec):
+    """A built design keeps a few bytes per incidence (b * k): its point
+    matrix and its labels, with no per-incidence Python object."""
+    tracemalloc.start()
+    try:
+        res = from_spec(spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    incidences = res.design.b * res.design.k
+    assert retained <= 8 * incidences, retained / incidences
+    assert peak <= 40 * incidences, peak / incidences

@@ -4,8 +4,9 @@ import copy
 import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crdcache import baselines, cli, designs, errors, scheme, simulator
@@ -28,6 +29,8 @@ from oracles import (
     brute_cross_intersection,
     count_users_on_cache,
     count_users_seeing_point,
+    set_validate_design,
+    set_validate_resolution,
 )
 
 EXAMPLE1_BLOCKS = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
@@ -112,6 +115,89 @@ class TestValidateResolution:
         d = validate_design(4, EXAMPLE1_BLOCKS)
         with pytest.raises(errors.NotAPartitionOfBlocks):
             validate_resolution(d, [[0, 5], [1, 4]])
+
+
+@st.composite
+def ragged_inputs(draw):
+    """(v, raw rows, 0-based classes): either r classes that each tile 1..v
+    in shuffled block order, or free rows of small points split into
+    classes; then up to three edits that break or bend them."""
+    if draw(st.booleans()):
+        b_r, k, r = (draw(st.integers(1, 3)) for _ in range(3))
+        v = b_r * k
+        tiles = []
+        for _ in range(r):
+            perm = draw(st.permutations(range(1, v + 1)))
+            tiles += [list(perm[i * k : (i + 1) * k]) for i in range(b_r)]
+        order = draw(st.permutations(range(len(tiles))))
+        rows = [tiles[j] for j in order]
+        where = {j: pos for pos, j in enumerate(order)}
+        classes = [[where[c * b_r + i] for i in range(b_r)] for c in range(r)]
+    else:
+        v = draw(st.integers(-1, 8))
+        rows = draw(st.lists(st.lists(st.integers(-2, 10), max_size=5), max_size=6))
+        perm = draw(st.permutations(range(len(rows))))
+        cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=3)))
+        classes = [list(perm[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["repeat point", "set point", "repeat entry", "drop entry", "move entry", "bad entry"]))
+        if edit in ("repeat point", "set point") and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if edit == "repeat point" and row:
+                row.insert(draw(st.integers(0, len(row))), draw(st.sampled_from(row)))
+            elif row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.integers(-2, max(v, 0) + 2))
+        elif edit != "set point" and classes:
+            cls = classes[draw(st.integers(0, len(classes) - 1))]
+            if edit == "repeat entry" and cls:
+                cls.append(draw(st.sampled_from(cls)))
+            elif edit == "drop entry" and cls:
+                cls.pop(draw(st.integers(0, len(cls) - 1)))
+            elif edit == "move entry" and cls:
+                classes[draw(st.integers(0, len(classes) - 1))].append(cls.pop())
+            elif edit == "bad entry":
+                cls.append(draw(st.sampled_from([-1, len(rows), len(rows) + 3])))
+    return v, rows, classes
+
+
+def _outcome(validate, *args):
+    try:
+        return validate(*args)
+    except errors.CrdCacheError as exc:
+        return type(exc), str(exc)
+
+
+class TestValidatorsAgainstSetOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(ragged_inputs())
+    @example((4, [[1, 1, 2], [3, 4, 4]], [[0, 1]]))  # uniform only after deduplication
+    @example((3, [[1, 1, 2], [3, 3]], [[0, 1]]))  # repeated points, sizes 2 and 1
+    @example((3, [[5, 0, -2, 1]], [[0]]))  # 0, negative and > v points in one row
+    @example((3, [[1], []], [[0, 1]]))  # an empty row
+    @example((3, [], []))  # no rows
+    @example((0, [[1]], [[0]]))  # v < 1
+    @example((2, [[1], [2]], [[0, 0], [1]]))  # a repeated class entry
+    @example((2, [[1], [2]], [[0]]))  # a missing class entry
+    @example((8, [[1, 2], [5, 6], [6, 7], [1, 8]], [[0, 1, 2, 3]]))  # first overlap is blocks 2, 3
+    @example((8, [[1, 2], [3, 5], [4, 6], [3, 6]], [[0, 1, 2, 3]]))  # block 4 meets 2 and 3
+    @example((4, [[1, 2], [3, 4], [1, 2]], [[0, 1], [2]]))  # an uncovered class
+    def test_array_validators_match_the_set_oracle(self, case):
+        v, rows, classes = case
+        expected = _outcome(set_validate_design, v, rows)
+        design = _outcome(validate_design, v, rows)
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert design == expected
+            return
+        assert (design.v, design.k) == (expected[0], expected[2])
+        assert design.blocks.tolist() == [sorted(block) for block in expected[1]]
+        expected = _outcome(set_validate_resolution, expected, classes)
+        res = _outcome(validate_resolution, design, classes)
+        if isinstance(expected[0], type):
+            assert res == expected
+            return
+        assert (res.classes, res.b_r) == expected[:2]
+        assert res.labels.dtype == expected[2].dtype
+        assert np.array_equal(res.labels, expected[2])
 
 
 class TestCrossIntersection:

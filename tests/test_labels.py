@@ -14,13 +14,14 @@ from crdcache import errors, from_spec, scheme_metrics, verify_all
 from crdcache.caps import SizeCaps
 from crdcache.constructions import _from_labels, _grid, catalog_example
 from crdcache.designs import (
+    Design,
     crd_profile,
     cross_intersection_number,
     resolution_from_json,
     validate_design,
     validate_resolution,
 )
-from oracles import scan_cross_intersection
+from oracles import block_set, scan_cross_intersection
 from test_golden_designs import SPECS
 
 
@@ -112,7 +113,7 @@ class TestLabels:
         assert labels.shape == (res.r, res.design.v)
         for c, cls in enumerate(res.classes):
             for pos, j in enumerate(cls):
-                assert (np.flatnonzero(labels[c] == pos) + 1).tolist() == sorted(res.design.blocks[j])
+                assert (np.flatnonzero(labels[c] == pos) + 1).tolist() == sorted(block_set(res, j))
 
     @pytest.mark.parametrize("spec", list(LADDER))
     def test_dtype_is_the_smallest_unsigned_that_fits(self, spec):
@@ -136,11 +137,20 @@ class TestLabels:
     )
     @pytest.mark.parametrize("spec", ["example:1", "example:9", "affine:n=4", "hadamard:m=3"])
     def test_read_only(self, spec, round_trip):
-        res = round_trip(LADDER[spec])
-        assert res == LADDER[spec]
-        assert np.array_equal(res.labels, LADDER[spec].labels)
+        built = LADDER[spec]
+        res = round_trip(built)
+        assert res == built and hash(res) == hash(built)
+        assert res.design == built.design and hash(res.design) == hash(built.design)
+        assert np.array_equal(res.labels, built.labels)
+        assert res.design.blocks.dtype == np.min_scalar_type(res.design.v)
+        assert res.design.blocks.shape == (res.design.b, res.design.k)
         with pytest.raises(ValueError):
             res.labels[0, 0] = 1
+        with pytest.raises(ValueError):
+            res.design.blocks[0, 0] = 1
+        # the dtype is not part of equality or hash
+        wide = Design(res.design.v, res.design.blocks.astype(np.int64), res.design.k)
+        assert wide == built.design and hash(wide) == hash(built.design)
 
     def test_not_part_of_equality_hash_or_repr(self):
         res = catalog_example(9)

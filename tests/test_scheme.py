@@ -21,7 +21,7 @@ from crdcache.scheme import (
     subpacketization_from_counts,
     user_memory_fraction,
 )
-from oracles import access_union
+from oracles import access_union, block_set
 
 # catalog design id -> admissible z values above 1
 ADMISSIBLE = {1: [2], 3: [2], 4: [2, 3], 5: [2], 6: [2], 7: [2], 8: [2, 3], 9: [2, 3, 4]}
@@ -90,14 +90,14 @@ class TestUsers:
 class TestPlacement:
     def test_cache_holds_its_block(self):
         res = catalog_example(3)
-        assert res.design.blocks[0] == frozenset({1, 2, 3})
+        assert block_set(res, 0) == frozenset({1, 2, 3})
         res1 = catalog_example(1)
-        assert res1.design.blocks[5] == frozenset({3, 4})
+        assert block_set(res1, 5) == frozenset({3, 4})
 
     def test_total_indices(self):
         for example in ADMISSIBLE:
             res = catalog_example(example)
-            assert sum(len(a) for a in res.design.blocks) == res.design.b * res.design.k
+            assert sum(len(block_set(res, j)) for j in range(res.design.b)) == res.design.b * res.design.k
 
 
 class TestMemoryFraction:

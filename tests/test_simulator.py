@@ -25,7 +25,13 @@ from crdcache.simulator import (
     subfile_length,
     verify_all,
 )
-from oracles import int_xor_payloads, scan_participation, scan_side_information_sets, split_subfiles
+from oracles import (
+    block_set,
+    int_xor_payloads,
+    scan_participation,
+    scan_side_information_sets,
+    split_subfiles,
+)
 
 ORACLE_SPECS = (
     [f"example:{i}" for i in range(1, 10)]
@@ -197,10 +203,13 @@ class TestCacheViews:
         subs = [split_subfiles(f, design.v) for f in store.files]
         caches = build_caches(store, res)
         assert len(caches) == design.b
-        for block, cache in zip(design.blocks, caches):
+        for j, cache in enumerate(caches):
+            block = block_set(res, j)
             assert isinstance(cache, CacheView)
             assert len(cache) == 5 * design.k
             assert set(cache) == {(i, p) for i in range(1, 6) for p in block}
+            assert list(cache) == sorted(cache)
+            assert all(type(i) is int and type(p) is int for i, p in cache)
             for (i, p), value in cache.items():
                 assert len(value) == sub
                 assert value == subs[i - 1][p - 1]
