@@ -6,7 +6,8 @@ Two baselines are in scope:
   users and integer cache redundancy t = K*M/N it achieves rate
   K(1 - M/N)/(1 + t) at gain 1 + t with subpacketization C(K, t).  The
   subpacketization is kept as an exact big integer; it overflows 64 bits
-  for quite small K.
+  for quite small K, and is refused past 2**13 bits (``SizeCapExceeded``)
+  before it is computed.
 * SPE - the cyclic-overlap multi-access scheme in its K*M/N = 2 regime.
   Only its structural parameters are computed here (users, M/N = 2/K,
   subpacketization K(K - 2z + 2)/4, accessible fraction 2z/K); its rate
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, inf, lgamma, log
 from typing import Callable, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -35,6 +36,7 @@ from .errors import (
     CrdCacheError,
     NonIntegerCacheRedundancy,
     NonIntegerSubpacketization,
+    SizeCapExceeded,
 )
 from .scheme import SchemeMetrics, scheme_metrics
 
@@ -56,6 +58,21 @@ class ManPoint:
         return self.rate / self.users
 
 
+# C(K, t) is printed in full.  The cap is above C(8190, 4095), of 8184
+# bits, the largest MaN counterpart of a design under the default point cap
+# (K = 8190 caches of hadamard:m=1024 and ag:q=2,m=12), and far below where
+# comb() runs for minutes.
+_MAX_SUBPACKETIZATION_BITS = 1 << 13
+
+
+def _comb_bits(n: int, k: int) -> float:
+    """About log2 C(n, k), from lgamma; inf once n is past float range."""
+    try:
+        return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2)
+    except OverflowError:
+        return inf
+
+
 def man_point(users: int, m_over_n: Fraction | int) -> ManPoint:
     m_over_n = Fraction(m_over_n)
     t = users * m_over_n
@@ -64,6 +81,12 @@ def man_point(users: int, m_over_n: Fraction | int) -> ManPoint:
             f"K*M/N must be a positive integer <= K, got {t} for K={users}"
         )
     t = int(t)
+    if _comb_bits(users, t) > _MAX_SUBPACKETIZATION_BITS:
+        # K and t themselves may be too long to print
+        raise SizeCapExceeded(
+            f"the MaN subpacketization C(K, t) for a {users.bit_length()}-bit K "
+            f"has more than {_MAX_SUBPACKETIZATION_BITS} bits"
+        )
     return ManPoint(
         users=users,
         m_over_n=m_over_n,

@@ -124,8 +124,8 @@ def affine_plane(n: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
 
 
 def _sylvester(order: int) -> np.ndarray:
-    h = np.array([[1]], dtype=int)
-    step = np.array([[1, 1], [1, -1]], dtype=int)
+    h = np.array([[1]], dtype=np.int8)
+    step = np.array([[1, 1], [1, -1]], dtype=np.int8)
     while h.shape[0] < order:
         h = np.kron(h, step)
     return h
@@ -139,7 +139,7 @@ def _paley_type1(order: int, caps: SizeCaps) -> np.ndarray:
     chi[field.mul_table.diagonal()] = 1
     chi[0] = 0
     negatives = field.add_table.argmin(axis=1)
-    s = np.zeros((order, order), dtype=int)
+    s = np.zeros((order, order), dtype=np.int8)
     s[0, 1:] = 1
     s[1:, 0] = -1
     # entry (a, b) is chi(b - a): row a of add_table gathered at -a

@@ -1,17 +1,21 @@
 """Byte-exact execution of a delivery schedule.
 
-The server holds N equal-length pseudo-random files.  They are split once,
-per subpacketization v, into one read-only zero-padded ``uint8`` library
-array of shape (N, v, sub); placement, encoding and decoding all read that
-one array.  A cache is a read-only view over it, restricted to the points
-of its block (that block's row of the design's point matrix), so filling
-b caches copies no bytes.  Every coded transmission is the bytewise XOR of
-its subfiles, gathered for all rows of the schedule's columns one term
-column at a time.  Each user then decodes exactly the way the scheme
-promises it can: for every transmission it participates in, found through
-the schedule's per-user participation index, it strips the other terms
-using subfiles read from its own caches, and finally stitches the
-demanded file together from cached plus over-the-air subfiles.  The decoder runs as array passes over a batch of
+The server holds N equal-length pseudo-random files, file i being the i-th
+``random.Random(seed).randbytes(file_len)``.  Their bytes are generated
+once, by numpy's MT19937 started in that generator's state, straight into
+one read-only zero-padded ``uint8`` library array of shape (N, v, sub) for
+the first subpacketization v asked for; ``files`` are the rows of that one
+array, and a library for another v is copied from them.  Placement,
+encoding and decoding all read the library.  A cache is a read-only view
+over it, restricted to the points of its block (that block's row of the
+design's point matrix), so filling b caches copies no bytes.  Every coded
+transmission is the bytewise XOR of its subfiles, gathered for all rows of
+the schedule's columns one term column at a time.  Each user then decodes
+exactly the way the scheme promises it can: for every transmission it
+participates in, found through the schedule's per-user participation
+index, it strips the other terms using subfiles read from its own caches,
+and finally stitches the demanded file together from cached plus
+over-the-air subfiles.  The decoder runs as array passes over a batch of
 users, so decoding all K users touches K * mu_z (b_r-1)^z transmissions,
 not K * T, and builds no per-transmission object.  ``verify_all``
 additionally checks, on every transmission, that the side-information set
@@ -26,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -40,39 +45,99 @@ from .scheme import (
     delivery_rate,
 )
 
-# Working-set bounds: a side-information check chunk and a decode batch are
-# sized to stay under these byte counts
+# Working-set bounds: a side-information check chunk, a decode batch and a
+# chunk of generated file words are sized to stay under these byte counts
 _CHECK_BYTES = 1 << 22
 _DECODE_BYTES = 1 << 22
+_STORE_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
 class FileStore:
-    """N files of identical length, reproducible from (n_files, file_len, seed)."""
+    """N files of identical length, reproducible from (n_files, file_len, seed).
+
+    Holds no bytes until a library or ``files`` is first asked for; equality,
+    pickling and copying go by the three numbers alone.
+    """
 
     n_files: int
     file_len: int
     seed: int
-    files: tuple[bytes, ...]
     _libraries: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def __reduce__(self):
+        return FileStore, (self.n_files, self.file_len, self.seed)
+
     def library(self, v: int) -> np.ndarray:
         """The files split into v subfiles: a read-only (N, v, sub) uint8 array.
 
-        Built on first use for each v and shared by every later caller.
+        Built on first use for each v and shared by every later caller.  The
+        first one is generated in place; later ones are copied from it.
         """
         lib = self._libraries.get(v)
         if lib is None:
             sub = subfile_length(self.file_len, v)
-            lib = np.zeros((self.n_files, v * sub), dtype=np.uint8)
-            for i, data in enumerate(self.files):
-                lib[i, : self.file_len] = np.frombuffer(data, dtype=np.uint8)
-            lib = lib.reshape(self.n_files, v, sub)
+            rows = np.zeros((self.n_files, v * sub), dtype=np.uint8)
+            if self._libraries:
+                rows[:, : self.file_len] = self._rows()[:, : self.file_len]
+            else:
+                _write_random_files(rows, self.file_len, self.seed)
+            lib = rows.reshape(self.n_files, v, sub)
             lib.flags.writeable = False
             self._libraries[v] = lib
         return lib
+
+    def _rows(self) -> np.ndarray:
+        """The first library built, as (N, v * sub) padded file rows."""
+        if not self._libraries:
+            self.library(1)
+        return next(iter(self._libraries.values())).reshape(self.n_files, -1)
+
+    @cached_property
+    def files(self) -> tuple[memoryview, ...]:
+        """The files as read-only ``memoryview``s of the first library's rows;
+        each compares equal to its ``bytes`` and has length ``file_len``."""
+        return tuple(memoryview(row[: self.file_len]) for row in self._rows())
+
+
+def _write_random_files(rows: np.ndarray, file_len: int, seed: int) -> None:
+    """Write the i-th ``random.Random(seed).randbytes(file_len)`` into
+    ``rows[i, :file_len]``.
+
+    ``randbytes(L)`` is ceil(L/4) MT19937 outputs written little-endian, a
+    last partial output keeping its high L % 4 bytes, so the N files are one
+    consecutive output stream.  It is drawn from numpy's MT19937 loaded with
+    the state of ``random.Random(seed)``, at most ``_STORE_BYTES`` of
+    ``uint64`` outputs at a time: several whole files, or part of one.
+    """
+    from numpy.random import MT19937  # kept out of the package import
+
+    state = random.Random(seed).getstate()[1]
+    gen = MT19937()
+    gen.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
+    }
+    whole, tail = divmod(file_len, 4)
+    words = whole + (tail > 0)
+    chunk = max(1, _STORE_BYTES // 8)
+    n_rows = max(1, chunk // words)
+    span = min(words, chunk)
+    for first in range(0, len(rows), n_rows):
+        block = rows[first : first + n_rows]
+        for start in range(0, words, span):
+            stop = min(start + span, words)
+            raw = gen.random_raw(len(block) * (stop - start)).reshape(len(block), -1)
+            end = min(stop, whole)
+            np.copyto(
+                block[:, 4 * start : 4 * end].view("<u4"), raw[:, : end - start], casting="unsafe"
+            )
+            if stop > whole:
+                last = raw[:, -1:].astype("<u4").view(np.uint8)
+                block[:, 4 * whole : file_len] = last[:, 4 - tail :]
+            del raw  # before the next chunk is drawn
 
 
 def make_file_store(n_files: int, file_len: int, seed: int = 0) -> FileStore:
@@ -80,13 +145,7 @@ def make_file_store(n_files: int, file_len: int, seed: int = 0) -> FileStore:
         raise DemandOutOfRange(
             f"need n_files >= 1 and file_len >= 1, got {n_files}, {file_len}"
         )
-    rng = random.Random(seed)
-    return FileStore(
-        n_files=n_files,
-        file_len=file_len,
-        seed=seed,
-        files=tuple(rng.randbytes(file_len) for _ in range(n_files)),
-    )
+    return FileStore(n_files=n_files, file_len=file_len, seed=seed)
 
 
 def subfile_length(file_len: int, v: int) -> int:

@@ -155,10 +155,11 @@ def count_users_on_cache(users, cache: int) -> int:
     return sum(1 for user in users if cache in user)
 
 
-def split_subfiles(data: bytes, v: int) -> list[bytes]:
-    """Zero-pad to a multiple of v and slice into v equal subfiles."""
+def split_subfiles(data, v: int) -> list[bytes]:
+    """Zero-pad to a multiple of v and slice into v equal subfiles; ``data``
+    is any bytes-like object, such as a file store's row view."""
     sub = subfile_length(len(data), v)
-    padded = data + b"\x00" * (sub * v - len(data))
+    padded = bytes(data) + b"\x00" * (sub * v - len(data))
     return [padded[i * sub : (i + 1) * sub] for i in range(v)]
 
 

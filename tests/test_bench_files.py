@@ -1,0 +1,44 @@
+"""The committed benchmark records: every run in a BENCH_*.json file passed
+its checks and reports every end-to-end metric the benchmark declares."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def _end_to_end_names() -> set[str]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {f"{w['name']}.{m['name']}" for w in spec["workloads"] for m in spec["end_to_end"]}
+
+
+def _runs(node, in_benchmark_runs=False):
+    """(run, is a full benchmark run) for every object with a ``result``."""
+    if isinstance(node, dict):
+        if "result" in node:
+            yield node, in_benchmark_runs
+        for key, value in node.items():
+            yield from _runs(value, in_benchmark_runs or key == "benchmark_runs")
+    elif isinstance(node, list):
+        for item in node:
+            yield from _runs(item, in_benchmark_runs)
+
+
+def test_bench_files_are_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_every_run_passed_and_names_every_metric(path):
+    names = _end_to_end_names()
+    assert len(names) == 9
+    runs = list(_runs(json.loads(path.read_text(encoding="utf-8"))))
+    assert any(full for _, full in runs), "no benchmark run recorded"
+    for run, full in runs:
+        result = run["result"]
+        assert result["correct"] is True and result["failed"] == 0, run.get("command")
+        if full:
+            assert names <= set(result["metrics"]), names - set(result["metrics"])

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -258,6 +259,13 @@ class TestTable:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
         assert "Traceback" not in out.stderr
+
+    def test_huge_man_subpacketization_is_refused_at_once(self):
+        start = time.perf_counter()
+        code, err = _run_quietly(["table", "--name", "ag-man:q=3,m=30"])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and len(err.splitlines()) == 1
+        assert err == "error: the MaN subpacketization C(K, t) for a 49-bit K has more than 8192 bits\n"
 
 
 class TestSweep:

@@ -265,7 +265,7 @@ class TestSpecStrings:
             pass
 
 
-@pytest.mark.parametrize("spec", ["ag:q=2,m=10", "hadamard:m=255"])
+@pytest.mark.parametrize("spec", ["ag:q=2,m=10", "hadamard:m=255", "hadamard:m=256"])
 def test_build_memory_per_incidence(spec):
     """A built design keeps a few bytes per incidence (b * k): its point
     matrix and its labels, with no per-incidence Python object."""

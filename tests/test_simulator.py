@@ -1,8 +1,12 @@
 """Byte-exact broadcast: stores, caches, payloads, decoders, reports."""
 
 import json
+import pickle
+import random
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 
 from crdcache import errors
 from crdcache import scheme as scheme_module
+from crdcache import simulator
 from crdcache.constructions import affine_plane, catalog_example, from_spec
 from crdcache.designs import crd_profile, resolution_from_json
 from crdcache.scheme import CodedTransmission, build_delivery_schedule, build_scheme
@@ -84,6 +89,73 @@ class TestFileStore:
             make_file_store(0, 4)
         with pytest.raises(errors.DemandOutOfRange):
             make_file_store(1, 0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.one_of(
+            st.just(0),
+            st.integers(-(2**70), -1),
+            st.integers(1, 2**32 - 1),
+            st.integers(2**32, 2**64),
+            st.integers(2**64 + 1, 2**80),
+        ),
+        n_files=st.integers(1, 6),
+        file_len=st.integers(1, 70),
+        vs=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        chunk_bytes=st.sampled_from([8, 16, 40, 96, simulator._STORE_BYTES]),
+        files_first=st.booleans(),
+    )
+    def test_files_are_the_randbytes_stream(self, seed, n_files, file_len, vs, chunk_bytes, files_first):
+        """File i is the i-th randbytes(file_len) of random.Random(seed) for
+        every chunk size of the generator (8 bytes is one word per chunk, so
+        the stream crosses chunk boundaries inside files and between them)."""
+        rng = random.Random(seed)
+        expected = [rng.randbytes(file_len) for _ in range(n_files)]
+        store = make_file_store(n_files, file_len, seed)
+        with mock.patch.object(simulator, "_STORE_BYTES", chunk_bytes):
+            if files_first:
+                store.files
+            libraries = [store.library(v) for v in vs]
+        assert all(type(f) is memoryview and f.readonly for f in store.files)
+        assert list(store.files) == expected
+        assert [len(f) for f in store.files] == [file_len] * n_files
+        for v, lib in zip(vs, libraries):
+            rows = lib.reshape(n_files, -1)
+            assert not rows[:, file_len:].any()
+            split = b"".join(b"".join(split_subfiles(data, v)) for data in expected)
+            assert lib.tobytes() == split
+
+    def test_stream_crosses_the_default_chunk(self):
+        # one file's stream spans two generation chunks of the real size
+        file_len = simulator._STORE_BYTES // 2 + 3
+        rng = random.Random(5)
+        expected = [rng.randbytes(file_len) for _ in range(2)]
+        assert list(make_file_store(2, file_len, 5).files) == expected
+
+    def test_one_array_in_memory(self):
+        """make_file_store plus library(v), v not dividing the file length,
+        peaks at about one (N, v * sub) array: no bytes copy of the files and
+        no full-size generator temporary."""
+        n_files, file_len, v = 4, (1 << 22) + 3, 7
+        lib_bytes = n_files * v * subfile_length(file_len, v)
+        tracemalloc.start()
+        try:
+            store = make_file_store(n_files, file_len, 3)
+            store.library(v)
+            store.files
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * lib_bytes, peak / lib_bytes
+
+    def test_pickles_and_compares_by_its_numbers(self):
+        store = make_file_store(3, 20, 4)
+        store.library(5)
+        # whole 4-byte words: three files are one randbytes call cut in three
+        assert store.files[2] == random.Random(4).randbytes(60)[40:]
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone == store and clone.files == store.files
+        assert store != make_file_store(3, 20, 5)
 
 
 class TestPayloads:
