@@ -167,6 +167,11 @@ def ag_family_table(q: int, m: int) -> dict[str, object]:
         raise BadFamilyParameter(
             f"the affine-geometry family needs q >= 2 and m >= 2, got q={q}, m={m}"
         )
+    if (m - 1) * log(q, 2) > _MAX_SUBPACKETIZATION_BITS:  # K > q**m and C(K, K/q) >= q**(K/q)
+        raise SizeCapExceeded(
+            f"the MaN subpacketization C(K, t) for K > {q}**{m} "
+            f"has more than {_MAX_SUBPACKETIZATION_BITS} bits"
+        )
     b = q * (q**m - 1) // (q - 1)
     man = man_point(b, Fraction(1, q))
     return {

@@ -9,20 +9,22 @@ array, and a library for another v is copied from them.  Placement,
 encoding and decoding all read the library.  A cache is a read-only view
 over it, restricted to the points of its block (that block's row of the
 design's point matrix), so filling b caches copies no bytes.  Every coded
-transmission is the bytewise XOR of its subfiles, gathered for all rows of
-the schedule's columns one term column at a time.  Each user then decodes
-exactly the way the scheme promises it can: for every transmission it
-participates in, found through the schedule's per-user participation
-index, it strips the other terms using subfiles read from its own caches,
-and finally stitches the demanded file together from cached plus
-over-the-air subfiles.  The decoder runs as array passes over a batch of
-users, so decoding all K users touches K * mu_z (b_r-1)^z transmissions,
-not K * T, and builds no per-transmission object.  ``verify_all``
-additionally checks, on every transmission, that the side-information set
-of each participant (intersection of the complementary blocks) equals the
-intersection of what the other participants can read - the set identity
-the delivery argument rests on - on packed bit rows of the point sets,
-scattered from the block rows.
+transmission is the bytewise XOR of its subfiles, gathered one term column
+at a time in cache-sized row chunks.  Each user then decodes exactly the
+way the scheme promises it can: for every transmission it participates in,
+found through the schedule's per-user participation index, it strips the
+other terms using subfiles read from its own caches.  The decoder runs as
+array passes over a batch of users, so decoding all K users touches
+K * mu_z (b_r-1)^z transmissions, not K * T, and builds no
+per-transmission object.  Only ``decode_user`` stitches a file from these
+air subfiles and the user's cached ones.  ``verify_all`` compares just the
+decoded air subfiles with the library and copies no cached subfile: that is
+the library's own row, so comparing it could never fail, and
+``IncompleteRecovery`` already enforces that every point is cached or
+received.  It also checks, on every transmission, that the side-information
+set of each participant (intersection of the complementary blocks) equals
+the intersection of what the other participants can read - the identity the
+delivery argument rests on - on packed bit rows scattered from the blocks.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from .scheme import (
     delivery_rate,
 )
 
-# Working-set bounds: a side-information check chunk, a decode batch and a
-# chunk of generated file words are sized to stay under these byte counts
+# Working-set bounds: a side-information check chunk, a decode batch, a chunk
+# of generated file words and a gathered term column stay under these bytes
 _CHECK_BYTES = 1 << 22
 _DECODE_BYTES = 1 << 22
 _STORE_BYTES = 1 << 22
+_GATHER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -190,19 +193,33 @@ def build_caches(store: FileStore, res: Resolution) -> list[CacheView]:
 def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> list[bytes]:
     """One XOR payload per coded transmission, in schedule order.
 
-    All rows are XORed at once, one gathered term column at a time, into one
-    (T, sub) array that is then cut into ``bytes`` rows.
+    All rows are XORed into one (T, sub) array by ``_xor_gather``, which is
+    then cut into ``bytes`` rows.
     """
     library = store.library(schedule.scheme.res.design.v)
-    files = schedule.demand_rows[schedule.users[:, 0]]
-    air = library[files, schedule.subfiles[:, 0] - 1]
-    for col in range(1, schedule.users.shape[1]):
-        files = schedule.demand_rows[schedule.users[:, col]]
-        np.bitwise_xor(air, library[files, schedule.subfiles[:, col] - 1], out=air)
     sub = library.shape[2]
+    air = np.zeros((len(schedule.users), sub), dtype=np.uint8)
+    _xor_gather(air, library, schedule.demand_rows, schedule.users, schedule.subfiles - 1)
     blob = air.tobytes()
     del air
     return [blob[i : i + sub] for i in range(0, len(blob), sub)]
+
+
+def _xor_gather(
+    acc: np.ndarray, library: np.ndarray, demand_rows: np.ndarray, users: np.ndarray, points: np.ndarray
+) -> None:
+    """XOR ``library[demand_rows[users[:, c]], points[:, c]]`` (0-based points) into
+    ``acc`` for every column c, over row chunks of at most ``_GATHER_BYTES``: no
+    gathered temporary outgrows the cache; a one-row chunk XORs the library row."""
+    n_files, v, sub = library.shape
+    flat = library.reshape(n_files * v, sub)
+    step = max(1, _GATHER_BYTES // max(1, sub))
+    for start in range(0, len(acc), step):
+        block, rows = acc[start : start + step], slice(start, start + step)
+        index = demand_rows[users[rows]] * v + points[rows]
+        for c in range(index.shape[1]):
+            terms = flat[index[0, c]] if step == 1 else np.take(flat, index[:, c], axis=0)
+            np.bitwise_xor(block, terms, out=block)
 
 
 def _incidence(blocks: np.ndarray, v: int) -> np.ndarray:
@@ -228,9 +245,9 @@ def _decode_users(
     schedule: DeliverySchedule,
     caches: Sequence[CacheView],
     demands: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode users first..stop-1 together: (files (B, v, sub), cache counts,
-    air counts).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Decode the air subfiles of users first..stop-1 together: (subfiles
+    (terms, sub), owner in the batch, 0-based point, readable (B, v), got (B, v)).
 
     Each user reads only its own caches and the payloads of its own terms,
     found through the participation index.  Every other term of those rows
@@ -278,17 +295,9 @@ def _decode_users(
             f"{np.argmax(missing[short]) + 1} of file {demands[short]}"
         )
 
-    acc = _air_rows(payloads, rows, sub)
-    files = schedule.demand_rows[other_users]
-    for c in range(gain - 1):
-        np.bitwise_xor(acc, library[files[:, c], other_points[:, c]], out=acc)
-    out = np.empty((n, v, sub), dtype=np.uint8)
-    out[owner, own_points] = acc
-    # a subfile the user can read is taken from its caches, even if it also
-    # came over the air
-    user, point = np.nonzero(readable)
-    out[user, point] = library[np.asarray(demands, dtype=np.intp)[user] - 1, point]
-    return out, readable.sum(axis=1), got.sum(axis=1)
+    air = _air_rows(payloads, rows, sub)
+    _xor_gather(air, library, schedule.demand_rows, other_users, other_points)
+    return air, owner, own_points, readable, got
 
 
 def decode_user(
@@ -306,10 +315,15 @@ def decode_user(
     (T, sub) array); ``file_len`` is the true (pre-padding) length to strip
     back to.  Returns (file bytes, subfiles from cache, subfiles from the air).
     """
-    out, n_cache, n_air = _decode_users(
+    air, _, points, readable, got = _decode_users(
         user_idx, user_idx + 1, payloads, schedule, caches, (demand,)
     )
-    return out.reshape(-1)[:file_len].tobytes(), int(n_cache[0]), int(n_air[0])
+    library = caches[schedule.scheme.users[user_idx][0]].library
+    out = np.empty(library.shape[1:], dtype=np.uint8)
+    out[points] = air
+    # a readable subfile is taken from the caches, even if it also came over the air
+    out[readable[0]] = library[demand - 1, readable[0]]
+    return out.reshape(-1)[:file_len].tobytes(), int(readable.sum()), int(got.sum())
 
 
 @dataclass(frozen=True)
@@ -422,30 +436,26 @@ def verify_all(
     n_sent = len(payloads)
     air = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(n_sent, sub)
     del payloads
-    # users decode in batches of at most _DECODE_BYTES of recovered subfiles
-    # plus term indices
+    # users decode in batches of at most _DECODE_BYTES of air subfiles, term
+    # indices and point masks
     _, bounds = schedule.participation
-    per_user = v * sub + int(np.diff(bounds).max()) * 8 * schedule.users.shape[1]
+    per_user = int(np.diff(bounds).max()) * (sub + 24 * schedule.users.shape[1]) + (scheme.z + 2) * v
     step = max(1, _DECODE_BYTES // per_user)
     reports = []
     for first in range(0, scheme.n_users, step):
         stop = min(first + step, scheme.n_users)
         demands = schedule.demands[first:stop]
-        out, n_cache, n_air = _decode_users(first, stop, air, schedule, caches, demands)
-        out = out.reshape(stop - first, -1)[:, :file_len]
-        counts = zip(demands, n_cache.tolist(), n_air.tolist())
-        for i, (demand, cached, aired) in enumerate(counts):
-            original = np.frombuffer(store.files[demand - 1], dtype=np.uint8)
-            reports.append(
-                UserReport(
-                    user=first + i,
-                    demand=demand,
-                    recovered=True,
-                    byte_equal=np.array_equal(out[i], original),
-                    subfiles_from_cache=cached,
-                    subfiles_from_air=aired,
-                )
-            )
+        decoded, owner, points, readable, got = _decode_users(first, stop, air, schedule, caches, demands)
+        # XOR off each subfile's original; a byte left marks its owner.  A
+        # cached subfile is the library's own row, so it is not compared
+        _xor_gather(decoded, store.library(v), schedule.demand_rows, first + owner[:, None], points[:, None])
+        wrong = np.bincount(owner[decoded.any(axis=1)], minlength=stop - first)
+        del decoded  # before the next batch is decoded
+        counts = zip(demands, wrong.tolist(), readable.sum(axis=1).tolist(), got.sum(axis=1).tolist())
+        reports += [
+            UserReport(first + i, demand, True, not bad, cached, aired)
+            for i, (demand, bad, cached, aired) in enumerate(counts)
+        ]
     return SimulationReport(
         z=z,
         n_files=n_files,

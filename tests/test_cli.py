@@ -267,6 +267,14 @@ class TestTable:
         assert code == 1 and len(err.splitlines()) == 1
         assert err == "error: the MaN subpacketization C(K, t) for a 49-bit K has more than 8192 bits\n"
 
+    @pytest.mark.parametrize("m", [10_000_000, 100_000_000])
+    def test_huge_ag_exponent_is_refused_before_q_to_the_m(self, m):
+        start = time.perf_counter()
+        code, err = _run_quietly(["table", "--name", f"ag-man:q=3,m={m}"])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and len(err.splitlines()) == 1
+        assert err == f"error: the MaN subpacketization C(K, t) for K > 3**{m} has more than 8192 bits\n"
+
 
 class TestSweep:
     def test_affine_csv_golden(self, capsys):

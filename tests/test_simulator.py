@@ -341,6 +341,23 @@ class TestEndToEnd:
             report = verify_all(res, z, 1, 8, demands=[1] * scheme.n_users)
             assert report.all_recovered and report.transmissions_sent == 0
 
+    def test_working_set_is_one_decode_batch_over_the_library(self):
+        """verify_all on 1 MiB files holds the library plus at most one decode
+        batch (_DECODE_BYTES) and, within another _DECODE_BYTES, the payload
+        round trip (two T*sub copies), a gather chunk and index arrays."""
+        res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
+        sub = subfile_length(file_len, res.design.v)
+        tracemalloc.start()
+        try:
+            report = verify_all(res, z, n_files, file_len, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_recovered
+        assert 2 * report.transmissions_sent * sub + simulator._GATHER_BYTES < simulator._DECODE_BYTES
+        over = peak - n_files * res.design.v * sub
+        assert over < 2 * simulator._DECODE_BYTES, over / simulator._DECODE_BYTES
+
     def test_distinct_needs_enough_files(self):
         with pytest.raises(errors.DemandOutOfRange):
             verify_all(catalog_example(3), 2, 8, 18)
@@ -382,6 +399,35 @@ class TestDecoderFaults:
         tampered[0] = bytes([tampered[0][0] ^ 0xFF]) + tampered[0][1:]
         data, _, _ = decode_user(victim, tampered, schedule, caches, victim + 1, 36)
         assert data != store.files[victim]  # demand of user uid is uid+1
+
+    @pytest.mark.parametrize("row", [0, 1, -1])
+    @pytest.mark.parametrize("tiny_chunks", [False, True], ids=["default", "tiny-chunks"])
+    @pytest.mark.parametrize(
+        "spec, n_files, demands",
+        [("example:3", 9, None), ("affine:n=2", 3, [u % 3 + 1 for u in range(12)])],
+        ids=["distinct", "repeated"],
+    )
+    def test_flipped_payload_byte_fails_exactly_its_participants(
+        self, monkeypatch, spec, n_files, demands, tiny_chunks, row
+    ):
+        if tiny_chunks:  # one user per decode batch and one row per gather
+            monkeypatch.setattr(simulator, "_DECODE_BYTES", 1)
+            monkeypatch.setattr(simulator, "_GATHER_BYTES", 1)
+        encode = simulator.encode_payloads
+        participants = set()
+
+        def flip(schedule, store):
+            payloads = encode(schedule, store)
+            participants.update(schedule.users[row].tolist())
+            bad = payloads[row]
+            payloads[row] = bad[:3] + bytes([bad[3] ^ 0x5A]) + bad[4:]
+            return payloads
+
+        monkeypatch.setattr(simulator, "encode_payloads", flip)
+        report = verify_all(from_spec(spec), 2, n_files, 40, seed=3, demands=demands)
+        assert participants
+        assert {u.user for u in report.users if not u.byte_equal} == participants
+        assert all(u.recovered for u in report.users) and not report.all_recovered
 
     def test_foreign_side_information_raises(self):
         res, schedule, store = self._schedule()
