@@ -165,10 +165,12 @@ def validate_design(v: int, raw_blocks: Iterable[Iterable[int]]) -> Design:
 def validate_resolution(design: Design, classes: Sequence[Sequence[int]]) -> Resolution:
     """Check that ``classes`` (0-based block indices) is a resolution of the design.
 
-    Each class is checked in order: its first block, in class order, that
-    meets an earlier one is reported at the smallest shared point, found by
-    a stable sort of the class's points; then its coverage.  Nothing of size
-    v is allocated before every class has passed.
+    The first class that fails is reported: at the smallest point where its
+    first block, in class order, meets an earlier one, else by its coverage.
+    A class of v / k blocks tiles the points exactly when it leaves none
+    uncovered.  So once every class has that many blocks, the label matrix
+    (then no larger than the block matrix) is scattered over a "no block"
+    mark b_r, and a class still holding a mark is the first to fail.
     """
     flat = [j for cls in classes for j in cls]
     if sorted(flat) != list(range(design.b)):
@@ -176,30 +178,22 @@ def validate_resolution(design: Design, classes: Sequence[Sequence[int]]) -> Res
             f"classes must partition the {design.b} block indices exactly once"
         )
     members = np.array(flat, dtype=np.intp)
-    start = 0
-    for pos, cls in enumerate(classes):
-        points = design.blocks[members[start : start + len(cls)]].ravel()
-        start += len(cls)
-        order = np.argsort(points, kind="stable")
-        ranked = points[order]
-        # a repeated point: the later copy belongs to a later block of the class
-        later = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
-        if len(later):
-            first = later[np.argmin(order[later] // design.k)]
-            raise ClassNotPartitionOfPoints(
-                f"class {pos + 1}: blocks overlap at point {ranked[first]}"
-            )
-        if len(points) != design.v:
-            raise ClassNotPartitionOfPoints(
-                f"class {pos + 1} covers {len(points)} of {design.v} points"
-            )
+    starts = np.cumsum([0] + [len(cls) for cls in classes])
     r = len(classes)
+    short = np.flatnonzero(np.diff(starts) * design.k != design.v)
+    for pos in range(short[0] + 1 if len(short) else 0):
+        _check_class(design, members[starts[pos] : starts[pos + 1]], pos)
     b_r = design.b // r  # each class tiles v points with blocks of size k
-    labels = np.empty((r, design.v), dtype=np.min_scalar_type(b_r - 1))
+    labels = np.full((r, design.v), b_r, dtype=np.min_scalar_type(b_r))
     rank = np.empty(design.b, dtype=np.intp)
     rank[members] = np.arange(design.b)
     class_of, position = np.divmod(rank, b_r)
     labels[class_of[:, None], design.blocks - 1] = position[:, None]
+    holes = (labels == b_r).any(axis=1)
+    if holes.any():
+        pos = int(np.argmax(holes))
+        _check_class(design, members[starts[pos] : starts[pos + 1]], pos)
+    labels = labels.astype(np.min_scalar_type(b_r - 1), copy=False)
     labels.flags.writeable = False
     return Resolution(
         design=design,
@@ -207,6 +201,21 @@ def validate_resolution(design: Design, classes: Sequence[Sequence[int]]) -> Res
         b_r=b_r,
         labels=labels,
     )
+
+
+def _check_class(design: Design, blocks: np.ndarray, pos: int) -> None:
+    """Raise unless the blocks of class ``pos`` (0-based) tile the points: a
+    repeated point, found by a stable sort, before a coverage shortfall."""
+    points = design.blocks[blocks].ravel()
+    order = np.argsort(points, kind="stable")
+    ranked = points[order]
+    # a repeated point: the later copy belongs to a later block of the class
+    later = np.flatnonzero(ranked[1:] == ranked[:-1]) + 1
+    if len(later):
+        first = later[np.argmin(order[later] // design.k)]
+        raise ClassNotPartitionOfPoints(f"class {pos + 1}: blocks overlap at point {ranked[first]}")
+    if len(points) != design.v:
+        raise ClassNotPartitionOfPoints(f"class {pos + 1} covers {len(points)} of {design.v} points")
 
 
 def joint_labels(res: Resolution, classes: Sequence[int]) -> np.ndarray:

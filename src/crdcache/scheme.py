@@ -28,10 +28,10 @@ label.  ``CodedTransmission`` objects are built only when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, isqrt
 from typing import Mapping, Sequence
 
@@ -68,12 +68,16 @@ def enumerate_users(
 ) -> tuple[tuple[int, ...], ...]:
     """All K = C(r,z) * b_r^z users as z-tuples of 0-based block indices."""
     admissible_mu(res, z, caps)
-    users = []
-    for subset in combinations(range(res.r), z):
-        class_lists = [res.classes[c] for c in subset]
-        for positions in product(range(res.b_r), repeat=z):
-            users.append(tuple(class_lists[s][positions[s]] for s in range(z)))
-    return tuple(users)
+    return tuple(map(tuple, _user_blocks(res, z).tolist()))
+
+
+def _user_blocks(res: Resolution, z: int) -> np.ndarray:
+    """The users as a (K, z) int32 block matrix: the user of class subset
+    rank i and mixed-radix block positions p is row i * b_r^z + p."""
+    class_blocks = np.array(res.classes, dtype=np.intp).reshape(res.r, res.b_r)
+    subsets = np.array(list(combinations(range(res.r), z)), dtype=np.intp).reshape(-1, z)
+    positions = np.indices((res.b_r,) * z).reshape(z, -1).T
+    return class_blocks[subsets[:, None, :], positions[None]].reshape(-1, z).astype(np.int32)
 
 
 def user_memory_fraction(mu: Mapping[int, int], z: int, k: int, v: int) -> Fraction:
@@ -148,13 +152,26 @@ def per_user_rate_ratio(v: int, k: int, z: int, mu2: int | None = None) -> Fract
 
 @dataclass(frozen=True)
 class SchemeInstance:
-    """A resolution bound to a choice of z and a file count."""
+    """A resolution bound to a choice of z and a file count.
+
+    ``users`` is the read-only (K, z) int32 block matrix, one row per user in
+    ``enumerate_users`` order; it follows from the resolution and z, so
+    equality, hash and repr leave it out.
+    """
 
     res: Resolution
     z: int
     n_files: int
-    users: tuple[tuple[int, ...], ...]
+    users: np.ndarray = field(compare=False, repr=False)
     mu_z: int  # mu_z, with mu_1 := k in the z = 1 case
+
+    def __post_init__(self) -> None:
+        self.users.flags.writeable = False
+
+    def __setstate__(self, state: dict) -> None:
+        # pickle and deepcopy hand back a writeable copy of the matrix
+        state["users"].flags.writeable = False
+        self.__dict__.update(state)
 
     @property
     def n_users(self) -> int:
@@ -190,7 +207,7 @@ def build_scheme(
         res=res,
         z=z,
         n_files=n_files,
-        users=enumerate_users(res, z, caps),
+        users=_user_blocks(res, z),
         mu_z=res.design.k if z == 1 else mu[z],
     )
 
@@ -340,16 +357,16 @@ def build_delivery_schedule(
                 f"distinct demands need N >= K, got N={scheme.n_files}, K={scheme.n_users}"
             )
         demands = range(1, scheme.n_users + 1)
-    demands = tuple(int(d) for d in demands)
+    demands = tuple(map(int, demands))
     if len(demands) != scheme.n_users:
         raise BadDemandLength(
             f"demand vector has {len(demands)} entries for {scheme.n_users} users"
         )
-    for pos, d in enumerate(demands):
-        if d < 1 or d > scheme.n_files:
-            raise DemandOutOfRange(
-                f"user {pos + 1} demands file {d} outside 1..{scheme.n_files}"
-            )
+    # one pass of min and max in C, exact for ints of any size; only a bad
+    # vector is scanned for its first offender
+    if not 1 <= min(demands) <= max(demands) <= scheme.n_files:
+        pos, d = next((p, d) for p, d in enumerate(demands) if not 1 <= d <= scheme.n_files)
+        raise DemandOutOfRange(f"user {pos + 1} demands file {d} outside 1..{scheme.n_files}")
     res = scheme.res
     z, b_r, mu_z = scheme.z, res.b_r, scheme.mu_z
     cells = b_r**z

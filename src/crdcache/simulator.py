@@ -5,26 +5,27 @@ The server holds N equal-length pseudo-random files, file i being the i-th
 once, by numpy's MT19937 started in that generator's state, straight into
 one read-only zero-padded ``uint8`` library array of shape (N, v, sub) for
 the first subpacketization v asked for; ``files`` are the rows of that one
-array, and a library for another v is copied from them.  Placement,
-encoding and decoding all read the library.  A cache is a read-only view
-over it, restricted to the points of its block (that block's row of the
-design's point matrix), so filling b caches copies no bytes.  Every coded
-transmission is the bytewise XOR of its subfiles, gathered one term column
-at a time in cache-sized row chunks.  Each user then decodes exactly the
-way the scheme promises it can: for every transmission it participates in,
-found through the schedule's per-user participation index, it strips the
-other terms using subfiles read from its own caches.  The decoder runs as
-array passes over a batch of users, so decoding all K users touches
-K * mu_z (b_r-1)^z transmissions, not K * T, and builds no
-per-transmission object.  Only ``decode_user`` stitches a file from these
-air subfiles and the user's cached ones.  ``verify_all`` compares just the
-decoded air subfiles with the library and copies no cached subfile: that is
-the library's own row, so comparing it could never fail, and
-``IncompleteRecovery`` already enforces that every point is cached or
-received.  It also checks, on every transmission, that the side-information
-set of each participant (intersection of the complementary blocks) equals
-the intersection of what the other participants can read - the identity the
-delivery argument rests on - on packed bit rows scattered from the blocks.
+array, and a library for another v is copied from them.  A cache is a
+read-only view over the library restricted to the points of its block, so
+filling b caches copies no bytes.  Every coded transmission is the bytewise
+XOR of its subfiles, gathered one term column at a time in cache-sized row
+chunks; the payloads are a sequence of ``bytes`` rows over one (T, sub) array.
+
+Only ``decode_user`` strips terms: for each row the user takes part in,
+found through the schedule's participation index, it XORs off the other
+terms with subfiles read from its own z caches, then stitches its file.
+``verify_all`` checks each row once instead.  Participant m recovers the
+payload XOR the other terms, which is its own subfile XOR the row's
+residual (the payload XOR all 2^z terms); every participant reads the same
+library bytes, so all of them decode correctly exactly when the residual
+is zero.  That is T * 2^z subfile reads, the size of the encoding.  Per
+user it still checks, in array passes over batches of users, that every
+other term of its rows is readable from its caches and every point is
+cached or received.  It also checks, on every transmission, that the
+side-information set of each participant (intersection of the
+complementary blocks) equals the intersection of what the other
+participants can read - the identity the delivery argument rests on - on
+packed bit rows scattered from the blocks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -190,19 +192,38 @@ def build_caches(store: FileStore, res: Resolution) -> list[CacheView]:
     return [CacheView(library, block) for block in res.design.blocks]
 
 
-def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> list[bytes]:
-    """One XOR payload per coded transmission, in schedule order.
+class Payloads(Sequence[bytes]):
+    """The coded transmissions as rows of one (T, sub) uint8 array: a row reads
+    as ``bytes``, a slice as ``Payloads``, and assigning ``bytes`` to a row
+    writes it; equal to any sequence of the same ``bytes`` rows."""
 
-    All rows are XORed into one (T, sub) array by ``_xor_gather``, which is
-    then cut into ``bytes`` rows.
-    """
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Payloads(self.rows[index])
+        return self.rows[index].tobytes()
+
+    def __setitem__(self, index: int, payload: bytes) -> None:
+        self.rows[index] = np.frombuffer(payload, dtype=np.uint8)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> Payloads:
+    """One XOR payload per coded transmission, in schedule order: every row
+    is XORed into one (T, sub) array by ``_xor_gather``."""
     library = store.library(schedule.scheme.res.design.v)
-    sub = library.shape[2]
-    air = np.zeros((len(schedule.users), sub), dtype=np.uint8)
+    air = np.zeros((len(schedule.users), library.shape[2]), dtype=np.uint8)
     _xor_gather(air, library, schedule.demand_rows, schedule.users, schedule.subfiles - 1)
-    blob = air.tobytes()
-    del air
-    return [blob[i : i + sub] for i in range(0, len(blob), sub)]
+    return Payloads(air)
 
 
 def _xor_gather(
@@ -232,72 +253,54 @@ def _incidence(blocks: np.ndarray, v: int) -> np.ndarray:
 
 def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray, sub: int) -> np.ndarray:
     """A writeable (len(rows), sub) copy of the payloads of ``rows``."""
+    if isinstance(payloads, Payloads):
+        payloads = payloads.rows
     if isinstance(payloads, np.ndarray):
         return payloads[rows]
     joined = bytearray(b"".join([payloads[t] for t in rows.tolist()]))
     return np.frombuffer(joined, dtype=np.uint8).reshape(len(rows), sub)
 
 
-def _decode_users(
-    first: int,
-    stop: int,
-    payloads: Sequence[bytes] | np.ndarray,
-    schedule: DeliverySchedule,
-    caches: Sequence[CacheView],
-    demands: Sequence[int],
+def _reach(
+    first: int, stop: int, schedule: DeliverySchedule, readable: np.ndarray, demands: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Decode the air subfiles of users first..stop-1 together: (subfiles
-    (terms, sub), owner in the batch, 0-based point, readable (B, v), got (B, v)).
-
-    Each user reads only its own caches and the payloads of its own terms,
-    found through the participation index.  Every other term of those rows
-    is stripped with a subfile the user can read; the error names the first
-    term it cannot, in the users' order, then schedule and term order.
-    """
-    scheme = schedule.scheme
-    v = scheme.res.design.v
-    n = stop - first
+    """Check, moving no payload byte, that users first..stop-1, who read the
+    points of ``readable`` (B, v), can strip every other term of their rows
+    and so get every point.  Returns their terms in the users', then schedule
+    order: (flat position, flat positions and 0-based points (2^z - 1, terms)
+    of the row's other terms, own 0-based point, got (B, v))."""
     gain = schedule.users.shape[1]
-    users = scheme.users[first:stop]
-    # every cache views the same library array; the readability checks
-    # below keep each gather inside the users' own caches
-    library = caches[users[0][0]].library
-    sub = library.shape[2]
-    own_caches = _incidence(np.array([caches[j].block for user in users for j in user]), v)
-    readable = own_caches.reshape(n, scheme.z, v).any(axis=1)
-
     order, bounds = schedule.participation
     terms = order[bounds[first] : bounds[stop]]
-    rows, col = np.divmod(terms, gain)
     owner = schedule.users.ravel()[terms] - first
     own_points = schedule.subfiles.ravel()[terms] - 1
-    # the other columns of each term's row, in term order
-    skip = np.arange(gain - 1)
-    others = skip + (skip >= col[:, None])
-    other_users = schedule.users[rows[:, None], others]
-    other_points = schedule.subfiles[rows[:, None], others] - 1
-    blocked = ~readable[owner[:, None], other_points]
-    got = np.zeros((n, v), dtype=bool)
-    got[owner, own_points] = True
-    missing = ~(readable | got)
+    # the other columns of each term's row, ascending (gain is a power of two);
+    # terms run along the last axis, so no pass loops over 2^z - 1 items
+    col = terms & (gain - 1)
+    skip = np.arange(gain - 1)[:, None]
+    others = terms - col + skip + (skip >= col)
+    other_points = schedule.subfiles.ravel()[others] - 1
+    v = readable.shape[1]
+    strippable = readable.ravel()[owner * v + other_points]
+    got = np.zeros(readable.shape, dtype=bool)
+    got.ravel()[owner * v + own_points] = True
+    have = readable | got
     # a user's unstrippable term is reported before its missing subfiles
-    if blocked.any():
-        term, c = np.unravel_index(np.argmax(blocked), blocked.shape)
-        if not missing[: owner[term]].any():
+    if not strippable.all():
+        term, c = np.unravel_index(np.argmin(strippable.T), strippable.T.shape)
+        if have[: owner[term]].all():
             raise MissingSideInformation(
-                f"transmission {rows[term] + 1}: user {first + owner[term] + 1} cannot strip "
-                f"subfile {other_points[term, c] + 1} of user {other_users[term, c] + 1}'s term"
+                f"transmission {terms[term] // gain + 1}: user {first + owner[term] + 1} cannot "
+                f"strip subfile {other_points[c, term] + 1} of user "
+                f"{schedule.users.flat[others[c, term]] + 1}'s term"
             )
-    if missing.any():
-        short = np.argmax(missing.any(axis=1))
+    if not have.all():
+        short = np.argmin(have.all(axis=1))
         raise IncompleteRecovery(
             f"user {first + short + 1} never obtained subfile "
-            f"{np.argmax(missing[short]) + 1} of file {demands[short]}"
+            f"{np.argmin(have[short]) + 1} of file {demands[short]}"
         )
-
-    air = _air_rows(payloads, rows, sub)
-    _xor_gather(air, library, schedule.demand_rows, other_users, other_points)
-    return air, owner, own_points, readable, got
+    return terms, others, other_points, own_points, got
 
 
 def decode_user(
@@ -310,24 +313,30 @@ def decode_user(
 ) -> tuple[bytes, int, int]:
     """Reconstruct the demanded file for one user.
 
-    Reads only the user's own caches plus the broadcast payloads of the
-    transmissions it takes part in (``bytes`` per transmission, or their
-    (T, sub) array); ``file_len`` is the true (pre-padding) length to strip
+    Reads only the user's own z caches, which also give the library, plus
+    the broadcast payloads of the transmissions it takes part in (a sequence
+    of ``bytes`` rows, or their (T, sub) array), and strips every other term
+    of those rows; ``file_len`` is the true (pre-padding) length to strip
     back to.  Returns (file bytes, subfiles from cache, subfiles from the air).
     """
-    air, _, points, readable, got = _decode_users(
-        user_idx, user_idx + 1, payloads, schedule, caches, (demand,)
+    own = [caches[j] for j in schedule.scheme.users[user_idx].tolist()]
+    library = own[0].library
+    readable = np.zeros((1, library.shape[1]), dtype=bool)
+    readable[0, np.concatenate([cache.block for cache in own]) - 1] = True
+    terms, others, other_points, points, got = _reach(
+        user_idx, user_idx + 1, schedule, readable, (demand,)
     )
-    library = caches[schedule.scheme.users[user_idx][0]].library
+    air = _air_rows(payloads, terms // schedule.users.shape[1], library.shape[2])
+    _xor_gather(air, library, schedule.demand_rows, schedule.users.ravel()[others].T, other_points.T)
     out = np.empty(library.shape[1:], dtype=np.uint8)
     out[points] = air
     # a readable subfile is taken from the caches, even if it also came over the air
     out[readable[0]] = library[demand - 1, readable[0]]
-    return out.reshape(-1)[:file_len].tobytes(), int(readable.sum()), int(got.sum())
+    counts = int(np.count_nonzero(readable)), int(np.count_nonzero(got))
+    return out.reshape(-1)[:file_len].tobytes(), *counts
 
 
-@dataclass(frozen=True)
-class UserReport:
+class UserReport(NamedTuple):
     user: int  # 0-based
     demand: int
     recovered: bool
@@ -378,8 +387,7 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     res = scheme.res
     v = res.design.v
     incidence = _packed(_incidence(res.design.blocks, v))
-    user_blocks = np.array(scheme.users, dtype=np.intp).reshape(scheme.n_users, scheme.z)
-    readable = np.bitwise_or.reduce(incidence[user_blocks], axis=1)
+    readable = np.bitwise_or.reduce(incidence[scheme.users], axis=1)
     everything = _packed(np.ones(v, dtype=bool))
 
     n_rows, gain = schedule.users.shape
@@ -388,7 +396,7 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     for start in range(0, n_rows, step):
         users = schedule.users[start : start + step]
         pairs = schedule.pairs[start : start + step, None]
-        mine = user_blocks[users]
+        mine = scheme.users[users]
         other = np.where(mine == pairs[..., 0], pairs[..., 1], pairs[..., 0])
         direct = np.bitwise_and.reduce(incidence[other], axis=2)
         sets = readable[users]
@@ -424,7 +432,8 @@ def verify_all(
     demands: Sequence[int] | None = None,
     caps: SizeCaps = DEFAULT_CAPS,
 ) -> SimulationReport:
-    """End-to-end run: place, schedule, broadcast, decode and compare bytes."""
+    """End-to-end run: place, schedule and broadcast, then check what every
+    user can strip and every row's residual against the library's bytes."""
     scheme = build_scheme(res, z, n_files, caps)
     schedule = build_delivery_schedule(scheme, demands)
     _check_side_information_sets(schedule)
@@ -432,36 +441,35 @@ def verify_all(
     caches = build_caches(store, res)
     payloads = encode_payloads(schedule, store)
     v = res.design.v
-    sub = subfile_length(file_len, v)
-    n_sent = len(payloads)
-    air = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(n_sent, sub)
-    del payloads
-    # users decode in batches of at most _DECODE_BYTES of air subfiles, term
-    # indices and point masks
+    n_users = scheme.n_users
+    # users are checked in batches of at most _DECODE_BYTES of term indices
+    # and point masks, read from one incidence of the caches
+    incidence = _incidence(np.array([cache.block for cache in caches]), v)
     _, bounds = schedule.participation
-    per_user = int(np.diff(bounds).max()) * (sub + 24 * schedule.users.shape[1]) + (scheme.z + 2) * v
+    per_user = int(np.diff(bounds).max()) * 24 * schedule.users.shape[1] + (scheme.z + 3) * v
     step = max(1, _DECODE_BYTES // per_user)
-    reports = []
-    for first in range(0, scheme.n_users, step):
-        stop = min(first + step, scheme.n_users)
-        demands = schedule.demands[first:stop]
-        decoded, owner, points, readable, got = _decode_users(first, stop, air, schedule, caches, demands)
-        # XOR off each subfile's original; a byte left marks its owner.  A
-        # cached subfile is the library's own row, so it is not compared
-        _xor_gather(decoded, store.library(v), schedule.demand_rows, first + owner[:, None], points[:, None])
-        wrong = np.bincount(owner[decoded.any(axis=1)], minlength=stop - first)
-        del decoded  # before the next batch is decoded
-        counts = zip(demands, wrong.tolist(), readable.sum(axis=1).tolist(), got.sum(axis=1).tolist())
-        reports += [
-            UserReport(first + i, demand, True, not bad, cached, aired)
-            for i, (demand, bad, cached, aired) in enumerate(counts)
-        ]
+    counts = np.empty((2, n_users), dtype=np.intp)  # subfiles from cache, from the air
+    for first in range(0, n_users, step):
+        stop = min(first + step, n_users)
+        readable = incidence[scheme.users[first:stop]].any(axis=1)
+        got = _reach(first, stop, schedule, readable, schedule.demands[first:stop])[-1]
+        counts[:, first:stop] = readable.sum(axis=1), got.sum(axis=1)
+    # a participant strips the other terms with the library's own bytes, so
+    # every participant decodes its subfile exactly when the row XORs to zero
+    n_sent = len(payloads)
+    resid = _air_rows(payloads, np.arange(n_sent), subfile_length(file_len, v))
+    del payloads
+    _xor_gather(resid, store.library(v), schedule.demand_rows, schedule.users, schedule.subfiles - 1)
+    wrong = np.zeros(n_users, dtype=bool)
+    wrong[schedule.users[resid.any(axis=1)]] = True
+    columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), *counts.tolist())
+    users = map(tuple.__new__, repeat(UserReport), columns)  # UserReport._make, minus a call per row
     return SimulationReport(
         z=z,
         n_files=n_files,
         file_len=file_len,
         seed=seed,
-        users=tuple(reports),
+        users=tuple(users),
         transmissions_sent=n_sent,
         measured_rate=Fraction(n_sent, v),
         theoretical_rate=delivery_rate(v, res.r, res.b_r, z, scheme.mu_z),
@@ -478,17 +486,7 @@ def report_to_json(report: SimulationReport) -> dict:
         "measured_rate": str(report.measured_rate),
         "theoretical_rate": str(report.theoretical_rate),
         "all_recovered": report.all_recovered,
-        "users": [
-            {
-                "user": u.user + 1,
-                "demand": u.demand,
-                "recovered": u.recovered,
-                "byte_equal": u.byte_equal,
-                "subfiles_from_cache": u.subfiles_from_cache,
-                "subfiles_from_air": u.subfiles_from_air,
-            }
-            for u in report.users
-        ],
+        "users": [{**u._asdict(), "user": u.user + 1} for u in report.users],
     }
 
 

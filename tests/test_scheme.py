@@ -1,9 +1,13 @@
 """User enumeration, placement, metrics and the delivery schedule."""
 
+import copy
 import json
+import pickle
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from crdcache import errors
@@ -75,6 +79,42 @@ class TestUsers:
         with pytest.raises(errors.MuUndefinedForZ) as info:
             build_scheme(res, z, 100)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("example", sorted(ADMISSIBLE))
+    def test_users_are_a_read_only_matrix_in_enumeration_order(self, example):
+        res = catalog_example(example)
+        for z in [1] + ADMISSIBLE[example]:
+            users = build_scheme(res, z, 1).users
+            assert users.dtype == np.int32 and users.shape == (comb(res.r, z) * res.b_r**z, z)
+            assert not users.flags.writeable
+            assert [tuple(row) for row in users.tolist()] == list(enumerate_users(res, z))
+            with pytest.raises(ValueError):
+                users[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_scheme_round_trips_read_only(self, round_trip):
+        scheme = build_scheme(catalog_example(9), 3, 32)
+        clone = round_trip(scheme)
+        assert clone == scheme and hash(clone) == hash(scheme)
+        assert np.array_equal(clone.users, scheme.users) and clone.users.dtype == np.int32
+        assert not clone.users.flags.writeable
+        assert build_delivery_schedule(clone) == build_delivery_schedule(scheme)
+
+    def test_scheme_equality_goes_by_its_numbers(self):
+        res = catalog_example(4)
+        scheme = build_scheme(res, 2, 12)
+        assert scheme == build_scheme(catalog_example(4), 2, 12)
+        assert hash(scheme) == hash(build_scheme(catalog_example(4), 2, 12))
+        assert len({scheme, build_scheme(res, 2, 12)}) == 1
+        assert scheme != build_scheme(res, 2, 13)
+        assert scheme != build_scheme(res, 3, 12)
+        forged = replace(scheme, mu_z=scheme.mu_z + 1)
+        assert forged != scheme and forged.users is scheme.users
+        assert "users" not in repr(scheme)
 
     def test_inadmissible_z(self):
         with pytest.raises(errors.MuUndefinedForZ):
@@ -322,6 +362,23 @@ class TestSchedule:
             build_delivery_schedule(scheme, [1] * 8 + [10])
         with pytest.raises(errors.DemandOutOfRange):
             build_delivery_schedule(scheme, [0] + [1] * 8)
+
+    def test_demand_range_messages_name_the_first_offender(self):
+        scheme = build_scheme(catalog_example(3), 2, 9)
+        for demands, message in [
+            ([1] * 5 + [10, 0, 1, 1], "user 6 demands file 10 outside 1..9"),
+            ([2, 0] + [10] * 7, "user 2 demands file 0 outside 1..9"),
+            ([1] * 8 + [10**30], f"user 9 demands file {10**30} outside 1..9"),
+            ([-(2**70)] + [1] * 8, f"user 1 demands file {-(2**70)} outside 1..9"),
+        ]:
+            with pytest.raises(errors.DemandOutOfRange) as exc:
+                build_delivery_schedule(scheme, demands)
+            assert str(exc.value) == message
+        # every entry goes through int(), so numpy and bool entries are accepted
+        schedule = build_delivery_schedule(scheme, np.arange(1, 10, dtype=np.int64))
+        assert schedule.demands == tuple(range(1, 10))
+        assert all(type(d) is int for d in schedule.demands)
+        assert build_delivery_schedule(scheme, [True] * 9).demands == (1,) * 9
 
     def test_default_demands_are_distinct(self):
         scheme = build_scheme(catalog_example(3), 2, 9)

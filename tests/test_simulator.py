@@ -1,10 +1,12 @@
 """Byte-exact broadcast: stores, caches, payloads, decoders, reports."""
 
+import hashlib
 import json
 import pickle
 import random
 import tracemalloc
 from dataclasses import replace
+from collections.abc import Sequence
 from functools import lru_cache
 from unittest import mock
 
@@ -17,9 +19,11 @@ from crdcache import scheme as scheme_module
 from crdcache import simulator
 from crdcache.constructions import affine_plane, catalog_example, from_spec
 from crdcache.designs import crd_profile, resolution_from_json
-from crdcache.scheme import CodedTransmission, build_delivery_schedule, build_scheme
+from crdcache.scheme import CodedTransmission, build_delivery_schedule, build_scheme, scheme_metrics
 from crdcache.simulator import (
     CacheView,
+    Payloads,
+    UserReport,
     _check_side_information_sets,
     build_caches,
     decode_user,
@@ -186,6 +190,31 @@ class TestPayloads:
         assert run() == run()
         assert verify_all(res, 2, 12, 40, seed=11) == verify_all(res, 2, 12, 40, seed=11)
 
+    def test_payloads_are_an_array_backed_sequence_of_bytes(self):
+        res = catalog_example(9)
+        schedule = build_delivery_schedule(build_scheme(res, 3, 32), range(1, 33))
+        store = make_file_store(32, 50, 2)
+        payloads = encode_payloads(schedule, store)
+        expected = int_xor_payloads(schedule, store)
+        assert isinstance(payloads, Sequence) and isinstance(payloads, Payloads)
+        assert payloads.rows.shape == (len(expected), subfile_length(50, res.design.v))
+        assert payloads == expected and expected == payloads and payloads == tuple(expected)
+        assert [type(p) for p in payloads] == [bytes] * len(expected)
+        assert payloads[-1] == expected[-1] and len(payloads[0]) == len(expected[0])
+        clipped = payloads[1:-1]
+        assert type(clipped) is Payloads and clipped == expected[1:-1]
+        assert payloads != expected[:-1] and payloads != expected[::-1]
+        assert (payloads == 5) is False
+        digest = hashlib.sha256()
+        for payload in payloads:
+            digest.update(payload)
+        assert digest.digest() == hashlib.sha256(b"".join(expected)).digest()
+        # the benchmark's negative control: rewrite row 0 with its first byte flipped
+        payloads[0] = bytes([payloads[0][0] ^ 0xFF]) + payloads[0][1:]
+        assert payloads.rows[0, 0] == expected[0][0] ^ 0xFF
+        assert payloads[0][1:] == expected[0][1:] and payloads != expected
+        assert clipped == expected[1:-1]
+
     def test_hex_dump(self):
         res = catalog_example(3)
         schedule = build_delivery_schedule(build_scheme(res, 2, 9), range(1, 10))
@@ -264,6 +293,121 @@ class TestAgainstOracles:
         broken = replace(schedule, **{column: doctored})
         expected = _raised(scan_side_information_sets, broken)
         assert _raised(_check_side_information_sets, broken) == expected
+
+
+class TestIsolatedDecoder:
+    def test_decode_user_reads_only_its_own_caches(self):
+        class Sealed:
+            def __getattr__(self, name):
+                raise AssertionError(f"decode_user read {name} of a foreign cache")
+
+        res = catalog_example(9)
+        scheme = build_scheme(res, 3, 32)
+        schedule = build_delivery_schedule(scheme)
+        store = make_file_store(32, 64, 1)
+        caches = build_caches(store, res)
+        payloads = encode_payloads(schedule, store)
+        for uid in range(scheme.n_users):
+            own = set(scheme.users[uid].tolist())
+            isolated = [cache if j in own else Sealed() for j, cache in enumerate(caches)]
+            data, n_cache, n_air = decode_user(uid, payloads, schedule, isolated, uid + 1, 64)
+            assert data == store.files[uid]
+            assert n_cache + n_air == res.design.v
+            # a plain list of bytes rows decodes the same
+            assert decode_user(uid, list(payloads), schedule, isolated, uid + 1, 64) == (data, n_cache, n_air)
+
+    def test_verify_all_xors_each_term_once_beyond_the_encoding(self, monkeypatch):
+        """verify_all's byte work is the encoding plus one residual pass over
+        the same T rows: 2 * T * 2^z subfile XORs, whatever K is."""
+        xored = []
+        gather = simulator._xor_gather
+
+        def counting(acc, library, demand_rows, users, points):
+            xored.append(users.shape[0] * users.shape[1])
+            gather(acc, library, demand_rows, users, points)
+
+        monkeypatch.setattr(simulator, "_xor_gather", counting)
+        for spec, z in [("affine:n=5", 2), ("example:9", 4), ("example:8", 3)]:
+            xored.clear()
+            report = verify_all(from_spec(spec), z, scheme_metrics(from_spec(spec), z).users, 30, seed=4)
+            assert report.all_recovered
+            assert sum(xored) == 2 * report.transmissions_sent * 2**z
+
+    def test_user_reports_are_named_tuples_of_python_scalars(self):
+        assert UserReport._fields == (
+            "user", "demand", "recovered", "byte_equal", "subfiles_from_cache", "subfiles_from_air",
+        )
+        report = verify_all(catalog_example(3), 2, 9, 18, seed=1)
+        assert report.users[0] == UserReport(0, 1, True, True, 5, 4)
+        for u in report.users:
+            assert type(u) is UserReport
+            assert [type(x) for x in u] == [int, int, bool, bool, int, int]
+
+
+# (spec, z, files): a repeated-demand case draws its demands from 1..files
+DIFFERENTIAL_CASES = [
+    ("example:3", 2, None),
+    ("example:9", 3, None),
+    ("example:9", 4, None),
+    ("example:4", 1, None),
+    ("affine:n=2", 2, 3),
+]
+
+
+class TestResidualAgainstDecoder:
+    @pytest.mark.parametrize("tiny_chunks", [False, True], ids=["default", "tiny-chunks"])
+    @pytest.mark.parametrize(
+        "spec, z, files", DIFFERENTIAL_CASES, ids=[f"{c[0]}-z{c[1]}" for c in DIFFERENTIAL_CASES]
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_flipped_byte_verdicts_match_decode_user(self, spec, z, files, tiny_chunks, data):
+        """verify_all's per-row residual marks exactly the users whose real
+        decoder output differs from their file, after one payload byte of a
+        random row is flipped.  The byte lies in file data for every term of
+        the row: a flip that only hits padding fails verify_all (it compares
+        padded subfiles) but not the decoder, which cuts the padding off."""
+        res = from_spec(spec)
+        v = res.design.v
+        n_users = scheme_metrics(res, z).users
+        n_files = files or n_users
+        demands = None
+        if files:
+            demands = data.draw(st.lists(st.integers(1, files), min_size=n_users, max_size=n_users))
+        # every subfile but the last is all file bytes; the last has 1..sub of them
+        sub = data.draw(st.integers(1, 4))
+        file_len = data.draw(st.integers(v * sub - sub + 1, v * sub))
+        assert subfile_length(file_len, v) == sub
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
+        row = data.draw(st.integers(0, len(schedule.users) - 1))
+        offset = data.draw(st.integers(0, file_len - (v - 1) * sub - 1))
+        mask = data.draw(st.integers(1, 255))
+        encode = simulator.encode_payloads
+        sent = []
+
+        def flip(schedule, store):
+            payloads = encode(schedule, store)
+            bad = payloads[row]
+            payloads[row] = bad[:offset] + bytes([bad[offset] ^ mask]) + bad[offset + 1 :]
+            sent.append(payloads)
+            return payloads
+
+        patches = {"encode_payloads": flip}
+        if tiny_chunks:  # one user per batch and one row per gather
+            patches.update(_DECODE_BYTES=1, _GATHER_BYTES=1)
+        with mock.patch.multiple(simulator, **patches):
+            report = verify_all(res, z, n_files, file_len, seed, demands)
+            store = make_file_store(n_files, file_len, seed)
+            caches = build_caches(store, res)
+            decoded = [
+                decode_user(u.user, sent[0], schedule, caches, u.demand, file_len) for u in report.users
+            ]
+        for u, (data_bytes, n_cache, n_air) in zip(report.users, decoded):
+            assert u.byte_equal == (data_bytes == store.files[u.demand - 1])
+            assert (u.subfiles_from_cache, u.subfiles_from_air) == (n_cache, n_air)
+        failed = {u.user for u in report.users if not u.byte_equal}
+        assert failed == set(schedule.users[row].tolist())
 
 
 class TestCacheViews:
