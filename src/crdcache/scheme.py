@@ -19,8 +19,9 @@ and serves 2 users per transmission.
 
 A ``DeliverySchedule`` stores the transmissions as int32 columns, one row
 each: the 2^z users and subfiles of the terms, the classes, the block pairs
-and s.  They are computed by index arithmetic on the label matrix, without
-one Python object per transmission: a user's id is its class subset's rank
+and s.  They are computed by index arithmetic on the label matrix, in a
+fixed number of array passes per block of class subsets and without one
+Python object per transmission: a user's id is its class subset's rank
 times b_r^z plus its mixed-radix block positions (``enumerate_users``
 order), and f_m is a row of the class subset's points sorted by joint
 label.  ``CodedTransmission`` objects are built only when asked for.
@@ -31,14 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb, isqrt
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
-from .designs import Resolution, crd_profile, joint_labels
+from .designs import Resolution, crd_profile
 from .errors import (
     BadDemandLength,
     DemandOutOfRange,
@@ -177,10 +178,6 @@ class SchemeInstance:
     def n_users(self) -> int:
         return len(self.users)
 
-    @property
-    def subpacketization(self) -> int:
-        return self.res.design.v
-
 
 @dataclass(frozen=True)
 class SchemeMetrics:
@@ -317,10 +314,12 @@ class DeliverySchedule:
         ``terms`` is one stable argsort of ``users.ravel()``, so user u's
         terms are the flat positions ``terms[bounds[u]:bounds[u+1]]`` in
         schedule order, and position p sits in row ``p // 2^z``.  A user's
-        decoder thus visits only the mu_z (b_r-1)^z rows it is part of.
+        decoder thus visits only the mu_z (b_r-1)^z rows it is part of.  The
+        ids are sorted in the narrowest unsigned dtype that holds K - 1, for
+        which numpy's stable sort is a radix sort up to K = 65536.
         """
         flat = self.users.ravel()
-        terms = np.argsort(flat, kind="stable")
+        terms = np.argsort(flat.astype(np.min_scalar_type(self.scheme.n_users - 1)), kind="stable")
         bounds = np.zeros(self.scheme.n_users + 1, dtype=np.intp)
         np.cumsum(np.bincount(flat, minlength=self.scheme.n_users), out=bounds[1:])
         terms.flags.writeable = bounds.flags.writeable = False
@@ -334,6 +333,11 @@ class DeliverySchedule:
         return rows
 
 
+# Working-set bound: a block of class subsets' labels, sort and gathered
+# side-information rows stays under these bytes
+_SCHEDULE_BYTES = 1 << 22
+
+
 def build_delivery_schedule(
     scheme: SchemeInstance, demands: Sequence[int] | None = None
 ) -> DeliverySchedule:
@@ -344,12 +348,20 @@ def build_delivery_schedule(
     term refers to and is validated here.  ``None`` means the distinct
     worst case: user i demands file i, which needs N >= K files.
 
-    The columns come from index arithmetic on the label matrix.  The pair
-    choices and, per choice, each participant's own and complementary block
-    positions are the same for every class subset; a subset adds its user
-    offset, its blocks and its side-information table ``sides``, the points
-    sorted by joint label, whose row ``pick`` lists the mu_z ascending points
-    of the blocks at the mixed-radix positions ``pick``.
+    The columns come from index arithmetic on the label matrix, in a fixed
+    number of array passes per block of class subsets; a block holds as many
+    consecutive subsets as fit in about ``_SCHEDULE_BYTES`` of working arrays,
+    so the peak stays the size of the columns.  The pair choices and, per
+    choice, each participant's own and complementary block positions are the
+    same for every class subset.  A block stacks its subsets' joint labels
+    (S, v) in the narrowest dtype that holds b_r^z - 1, counts them in one
+    ``bincount`` over offset labels, and argsorts each row stably (a radix
+    sort for such dtypes) into the side-information table ``sides``, the
+    points sorted by joint label, whose row ``pick`` lists the mu_z ascending
+    points of the blocks at the mixed-radix positions ``pick``.  Each column
+    is then filled by one broadcast pass over its (S, P, mu_z, ...) view.
+    The first subset, pair choice and participant whose side-information set
+    does not hold mu_z points raises ``InternalMuMismatch``.
     """
     if demands is None:
         if scheme.n_files < scheme.n_users:
@@ -381,37 +393,52 @@ def build_delivery_schedule(
     radix = b_r ** np.arange(z - 1, -1, -1)
     bits = (np.arange(gain)[:, None] >> np.arange(z - 1, -1, -1)) & 1
     slot = np.arange(z)
-    own = chosen[:, slot, bits] @ radix
+    own = (chosen[:, slot, bits] @ radix).astype(np.int32)
     pick = chosen[:, slot, 1 - bits] @ radix
-    class_blocks = np.array(res.classes, dtype=np.intp).reshape(res.r, b_r)
+    # a subset's (z * b_r) class blocks, read at these positions, give its pairs
+    class_blocks = np.array(res.classes, dtype=np.int32).reshape(res.r, b_r)
+    pair_cells = slot[:, None] * b_r + chosen
 
-    rows_per_subset = n_choices * mu_z
-    n_rows = comb(res.r, z) * rows_per_subset
-    users = np.empty((n_rows, gain), dtype=np.int32)
-    subfiles = np.empty((n_rows, gain), dtype=np.int32)
-    classes = np.empty((n_rows, z), dtype=np.int32)
-    pairs = np.empty((n_rows, z, 2), dtype=np.int32)
-    s = np.empty(n_rows, dtype=np.int32)
-    for rank, subset in enumerate(combinations(range(res.r), z)):
-        joint = joint_labels(res, subset)
-        sizes = np.bincount(joint, minlength=cells)[pick]
-        bad = sizes != mu_z
-        if bad.any():
-            p, m = np.unravel_index(np.argmax(bad), bad.shape)
+    n_subsets = comb(res.r, z)
+    users = np.empty((n_subsets, n_choices, mu_z, gain), dtype=np.int32)
+    subfiles = np.empty_like(users)
+    classes = np.empty((n_subsets, n_choices * mu_z, z), dtype=np.int32)
+    pairs = np.empty((n_subsets, n_choices, mu_z, z, 2), dtype=np.int32)
+    s = np.empty((n_subsets, n_choices, mu_z), dtype=np.int32)
+    label_type = np.min_scalar_type(cells - 1)
+    per_subset = 8 * (3 * res.design.v + cells) + 4 * n_choices * (gain * mu_z + 2 * z)
+    step = max(1, _SCHEDULE_BYTES // per_subset)
+    subsets = combinations(range(res.r), z)
+    # b_r = 1 leaves no pair to choose: nothing to check or send
+    for first in range(0, n_subsets if n_choices else 0, step):
+        n = min(step, n_subsets - first)
+        block = np.fromiter(chain.from_iterable(islice(subsets, n)), np.intp, n * z).reshape(n, z)
+        joint = res.labels[block[:, 0]].astype(label_type)
+        for c in range(1, z):
+            joint *= b_r
+            joint += res.labels[block[:, c]]
+        # every cell is some participant's side information, so one count
+        # off mu_z is a failure; only then is the first offender looked up
+        sizes = np.bincount((joint + np.arange(n)[:, None] * cells).ravel(), minlength=n * cells)
+        if (sizes != mu_z).any():
+            sizes = sizes.reshape(n, cells)[:, pick]
+            i, p, m = np.unravel_index(np.argmax(sizes != mu_z), sizes.shape)
             raise InternalMuMismatch(
-                f"intersection size {sizes[p, m]} != mu_z={mu_z} "
-                f"at classes {subset}, pairs {tuple(map(tuple, chosen[p].tolist()))}"
+                f"intersection size {sizes[i, p, m]} != mu_z={mu_z} at classes "
+                f"{tuple(block[i].tolist())}, pairs {tuple(map(tuple, chosen[p].tolist()))}"
             )
-        if not n_choices:
-            continue
-        sides = (np.argsort(joint, kind="stable") + 1).reshape(cells, mu_z)
-        rows = slice(rank * rows_per_subset, (rank + 1) * rows_per_subset)
-        users[rows].reshape(n_choices, mu_z, gain)[:] = (rank * cells + own)[:, None]
-        subfiles[rows].reshape(n_choices, mu_z, gain)[:] = sides[pick].transpose(0, 2, 1)
-        classes[rows] = subset
-        pair_blocks = class_blocks[list(subset)][slot[:, None], chosen]
-        pairs[rows].reshape(n_choices, mu_z, z, 2)[:] = pair_blocks[:, None]
-        s[rows].reshape(n_choices, mu_z)[:] = np.arange(1, mu_z + 1)
+        sides = np.argsort(joint, axis=1, kind="stable").astype(np.int32) + 1
+        rows = slice(first, first + n)
+        ranks = np.arange(first, first + n, dtype=np.int32)[:, None, None, None]
+        np.add(ranks * cells, own[:, None], out=users[rows])
+        subfiles[rows] = np.take(sides.reshape(n, cells, mu_z), pick, axis=1).transpose(0, 1, 3, 2)
+        for c in range(z):  # one pass per class position, not z-item inner loops
+            classes[rows, :, c] = block[:, c, None]
+        pairs[rows] = np.take(class_blocks[block].reshape(n, -1), pair_cells, axis=1)[:, :, None]
+        s[rows] = np.arange(1, mu_z + 1)
+    n_rows = n_subsets * n_choices * mu_z
+    users, subfiles = users.reshape(n_rows, gain), subfiles.reshape(n_rows, gain)
+    classes, pairs, s = classes.reshape(n_rows, z), pairs.reshape(n_rows, z, 2), s.reshape(n_rows)
     return DeliverySchedule(
         scheme=scheme, demands=demands, users=users, subfiles=subfiles,
         classes=classes, pairs=pairs, s=s,

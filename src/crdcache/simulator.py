@@ -25,7 +25,8 @@ cached or received.  It also checks, on every transmission, that the
 side-information set of each participant (intersection of the
 complementary blocks) equals the intersection of what the other
 participants can read - the identity the delivery argument rests on - on
-packed bit rows scattered from the blocks.
+packed bit rows scattered from the blocks, stored words first so that every
+pass runs along the transmissions.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -120,7 +121,7 @@ def _write_random_files(rows: np.ndarray, file_len: int, seed: int) -> None:
     from numpy.random import MT19937  # kept out of the package import
 
     state = random.Random(seed).getstate()[1]
-    gen = MT19937()
+    gen = MT19937(_unseeded())
     gen.state = {
         "bit_generator": "MT19937",
         "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
@@ -143,6 +144,19 @@ def _write_random_files(rows: np.ndarray, file_len: int, seed: int) -> None:
                 last = raw[:, -1:].astype("<u4").view(np.uint8)
                 block[:, 4 * whole : file_len] = last[:, 4 - tail :]
             del raw  # before the next chunk is drawn
+
+
+@cache
+def _unseeded():
+    """A seed sequence that derives nothing: the generator's state is loaded
+    straight after, so the SeedSequence hashing ``MT19937()`` does is waste."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Unseeded(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return Unseeded()
 
 
 def make_file_store(n_files: int, file_len: int, seed: int = 0) -> FileStore:
@@ -371,7 +385,7 @@ def _packed(sets: np.ndarray) -> np.ndarray:
 
 def _points(bits: np.ndarray, v: int) -> list[int]:
     """The 1-based points of one packed bit row, ascending."""
-    return (np.flatnonzero(np.unpackbits(bits.view(np.uint8))[:v]) + 1).tolist()
+    return (np.flatnonzero(np.unpackbits(np.ascontiguousarray(bits).view(np.uint8))[:v]) + 1).tolist()
 
 
 def _check_side_information_sets(schedule: DeliverySchedule) -> None:
@@ -379,47 +393,56 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     participant must equal the intersection of all other participants'
     readable index sets.
 
-    Point sets are packed bit rows.  Rows are checked in chunks of bounded
-    size; the others' intersection comes from prefix and suffix ANDs over
-    the participants, and rows naming one user twice exclude every copy.
+    Point sets are packed bit rows of W = ceil(v/64) words, stored words
+    first: every array is (W, ..., rows), so each pass runs along the rows
+    of a chunk of bounded size, gathered through intp indices.  The others'
+    intersection comes from prefix and suffix ANDs over the participants.
+    A schedule's users ascend in every row, so only a row that does not may
+    name one user twice; such rows are recomputed leaving every copy of the
+    participant out, without sorting any row.
     """
     scheme = schedule.scheme
-    res = scheme.res
-    v = res.design.v
-    incidence = _packed(_incidence(res.design.blocks, v))
-    readable = np.bitwise_or.reduce(incidence[scheme.users], axis=1)
-    everything = _packed(np.ones(v, dtype=bool))
+    v = scheme.res.design.v
+    incidence = np.ascontiguousarray(_packed(_incidence(scheme.res.design.blocks, v)).T)
+    blocks_of = scheme.users.T.astype(np.intp, order="C")  # (z, K)
+    readable = np.take(incidence, blocks_of[0], axis=1)
+    for blocks in blocks_of[1:]:
+        readable |= np.take(incidence, blocks, axis=1)
+    everything = _packed(np.ones(v, dtype=bool))[:, None]
 
     n_rows, gain = schedule.users.shape
-    words = incidence.shape[1]
+    words = incidence.shape[0]
     step = max(1, _CHECK_BYTES // (gain * 8 * (words + scheme.z)))
     for start in range(0, n_rows, step):
-        users = schedule.users[start : start + step]
-        pairs = schedule.pairs[start : start + step, None]
-        mine = scheme.users[users]
-        other = np.where(mine == pairs[..., 0], pairs[..., 1], pairs[..., 0])
-        direct = np.bitwise_and.reduce(incidence[other], axis=2)
-        sets = readable[users]
+        users = schedule.users[start : start + step].T.astype(np.intp, order="C")  # (2^z, rows)
+        pairs = schedule.pairs[start : start + step].transpose(1, 2, 0).astype(np.intp, order="C")
+        mine = np.take(blocks_of, users, axis=1)
+        other = np.where(mine == pairs[:, :1], pairs[:, 1:], pairs[:, :1])
+        direct = np.take(incidence, other[0], axis=1)  # (W, 2^z, rows)
+        for blocks in other[1:]:
+            direct &= np.take(incidence, blocks, axis=1)
+        sets = np.take(readable, users, axis=1)
         via_others = np.empty_like(sets)
         via_others[:, 0] = everything
         for m in range(1, gain):
             np.bitwise_and(via_others[:, m - 1], sets[:, m - 1], out=via_others[:, m])
-        after = np.tile(everything, (len(users), 1))
-        for m in range(gain - 1, -1, -1):
+        after = sets[:, -1].copy()
+        for m in range(gain - 2, -1, -1):
             via_others[:, m] &= after
             after &= sets[:, m]
-        ranked = np.sort(users, axis=1)
-        for row in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
+        odd = np.flatnonzero((users[1:] <= users[:-1]).any(axis=0))
+        if len(odd):
+            named, held = users[:, odd], sets[:, :, odd]
             for m in range(gain):
-                kept = sets[row, users[row] != users[row, m]]
-                via_others[row, m] = np.bitwise_and.reduce(np.vstack([everything, kept]))
-        wrong = (direct != via_others).any(axis=2)
+                kept = np.where(named != named[m], held, everything[:, None])
+                via_others[:, m, odd] = np.bitwise_and.reduce(kept, axis=1)
+        wrong = (direct != via_others).any(axis=0).T
         if wrong.any():
             row, m = np.unravel_index(np.argmax(wrong), wrong.shape)
             raise InternalMuMismatch(
                 f"transmission {start + row + 1}: side-information set of user "
-                f"{users[row, m] + 1} is {_points(direct[row, m], v)} but the others share "
-                f"{_points(via_others[row, m], v)}"
+                f"{users[m, row] + 1} is {_points(direct[:, m, row], v)} but the others share "
+                f"{_points(via_others[:, m, row], v)}"
             )
 
 

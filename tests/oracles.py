@@ -8,11 +8,12 @@ the library uses.
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
-from crdcache.designs import Resolution, validate_design, validate_resolution
+from crdcache.designs import Resolution, joint_labels, validate_design, validate_resolution
 from crdcache.errors import (
     ClassNotPartitionOfPoints,
     EmptyBlock,
@@ -23,7 +24,7 @@ from crdcache.errors import (
     SizeCapExceeded,
 )
 from crdcache.gf import _IRREDUCIBLE, prime_power
-from crdcache.scheme import DeliverySchedule
+from crdcache.scheme import DeliverySchedule, SchemeInstance, coding_gain
 from crdcache.simulator import FileStore, subfile_length
 
 
@@ -187,6 +188,59 @@ def scan_participation(schedule: DeliverySchedule, user: int) -> list[tuple[int,
         for uid, y in t.terms
         if uid == user
     ]
+
+
+def loop_delivery_schedule(scheme: SchemeInstance, demands: tuple[int, ...]) -> DeliverySchedule:
+    """``build_delivery_schedule`` one class subset at a time, with the same
+    ``InternalMuMismatch`` on the first subset, pair choice and participant
+    whose side-information set does not hold mu_z points; ``demands`` is
+    taken as given."""
+    res = scheme.res
+    z, b_r, mu_z = scheme.z, res.b_r, scheme.mu_z
+    cells = b_r**z
+    gain = coding_gain(z)
+    pair_list = np.array(list(combinations(range(b_r), 2)), dtype=np.intp).reshape(-1, 2)
+    choices = np.indices((len(pair_list),) * z).reshape(z, -1).T
+    chosen = pair_list[choices]
+    n_choices = len(chosen)
+    radix = b_r ** np.arange(z - 1, -1, -1)
+    bits = (np.arange(gain)[:, None] >> np.arange(z - 1, -1, -1)) & 1
+    slot = np.arange(z)
+    own = chosen[:, slot, bits] @ radix
+    pick = chosen[:, slot, 1 - bits] @ radix
+    class_blocks = np.array(res.classes, dtype=np.intp).reshape(res.r, b_r)
+
+    rows_per_subset = n_choices * mu_z
+    n_rows = comb(res.r, z) * rows_per_subset
+    users = np.empty((n_rows, gain), dtype=np.int32)
+    subfiles = np.empty((n_rows, gain), dtype=np.int32)
+    classes = np.empty((n_rows, z), dtype=np.int32)
+    pairs = np.empty((n_rows, z, 2), dtype=np.int32)
+    s = np.empty(n_rows, dtype=np.int32)
+    for rank, subset in enumerate(combinations(range(res.r), z)):
+        joint = joint_labels(res, subset)
+        sizes = np.bincount(joint, minlength=cells)[pick]
+        bad = sizes != mu_z
+        if bad.any():
+            p, m = np.unravel_index(np.argmax(bad), bad.shape)
+            raise InternalMuMismatch(
+                f"intersection size {sizes[p, m]} != mu_z={mu_z} "
+                f"at classes {subset}, pairs {tuple(map(tuple, chosen[p].tolist()))}"
+            )
+        if not n_choices:
+            continue
+        sides = (np.argsort(joint, kind="stable") + 1).reshape(cells, mu_z)
+        rows = slice(rank * rows_per_subset, (rank + 1) * rows_per_subset)
+        users[rows].reshape(n_choices, mu_z, gain)[:] = (rank * cells + own)[:, None]
+        subfiles[rows].reshape(n_choices, mu_z, gain)[:] = sides[pick].transpose(0, 2, 1)
+        classes[rows] = subset
+        pair_blocks = class_blocks[list(subset)][slot[:, None], chosen]
+        pairs[rows].reshape(n_choices, mu_z, z, 2)[:] = pair_blocks[:, None]
+        s[rows].reshape(n_choices, mu_z)[:] = np.arange(1, mu_z + 1)
+    return DeliverySchedule(
+        scheme=scheme, demands=demands, users=users, subfiles=subfiles,
+        classes=classes, pairs=pairs, s=s,
+    )
 
 
 def scan_side_information_sets(schedule: DeliverySchedule) -> None:

@@ -42,3 +42,25 @@ def test_every_run_passed_and_names_every_metric(path):
         assert result["correct"] is True and result["failed"] == 0, run.get("command")
         if full:
             assert names <= set(result["metrics"]), names - set(result["metrics"])
+
+
+STAGE_FILES = [
+    path for path in BENCH_FILES if "verify_all_stages" in json.loads(path.read_text(encoding="utf-8"))
+]
+
+
+@pytest.mark.parametrize("path", STAGE_FILES, ids=lambda p: p.name)
+def test_every_stage_row_names_its_case_and_totals(path):
+    """Where a file times verify_all's stages, each row names its case and
+    carries the whole call's time and the process peak: from BENCH_11 on as
+    the median of repeated calls, in BENCH_7 as one call's ``verify_all_s``."""
+    stages = json.loads(path.read_text(encoding="utf-8"))["verify_all_stages"]
+    rows = [row for side in ("parent", "change") for row in stages[side]]
+    assert rows
+    single_call = path.name == "BENCH_7.json"
+    for row in rows:
+        assert {"spec", "z", "K", "T", "peak_rss_mb"} <= set(row), row
+        if single_call:
+            assert "verify_all_s" in row, row["spec"]
+        else:
+            assert "verify_all" in row["median_s"], row["spec"]

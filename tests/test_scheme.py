@@ -9,9 +9,12 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crdcache import errors
-from crdcache.constructions import affine_plane, catalog_example, hadamard_crd
+from crdcache import scheme as scheme_module
+from crdcache.constructions import _from_labels, _grid, affine_plane, catalog_example, from_spec, hadamard_crd
 from crdcache.designs import crd_profile
 from crdcache.scheme import (
     build_delivery_schedule,
@@ -25,10 +28,26 @@ from crdcache.scheme import (
     subpacketization_from_counts,
     user_memory_fraction,
 )
-from oracles import access_union, block_set
+from oracles import access_union, block_set, loop_delivery_schedule
 
 # catalog design id -> admissible z values above 1
 ADMISSIBLE = {1: [2], 3: [2], 4: [2, 3], 5: [2], 6: [2], 7: [2], 8: [2, 3], 9: [2, 3, 4]}
+
+
+SCHEDULE_SPECS = (
+    [f"example:{i}" for i in range(1, 10)]
+    + [f"affine:n={n}" for n in range(2, 6)]
+    + [f"hadamard:m={m}" for m in range(1, 5)]
+    + ["ag:q=2,m=4", "ag:q=3,m=3"]
+)
+
+
+def _outcome(build, scheme, demands):
+    """The schedule ``build`` returns, or its InternalMuMismatch message."""
+    try:
+        return build(scheme, demands)
+    except errors.InternalMuMismatch as exc:
+        return str(exc)
 
 
 def _catalog_points():
@@ -400,6 +419,48 @@ class TestSchedule:
         assert str(exc.value) == (
             "intersection size 1 != mu_z=2 at classes (0, 1), pairs ((0, 1), (0, 1))"
         )
+
+    @pytest.mark.parametrize("budget", [1, scheme_module._SCHEDULE_BYTES])
+    def test_first_offender_in_a_later_subset_keeps_its_message(self, monkeypatch, budget):
+        """Classes 0 and 2 below are one partition: the subset (0, 1) is sound
+        and (0, 2), the second of three, holds the first offender.  With one
+        subset per block it sits in the second block, otherwise inside the first."""
+        grid = _grid(2, 3)
+        twin = _from_labels(np.vstack([grid[:2], grid[:1]]))
+        scheme = replace(build_scheme(_from_labels(grid), 2, 12), res=twin)
+        monkeypatch.setattr(scheme_module, "_SCHEDULE_BYTES", budget)
+        expected = "intersection size 4 != mu_z=2 at classes (0, 2), pairs ((0, 1), (0, 1))"
+        assert _outcome(loop_delivery_schedule, scheme, (1,) * 12) == expected
+        with pytest.raises(errors.InternalMuMismatch) as exc:
+            build_delivery_schedule(scheme, [1] * 12)
+        assert str(exc.value) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_columns_match_the_per_subset_loop(self, data):
+        """All five columns equal the one-subset-at-a-time loop's, on grids
+        (b_r = 1 sends nothing) and catalogue designs at every admissible z,
+        with one class subset per block or the default blocks; a forged mu_z
+        raises the loop's message."""
+        if data.draw(st.booleans(), label="grid"):
+            res = _from_labels(_grid(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))))
+        else:
+            res = from_spec(data.draw(st.sampled_from(SCHEDULE_SPECS)))
+        z = data.draw(st.sampled_from([1] + sorted(crd_profile(res).mu)), label="z")
+        scheme = build_scheme(res, z, 1)
+        forged = data.draw(st.one_of(st.just(0), st.integers(-scheme.mu_z, 2)), label="forged")
+        scheme = replace(scheme, mu_z=scheme.mu_z + forged)
+        demands = (1,) * scheme.n_users
+        budget = data.draw(st.sampled_from([1, 4096, scheme_module._SCHEDULE_BYTES]), label="budget")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheme_module, "_SCHEDULE_BYTES", budget)
+            got = _outcome(build_delivery_schedule, scheme, demands)
+        expected = _outcome(loop_delivery_schedule, scheme, demands)
+        assert got == expected
+        if not isinstance(got, str):
+            for name in ("users", "subfiles", "classes", "pairs", "s"):
+                column = getattr(got, name)
+                assert column.dtype == np.int32 and column.shape == getattr(expected, name).shape
 
     def test_json_shape(self):
         scheme = build_scheme(catalog_example(3), 2, 9)

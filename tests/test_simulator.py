@@ -292,7 +292,10 @@ class TestAgainstOracles:
                 doctored[row, s, side] = data.draw(st.integers(0, res.design.b - 1))
         broken = replace(schedule, **{column: doctored})
         expected = _raised(scan_side_information_sets, broken)
-        assert _raised(_check_side_information_sets, broken) == expected
+        # the smallest budgets check one row per chunk
+        budget = data.draw(st.sampled_from([1, 64, 512, 4096, simulator._CHECK_BYTES]))
+        with mock.patch.object(simulator, "_CHECK_BYTES", budget):
+            assert _raised(_check_side_information_sets, broken) == expected
 
 
 class TestIsolatedDecoder:
