@@ -333,8 +333,8 @@ class DeliverySchedule:
         return rows
 
 
-# Working-set bound: a block of class subsets' labels, sort and gathered
-# side-information rows stays under these bytes
+# Working-set bound: the joint labels, counts, sort and gathered rows of one
+# block of class subsets take about this many bytes (at least one subset)
 _SCHEDULE_BYTES = 1 << 22
 
 

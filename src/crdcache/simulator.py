@@ -460,6 +460,9 @@ def verify_all(
     scheme = build_scheme(res, z, n_files, caps)
     schedule = build_delivery_schedule(scheme, demands)
     _check_side_information_sets(schedule)
+    # the participation sort's scratch (a radix sort's T * 2^z index buffer)
+    # is freed before the library and the payloads exist
+    _, bounds = schedule.participation
     store = make_file_store(n_files, file_len, seed)
     caches = build_caches(store, res)
     payloads = encode_payloads(schedule, store)
@@ -468,7 +471,6 @@ def verify_all(
     # users are checked in batches of at most _DECODE_BYTES of term indices
     # and point masks, read from one incidence of the caches
     incidence = _incidence(np.array([cache.block for cache in caches]), v)
-    _, bounds = schedule.participation
     per_user = int(np.diff(bounds).max()) * 24 * schedule.users.shape[1] + (scheme.z + 3) * v
     step = max(1, _DECODE_BYTES // per_user)
     counts = np.empty((2, n_users), dtype=np.intp)  # subfiles from cache, from the air
