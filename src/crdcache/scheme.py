@@ -316,14 +316,50 @@ class DeliverySchedule:
         schedule order, and position p sits in row ``p // 2^z``.  A user's
         decoder thus visits only the mu_z (b_r-1)^z rows it is part of.  The
         ids are sorted in the narrowest unsigned dtype that holds K - 1, for
-        which numpy's stable sort is a radix sort up to K = 65536.
+        which numpy's stable sort is a radix sort up to K = 65536; the
+        positions are kept as int32 below 2^31 terms.
         """
         flat = self.users.ravel()
         terms = np.argsort(flat.astype(np.min_scalar_type(self.scheme.n_users - 1)), kind="stable")
+        if len(flat) < 2**31:
+            terms = terms.astype(np.int32)
         bounds = np.zeros(self.scheme.n_users + 1, dtype=np.intp)
         np.cumsum(np.bincount(flat, minlength=self.scheme.n_users), out=bounds[1:])
         terms.flags.writeable = bounds.flags.writeable = False
         return terms, bounds
+
+    @cached_property
+    def term_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The subfiles the terms read: ``(needed, slots)``, both read-only.
+
+        ``needed`` is the (N, v) bool mask of the (file, point) subfiles some
+        term names; term (t, m) reads compact row ``slots[t, m]`` (int32, or
+        int64 past 2^31 subfiles) of those subfiles in row-major order.  One
+        scatter marks them and one cumsum numbers them, in place of a sort.
+        """
+        n_files, v = self.scheme.n_files, self.scheme.res.design.v
+        dtype = np.int32 if n_files * v < 2**31 else np.int64
+        slots = np.empty(self.users.shape, dtype=dtype)
+        needed = np.zeros(n_files * v, dtype=bool)
+        # row chunks bound the intp keys and the intp copies numpy makes of
+        # int32 index arrays
+        step = max(1, _SCHEDULE_BYTES // (8 * max(1, self.users.shape[1])))
+        chunks = [slice(start, start + step) for start in range(0, len(slots), step)]
+        for rows in chunks:
+            keys = np.take(self.demand_rows, self.users[rows])
+            keys *= v
+            keys += self.subfiles[rows]
+            keys -= 1
+            needed[keys] = True
+            slots[rows] = keys
+        ranks = np.cumsum(needed, dtype=dtype)
+        ranks -= 1
+        for rows in chunks:
+            slots[rows] = np.take(ranks, slots[rows])
+        del ranks
+        needed = needed.reshape(n_files, v)
+        needed.flags.writeable = slots.flags.writeable = False
+        return needed, slots
 
     @cached_property
     def demand_rows(self) -> np.ndarray:
@@ -359,7 +395,9 @@ def build_delivery_schedule(
     sort for such dtypes) into the side-information table ``sides``, the
     points sorted by joint label, whose row ``pick`` lists the mu_z ascending
     points of the blocks at the mixed-radix positions ``pick``.  Each column
-    is then filled by one broadcast pass over its (S, P, mu_z, ...) view.
+    is then filled by one pass over its (S, P, mu_z, ...) view; ``users``,
+    ``subfiles`` and ``pairs`` from one subset's pattern flattened over
+    (P, mu_z, ...), so that no inner loop is only 2^z or 2z items long.
     The first subset, pair choice and participant whose side-information set
     does not hold mu_z points raises ``InternalMuMismatch``.
     """
@@ -398,6 +436,12 @@ def build_delivery_schedule(
     # a subset's (z * b_r) class blocks, read at these positions, give its pairs
     class_blocks = np.array(res.classes, dtype=np.int32).reshape(res.r, b_r)
     pair_cells = slot[:, None] * b_r + chosen
+    # one class subset's users, subfiles (as positions in its sorted points)
+    # and pairs, flattened in (P, mu_z, ...) order: every fill below is one
+    # pass with an inner loop of P * mu_z * (2^z or 2z) items, not 2^z or 2z
+    own_row = np.repeat(own, mu_z, axis=0).reshape(1, -1)
+    side_row = (pick[:, None] * mu_z + np.arange(mu_z)[:, None]).reshape(-1)
+    pair_row = np.repeat(pair_cells, mu_z, axis=0).reshape(-1)
 
     n_subsets = comb(res.r, z)
     users = np.empty((n_subsets, n_choices, mu_z, gain), dtype=np.int32)
@@ -429,12 +473,13 @@ def build_delivery_schedule(
             )
         sides = np.argsort(joint, axis=1, kind="stable").astype(np.int32) + 1
         rows = slice(first, first + n)
-        ranks = np.arange(first, first + n, dtype=np.int32)[:, None, None, None]
-        np.add(ranks * cells, own[:, None], out=users[rows])
-        subfiles[rows] = np.take(sides.reshape(n, cells, mu_z), pick, axis=1).transpose(0, 1, 3, 2)
+        ranks = np.arange(first, first + n, dtype=np.int32)[:, None]
+        np.add(ranks * cells, own_row, out=users[rows].reshape(n, -1))
+        np.take(sides, side_row, axis=1, out=subfiles[rows].reshape(n, -1), mode="clip")
         for c in range(z):  # one pass per class position, not z-item inner loops
             classes[rows, :, c] = block[:, c, None]
-        pairs[rows] = np.take(class_blocks[block].reshape(n, -1), pair_cells, axis=1)[:, :, None]
+        cells_of = class_blocks[block].reshape(n, -1)
+        np.take(cells_of, pair_row, axis=1, out=pairs[rows].reshape(n, -1), mode="clip")
         s[rows] = np.arange(1, mu_z + 1)
     n_rows = n_subsets * n_choices * mu_z
     users, subfiles = users.reshape(n_rows, gain), subfiles.reshape(n_rows, gain)

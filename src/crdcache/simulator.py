@@ -1,15 +1,21 @@
 """Byte-exact execution of a delivery schedule.
 
 The server holds N equal-length pseudo-random files, file i being the i-th
-``random.Random(seed).randbytes(file_len)``.  Their bytes are generated
-once, by numpy's MT19937 started in that generator's state, straight into
-one read-only zero-padded ``uint8`` library array of shape (N, v, sub) for
-the first subpacketization v asked for; ``files`` are the rows of that one
-array, and a library for another v is copied from them.  A cache is a
-read-only view over the library restricted to the points of its block, so
-filling b caches copies no bytes.  Every coded transmission is the bytewise
-XOR of its subfiles, gathered one term column at a time in cache-sized row
-chunks; the payloads are a sequence of ``bytes`` rows over one (T, sub) array.
+``random.Random(seed).randbytes(file_len)``, generated by numpy's MT19937
+started in that generator's state, a bounded chunk at a time.  The bytes
+are kept in one of two ways.  ``encode_payloads`` and ``verify_all``
+stream the generator and keep only the subfiles some term of the schedule
+reads, at most mu_z (b_r-1)^z per user, as one compact (count, sub) array
+that both share; they build no (N, v, sub) array.  ``build_caches``,
+``decode_user`` and ``files`` instead read the whole library, one
+read-only zero-padded ``uint8`` array of shape (N, v, sub) for the first
+subpacketization v asked for, whose rows are the ``files``; a library for
+another v is copied from them.  A cache is a read-only view over the
+library restricted to the points of its block, so filling b caches copies
+no further bytes.  Every coded transmission is the bytewise XOR of its
+subfiles, gathered one term column at a time in cache-sized row chunks
+through the schedule's ``term_slots`` index into the compact array; the
+payloads are a sequence of ``bytes`` rows over one (T, sub) array.
 
 Only ``decode_user`` strips terms: for each row the user takes part in,
 found through the schedule's participation index, it XORs off the other
@@ -17,11 +23,12 @@ terms with subfiles read from its own z caches, then stitches its file.
 ``verify_all`` checks each row once instead.  Participant m recovers the
 payload XOR the other terms, which is its own subfile XOR the row's
 residual (the payload XOR all 2^z terms); every participant reads the same
-library bytes, so all of them decode correctly exactly when the residual
-is zero.  That is T * 2^z subfile reads, the size of the encoding.  Per
-user it still checks, in array passes over batches of users, that every
-other term of its rows is readable from its caches and every point is
-cached or received.  It also checks, on every transmission, that the
+file bytes, so all of them decode correctly exactly when the residual
+is zero.  That is T * 2^z subfile reads, the size of the encoding, from
+the same compact subfiles the encoder read.  Per user it still checks, in
+array passes over batches of users, that every other term of its rows is
+readable from its caches (the design's blocks) and every point is cached
+or received.  It also checks, on every transmission, that the
 side-information set of each participant (intersection of the
 complementary blocks) equals the intersection of what the other
 participants can read - the identity the delivery argument rests on - on
@@ -62,14 +69,21 @@ _GATHER_BYTES = 1 << 18
 class FileStore:
     """N files of identical length, reproducible from (n_files, file_len, seed).
 
-    Holds no bytes until a library or ``files`` is first asked for; equality,
-    pickling and copying go by the three numbers alone.
+    Holds no bytes until a library, ``files`` or some subfiles are first
+    asked for; equality, pickling and copying go by the three numbers alone.
+    ``subfiles`` streams the generator and keeps only the subfiles a mask
+    names, which is all ``encode_payloads`` and ``verify_all`` read;
+    ``library`` and ``files`` (and so ``build_caches`` and ``decode_user``)
+    hold every file.
     """
 
     n_files: int
     file_len: int
     seed: int
     _libraries: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _subfiles: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -95,6 +109,27 @@ class FileStore:
             self._libraries[v] = lib
         return lib
 
+    def subfiles(self, v: int, needed: np.ndarray) -> np.ndarray:
+        """The subfiles ``needed`` (an (N, v) bool mask) marks, as one read-only
+        (count, sub) uint8 array in row-major (file, point) order.
+
+        Gathered from ``library(v)`` if that exists; otherwise generated in
+        one pass of the files' stream that keeps only each chunk's needed
+        subfiles, so no (N, v, sub) array is ever held.  The last mask asked
+        for is memoized per v.
+        """
+        memo = self._subfiles.get(v)
+        if memo is not None and (memo[0] is needed or np.array_equal(memo[0], needed)):
+            return memo[1]
+        lib = self._libraries.get(v)
+        if lib is not None:
+            rows = lib[needed]
+        else:
+            rows = _stream_subfiles(needed, self.file_len, self.seed)
+        rows.flags.writeable = False
+        self._subfiles[v] = needed, rows
+        return rows
+
     def _rows(self) -> np.ndarray:
         """The first library built, as (N, v * sub) padded file rows."""
         if not self._libraries:
@@ -108,53 +143,111 @@ class FileStore:
         return tuple(memoryview(row[: self.file_len]) for row in self._rows())
 
 
-def _write_random_files(rows: np.ndarray, file_len: int, seed: int) -> None:
-    """Write the i-th ``random.Random(seed).randbytes(file_len)`` into
-    ``rows[i, :file_len]``.
+def _random_words(n_files: int, file_len: int, seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The files' MT19937 outputs, in stream order, as ``(first file, first
+    word, words)`` pieces: ``words`` is an (n, span) ``uint64`` array of the
+    outputs first..first+span-1 of files first..first+n-1.
 
-    ``randbytes(L)`` is ceil(L/4) MT19937 outputs written little-endian, a
-    last partial output keeping its high L % 4 bytes, so the N files are one
+    ``randbytes(L)`` is ceil(L/4) MT19937 outputs, so the N files are one
     consecutive output stream.  It is drawn from numpy's MT19937 loaded with
-    the state of ``random.Random(seed)``, at most ``_STORE_BYTES`` of
-    ``uint64`` outputs at a time: several whole files, or part of one.
+    the state of ``random.Random(seed)``, at most ``_STORE_BYTES`` of outputs
+    at a time: several whole files, or part of one.
     """
     from numpy.random import MT19937  # kept out of the package import
 
     state = random.Random(seed).getstate()[1]
+    # MT19937 copies a key item by item, which is far faster from Python
+    # ints than from numpy scalars
     gen = MT19937(_unseeded())
-    gen.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(state[:-1], dtype=np.uint32), "pos": state[-1]},
-    }
-    whole, tail = divmod(file_len, 4)
-    words = whole + (tail > 0)
+    gen.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
+    words = -(-file_len // 4)
     chunk = max(1, _STORE_BYTES // 8)
     n_rows = max(1, chunk // words)
     span = min(words, chunk)
-    for first in range(0, len(rows), n_rows):
-        block = rows[first : first + n_rows]
+    for first in range(0, n_files, n_rows):
+        n = min(n_rows, n_files - first)
         for start in range(0, words, span):
             stop = min(start + span, words)
-            raw = gen.random_raw(len(block) * (stop - start)).reshape(len(block), -1)
-            end = min(stop, whole)
-            np.copyto(
-                block[:, 4 * start : 4 * end].view("<u4"), raw[:, : end - start], casting="unsafe"
-            )
-            if stop > whole:
-                last = raw[:, -1:].astype("<u4").view(np.uint8)
-                block[:, 4 * whole : file_len] = last[:, 4 - tail :]
-            del raw  # before the next chunk is drawn
+            yield first, start, gen.random_raw(n * (stop - start)).reshape(n, -1)
+
+
+def _put_words(out: np.ndarray, raw: np.ndarray, start: int, file_len: int) -> int:
+    """Write the file bytes of outputs start.. (``raw``, (n, span)) into the
+    first columns of the (n, ...) ``uint8`` array ``out``; returns how many.
+
+    Each output is written little-endian; a file's last, partial output
+    keeps its high ``file_len % 4`` bytes, as ``randbytes`` does.
+    """
+    whole, tail = divmod(file_len, 4)
+    stop = start + raw.shape[1]
+    end = min(stop, whole)
+    np.copyto(out[:, : 4 * (end - start)].view("<u4"), raw[:, : end - start], casting="unsafe")
+    if stop <= whole:
+        return 4 * (end - start)
+    last = raw[:, -1:].astype("<u4").view(np.uint8)
+    out[:, 4 * (whole - start) : file_len - 4 * start] = last[:, 4 - tail :]
+    return file_len - 4 * start
+
+
+def _write_random_files(rows: np.ndarray, file_len: int, seed: int) -> None:
+    """Write the i-th ``random.Random(seed).randbytes(file_len)`` into
+    ``rows[i, :file_len]``, one piece of ``_random_words`` at a time."""
+    for first, start, raw in _random_words(len(rows), file_len, seed):
+        _put_words(rows[first : first + len(raw), 4 * start :], raw, start, file_len)
+        del raw  # before the next chunk is drawn
+
+
+def _stream_subfiles(needed: np.ndarray, file_len: int, seed: int) -> np.ndarray:
+    """The (file, point) subfiles ``needed`` marks, zero-padded, in row-major
+    order, from one pass of ``_random_words``.
+
+    A piece of whole files is written into a buffer of padded rows sized to
+    that piece, whose masked subfiles are copied out; a piece of one file
+    copies its bytes straight into the needed subfiles it overlaps.
+    """
+    n_files, v = needed.shape
+    sub = subfile_length(file_len, v)
+    words = -(-file_len // 4)
+    out = np.zeros((np.count_nonzero(needed), sub), dtype=np.uint8)
+    done = 0  # rows of ``out`` written or claimed so far
+    buffer = None
+    for first, start, raw in _random_words(n_files, file_len, seed):
+        n, span = raw.shape
+        if span == words:  # whole files first..first+n-1
+            if buffer is None:  # its padding columns stay zero
+                buffer = np.zeros((n, v * sub), dtype=np.uint8)
+            _put_words(buffer[:n], raw, 0, file_len)
+            kept = np.flatnonzero(needed[first : first + n])
+            rows = out[done : done + len(kept)]
+            np.take(buffer.reshape(-1, sub), kept, axis=0, out=rows, mode="clip")
+            done += len(kept)
+        else:  # bytes lo..hi-1 of file `first`; only needed words are written
+            if buffer is None:
+                buffer = np.empty((1, 4 * span), dtype=np.uint8)
+            if start == 0:  # the file's needed subfiles take the next rows
+                rows = np.cumsum(needed[first]) - 1 + done
+                done = int(rows[-1]) + 1
+            lo, hi = 4 * start, min(4 * (start + span), file_len)
+            overlap = np.flatnonzero(needed[first, lo // sub : (hi - 1) // sub + 1]) + lo // sub
+            for p in overlap.tolist():
+                a, b = max(lo, p * sub), min(hi, (p + 1) * sub)
+                word = a // 4
+                _put_words(buffer, raw[:, word - start : -(-b // 4) - start], word, file_len)
+                out[rows[p], a - p * sub : b - p * sub] = buffer[0, a - 4 * word : b - 4 * word]
+        del raw  # before the next chunk is drawn
+    return out
 
 
 @cache
 def _unseeded():
     """A seed sequence that derives nothing: the generator's state is loaded
-    straight after, so the SeedSequence hashing ``MT19937()`` does is waste."""
+    straight after, so the SeedSequence hashing ``MT19937()`` does is waste.
+    Its zero words are a list, which ``MT19937()`` copies item by item."""
     from numpy.random.bit_generator import ISeedSequence
 
     class Unseeded(ISeedSequence):
         def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype=dtype)
+            return [0] * n_words
 
     return Unseeded()
 
@@ -233,27 +326,25 @@ class Payloads(Sequence[bytes]):
 
 def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> Payloads:
     """One XOR payload per coded transmission, in schedule order: every row
-    is XORed into one (T, sub) array by ``_xor_gather``."""
-    library = store.library(schedule.scheme.res.design.v)
-    air = np.zeros((len(schedule.users), library.shape[2]), dtype=np.uint8)
-    _xor_gather(air, library, schedule.demand_rows, schedule.users, schedule.subfiles - 1)
+    is XORed into one (T, sub) array by ``_xor_gather`` from the store's
+    term subfiles alone, through the schedule's ``term_slots`` index."""
+    needed, slots = schedule.term_slots
+    rows = store.subfiles(schedule.scheme.res.design.v, needed)
+    air = np.zeros((len(slots), rows.shape[1]), dtype=np.uint8)
+    _xor_gather(air, rows, slots)
     return Payloads(air)
 
 
-def _xor_gather(
-    acc: np.ndarray, library: np.ndarray, demand_rows: np.ndarray, users: np.ndarray, points: np.ndarray
-) -> None:
-    """XOR ``library[demand_rows[users[:, c]], points[:, c]]`` (0-based points) into
-    ``acc`` for every column c, over row chunks of at most ``_GATHER_BYTES``: no
-    gathered temporary outgrows the cache; a one-row chunk XORs the library row."""
-    n_files, v, sub = library.shape
-    flat = library.reshape(n_files * v, sub)
-    step = max(1, _GATHER_BYTES // max(1, sub))
+def _xor_gather(acc: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
+    """XOR ``table[index[:, c]]`` into ``acc`` for every column c of the flat
+    row index ``index`` into the (n, sub) ``table``, over row chunks of at most
+    ``_GATHER_BYTES``: no gathered temporary outgrows the cache; a one-row
+    chunk XORs the table row."""
+    step = max(1, _GATHER_BYTES // max(1, table.shape[1]))
     for start in range(0, len(acc), step):
-        block, rows = acc[start : start + step], slice(start, start + step)
-        index = demand_rows[users[rows]] * v + points[rows]
-        for c in range(index.shape[1]):
-            terms = flat[index[0, c]] if step == 1 else np.take(flat, index[:, c], axis=0)
+        block, rows = acc[start : start + step], index[start : start + step]
+        for c in range(rows.shape[1]):
+            terms = table[rows[0, c]] if step == 1 else np.take(table, rows[:, c], axis=0)
             np.bitwise_xor(block, terms, out=block)
 
 
@@ -265,14 +356,15 @@ def _incidence(blocks: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray, sub: int) -> np.ndarray:
-    """A writeable (len(rows), sub) copy of the payloads of ``rows``."""
+def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray | None, sub: int) -> np.ndarray:
+    """A writeable (len(rows), sub) copy of the payloads of ``rows`` (None: all)."""
     if isinstance(payloads, Payloads):
         payloads = payloads.rows
     if isinstance(payloads, np.ndarray):
-        return payloads[rows]
-    joined = bytearray(b"".join([payloads[t] for t in rows.tolist()]))
-    return np.frombuffer(joined, dtype=np.uint8).reshape(len(rows), sub)
+        return payloads.copy() if rows is None else payloads[rows]
+    picked = payloads if rows is None else [payloads[t] for t in rows.tolist()]
+    joined = bytearray(b"".join(picked))
+    return np.frombuffer(joined, dtype=np.uint8).reshape(-1, sub)
 
 
 def _reach(
@@ -341,7 +433,8 @@ def decode_user(
         user_idx, user_idx + 1, schedule, readable, (demand,)
     )
     air = _air_rows(payloads, terms // schedule.users.shape[1], library.shape[2])
-    _xor_gather(air, library, schedule.demand_rows, schedule.users.ravel()[others].T, other_points.T)
+    index = schedule.demand_rows[schedule.users.ravel()[others]] * library.shape[1] + other_points
+    _xor_gather(air, library.reshape(-1, library.shape[2]), index.T)
     out = np.empty(library.shape[1:], dtype=np.uint8)
     out[points] = air
     # a readable subfile is taken from the caches, even if it also came over the air
@@ -404,23 +497,29 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     scheme = schedule.scheme
     v = scheme.res.design.v
     incidence = np.ascontiguousarray(_packed(_incidence(scheme.res.design.blocks, v)).T)
-    blocks_of = scheme.users.T.astype(np.intp, order="C")  # (z, K)
+    blocks_of = np.ascontiguousarray(scheme.users.T)  # (z, K) int32
     readable = np.take(incidence, blocks_of[0], axis=1)
     for blocks in blocks_of[1:]:
         readable |= np.take(incidence, blocks, axis=1)
     everything = _packed(np.ones(v, dtype=bool))[:, None]
 
     n_rows, gain = schedule.users.shape
-    words = incidence.shape[0]
-    step = max(1, _CHECK_BYTES // (gain * 8 * (words + scheme.z)))
+    words, z = incidence.shape[0], scheme.z
+    # bytes a row holds at most at once: its users, pairs, mine and other
+    # indices (8 bytes each), four (W, 2^z) word rows (direct, sets,
+    # via_others and one np.take temporary) and after; a chunk's arrays are
+    # freed before the next chunk's
+    per_row = 8 * (gain * (1 + 2 * z + 4 * words) + 2 * z + words)
+    step = max(1, _CHECK_BYTES // per_row)
     for start in range(0, n_rows, step):
         users = schedule.users[start : start + step].T.astype(np.intp, order="C")  # (2^z, rows)
         pairs = schedule.pairs[start : start + step].transpose(1, 2, 0).astype(np.intp, order="C")
         mine = np.take(blocks_of, users, axis=1)
         other = np.where(mine == pairs[:, :1], pairs[:, 1:], pairs[:, :1])
         direct = np.take(incidence, other[0], axis=1)  # (W, 2^z, rows)
-        for blocks in other[1:]:
-            direct &= np.take(incidence, blocks, axis=1)
+        for c in range(1, z):
+            direct &= np.take(incidence, other[c], axis=1)
+        del pairs, mine, other
         sets = np.take(readable, users, axis=1)
         via_others = np.empty_like(sets)
         via_others[:, 0] = everything
@@ -444,6 +543,7 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
                 f"{users[m, row] + 1} is {_points(direct[:, m, row], v)} but the others share "
                 f"{_points(via_others[:, m, row], v)}"
             )
+        del users, direct, sets, via_others, after, wrong
 
 
 def verify_all(
@@ -455,22 +555,21 @@ def verify_all(
     demands: Sequence[int] | None = None,
     caps: SizeCaps = DEFAULT_CAPS,
 ) -> SimulationReport:
-    """End-to-end run: place, schedule and broadcast, then check what every
-    user can strip and every row's residual against the library's bytes."""
+    """End-to-end run: schedule and broadcast, then check what every user
+    can strip, from the caches' blocks, and every row's residual against
+    the store's term subfiles."""
     scheme = build_scheme(res, z, n_files, caps)
     schedule = build_delivery_schedule(scheme, demands)
     _check_side_information_sets(schedule)
     # the participation sort's scratch (a radix sort's T * 2^z index buffer)
-    # is freed before the library and the payloads exist
+    # and the term index's are freed before the subfiles and payloads exist
     _, bounds = schedule.participation
-    store = make_file_store(n_files, file_len, seed)
-    caches = build_caches(store, res)
-    payloads = encode_payloads(schedule, store)
+    needed, slots = schedule.term_slots
     v = res.design.v
     n_users = scheme.n_users
     # users are checked in batches of at most _DECODE_BYTES of term indices
     # and point masks, read from one incidence of the caches
-    incidence = _incidence(np.array([cache.block for cache in caches]), v)
+    incidence = _incidence(res.design.blocks, v)
     per_user = int(np.diff(bounds).max()) * 24 * schedule.users.shape[1] + (scheme.z + 3) * v
     step = max(1, _DECODE_BYTES // per_user)
     counts = np.empty((2, n_users), dtype=np.intp)  # subfiles from cache, from the air
@@ -479,12 +578,15 @@ def verify_all(
         readable = incidence[scheme.users[first:stop]].any(axis=1)
         got = _reach(first, stop, schedule, readable, schedule.demands[first:stop])[-1]
         counts[:, first:stop] = readable.sum(axis=1), got.sum(axis=1)
-    # a participant strips the other terms with the library's own bytes, so
+    del readable, got  # the last batch, before the subfiles and payloads exist
+    store = make_file_store(n_files, file_len, seed)
+    payloads = encode_payloads(schedule, store)
+    # a participant strips the other terms with the store's own bytes, so
     # every participant decodes its subfile exactly when the row XORs to zero
     n_sent = len(payloads)
-    resid = _air_rows(payloads, np.arange(n_sent), subfile_length(file_len, v))
+    resid = _air_rows(payloads, None, subfile_length(file_len, v))
     del payloads
-    _xor_gather(resid, store.library(v), schedule.demand_rows, schedule.users, schedule.subfiles - 1)
+    _xor_gather(resid, store.subfiles(v, needed), slots)
     wrong = np.zeros(n_users, dtype=bool)
     wrong[schedule.users[resid.any(axis=1)]] = True
     columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), *counts.tolist())

@@ -462,6 +462,38 @@ class TestSchedule:
                 column = getattr(got, name)
                 assert column.dtype == np.int32 and column.shape == getattr(expected, name).shape
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_term_slots_number_the_term_subfiles_in_row_major_order(self, data):
+        """``needed`` marks exactly the (file, point) subfiles of the terms and
+        ``slots`` is each term's rank among them, for distinct and repeated
+        demands, with row chunks of one row, a few rows or the default."""
+        res = from_spec(data.draw(st.sampled_from(SCHEDULE_SPECS)))
+        z = data.draw(st.sampled_from([1] + sorted(crd_profile(res).mu)), label="z")
+        n_users = scheme_metrics(res, z).users
+        n_files = data.draw(st.integers(1, n_users + 2), label="files")
+        if n_files >= n_users and data.draw(st.booleans(), label="distinct"):
+            demands = None
+        else:
+            demands = data.draw(st.lists(st.integers(1, n_files), min_size=n_users, max_size=n_users))
+        schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
+        budget = data.draw(st.sampled_from([1, 64, scheme_module._SCHEDULE_BYTES]), label="budget")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheme_module, "_SCHEDULE_BYTES", budget)
+            needed, slots = schedule.term_slots
+        v = res.design.v
+        keys = np.array(schedule.demands)[schedule.users] - 1
+        keys = keys * v + schedule.subfiles - 1
+        assert needed.shape == (n_files, v) and needed.dtype == bool
+        assert slots.shape == schedule.users.shape and slots.dtype == np.int32
+        assert not needed.flags.writeable and not slots.flags.writeable
+        assert np.array_equal(np.flatnonzero(needed), np.unique(keys))
+        assert np.array_equal(np.flatnonzero(needed)[slots], keys)
+        assert schedule.term_slots[1] is slots
+        copied = pickle.loads(pickle.dumps(schedule))
+        assert "term_slots" not in copied.__dict__
+        assert np.array_equal(copied.term_slots[1], slots)
+
     def test_json_shape(self):
         scheme = build_scheme(catalog_example(3), 2, 9)
         obj = schedule_to_json(build_delivery_schedule(scheme, range(1, 10)))

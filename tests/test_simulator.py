@@ -10,6 +10,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,6 +136,53 @@ class TestFileStore:
         rng = random.Random(5)
         expected = [rng.randbytes(file_len) for _ in range(2)]
         assert list(make_file_store(2, file_len, 5).files) == expected
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.one_of(st.just(0), st.integers(-(2**70), -1), st.integers(1, 2**80)),
+        n_files=st.integers(1, 6),
+        file_len=st.integers(1, 70),
+        v=st.integers(1, 9),
+        chunk_bytes=st.sampled_from([8, 16, 40, 96, simulator._STORE_BYTES]),
+        library_first=st.booleans(),
+        data=st.data(),
+    )
+    def test_subfiles_are_the_library_rows(
+        self, seed, n_files, file_len, v, chunk_bytes, library_first, data
+    ):
+        """The streamed subfiles of any mask equal the library's masked rows
+        byte for byte, for every chunk size of the generator (8 bytes is one
+        word per chunk, so pieces end inside subfiles and inside files), and
+        whether the library is built first (then they are gathered from it)."""
+        flags = data.draw(st.lists(st.booleans(), min_size=n_files * v, max_size=n_files * v))
+        needed = np.array(flags, dtype=bool).reshape(n_files, v)
+        sub = subfile_length(file_len, v)
+        expected = make_file_store(n_files, file_len, seed).library(v).reshape(-1, sub)[needed.ravel()]
+        store = make_file_store(n_files, file_len, seed)
+        with mock.patch.object(simulator, "_STORE_BYTES", chunk_bytes):
+            if library_first:
+                store.library(v)
+            rows = store.subfiles(v, needed)
+        assert rows.dtype == np.uint8 and rows.shape == (needed.sum(), sub)
+        assert not rows.flags.writeable
+        assert rows.tobytes() == expected.tobytes()
+        assert store.subfiles(v, needed.copy()) is rows  # memoized per v and mask
+        assert store._libraries.keys() == ({v} if library_first else set())
+
+    def test_subfiles_stream_crosses_the_default_chunk(self):
+        # each file's stream spans two generation chunks of the real size, and
+        # one needed subfile straddles the boundary between them
+        file_len, v = simulator._STORE_BYTES // 2 + 3, 7
+        sub = subfile_length(file_len, v)
+        boundary = simulator._STORE_BYTES // 2  # file bytes of one chunk of outputs
+        straddling = boundary // sub
+        assert straddling * sub < boundary < (straddling + 1) * sub
+        needed = np.zeros((2, v), dtype=bool)
+        needed[0, [0, 3, straddling]] = True
+        needed[1, straddling] = True
+        rows = make_file_store(2, file_len, 5).subfiles(v, needed)
+        library = make_file_store(2, file_len, 5).library(v)
+        assert rows.tobytes() == library[needed].tobytes()
 
     def test_one_array_in_memory(self):
         """make_file_store plus library(v), v not dividing the file length,
@@ -273,6 +321,25 @@ class TestAgainstOracles:
         # the guard sees the objects once something asks for them
         assert len(schedule.transmissions) == len(built) == 1500
 
+    @pytest.mark.parametrize("budget", [1 << 16, 1 << 18])
+    def test_side_information_chunk_stays_within_its_budget(self, budget):
+        """A check chunk's arrays, all alive at once, fit _CHECK_BYTES (within
+        a quarter for numpy's own temporaries), besides the (W, K) readable
+        matrix that every chunk reads."""
+        res = from_spec("affine:n=7")
+        schedule = build_delivery_schedule(build_scheme(res, 2, 1), [1] * scheme_metrics(res, 2).users)
+        readable = -(-res.design.v // 64) * 8 * schedule.scheme.n_users
+        assert schedule.users.size * 8 > budget  # its intp users alone take several chunks
+        with mock.patch.object(simulator, "_CHECK_BYTES", budget):
+            _check_side_information_sets(schedule)
+            tracemalloc.start()
+            try:
+                _check_side_information_sets(schedule)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.25 * budget + readable, peak / budget
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_side_information_check_matches_the_frozenset_scan(self, data):
@@ -325,9 +392,9 @@ class TestIsolatedDecoder:
         xored = []
         gather = simulator._xor_gather
 
-        def counting(acc, library, demand_rows, users, points):
-            xored.append(users.shape[0] * users.shape[1])
-            gather(acc, library, demand_rows, users, points)
+        def counting(acc, table, index):
+            xored.append(index.size)
+            gather(acc, table, index)
 
         monkeypatch.setattr(simulator, "_xor_gather", counting)
         for spec, z in [("affine:n=5", 2), ("example:9", 4), ("example:8", 3)]:
@@ -505,6 +572,24 @@ class TestEndToEnd:
         over = peak - n_files * res.design.v * sub
         assert over < 2 * simulator._DECODE_BYTES, over / simulator._DECODE_BYTES
 
+    def test_working_set_is_one_decode_batch_over_the_term_subfiles(self):
+        """verify_all on 1 MiB files holds the subfiles the terms read, not the
+        library: its traced peak stays under their bytes plus two decode
+        batches (_DECODE_BYTES), which is less than the library's size."""
+        res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
+        sub = subfile_length(file_len, res.design.v)
+        needed, _ = build_delivery_schedule(build_scheme(res, z, n_files)).term_slots
+        bound = int(needed.sum()) * sub + 2 * simulator._DECODE_BYTES
+        assert bound < n_files * res.design.v * sub
+        tracemalloc.start()
+        try:
+            report = verify_all(res, z, n_files, file_len, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_recovered
+        assert peak < bound, (peak, bound)
+
     def test_distinct_needs_enough_files(self):
         with pytest.raises(errors.DemandOutOfRange):
             verify_all(catalog_example(3), 2, 8, 18)
@@ -527,6 +612,42 @@ class TestEndToEnd:
     def test_random_demands_recover(self, demands, file_len, seed):
         report = verify_all(affine_plane(2), 2, 5, file_len, seed, demands)
         assert report.all_recovered
+
+
+def _no_library(store, v):
+    raise AssertionError(f"library({v}) was built")
+
+
+class TestStreamedStore:
+    """encode_payloads and verify_all read only the term subfiles."""
+
+    @pytest.mark.parametrize("spec, z", [("example:3", 2), ("example:8", 3), ("affine:n=3", 2), ("example:4", 1)])
+    def test_verify_all_and_encode_payloads_build_no_library(self, monkeypatch, spec, z):
+        res = from_spec(spec)
+        n_users = scheme_metrics(res, z).users
+        schedule = build_delivery_schedule(build_scheme(res, z, n_users))
+        expected = int_xor_payloads(schedule, make_file_store(n_users, 45, 2))
+        monkeypatch.setattr(simulator.FileStore, "library", _no_library)
+        assert encode_payloads(schedule, make_file_store(n_users, 45, 2)) == expected
+        assert verify_all(res, z, n_users, 45, seed=2).all_recovered
+
+    @pytest.mark.parametrize("row", [0, 4, -1])
+    def test_flipped_payload_fails_its_participants_without_a_library(self, monkeypatch, row):
+        encode = simulator.encode_payloads
+        participants = set()
+
+        def flip(schedule, store):
+            payloads = encode(schedule, store)
+            participants.update(schedule.users[row].tolist())
+            payloads[row] = bytes([payloads[row][0] ^ 0xFF]) + payloads[row][1:]
+            return payloads
+
+        monkeypatch.setattr(simulator.FileStore, "library", _no_library)
+        monkeypatch.setattr(simulator, "encode_payloads", flip)
+        report = verify_all(catalog_example(9), 3, 32, 40, seed=3)
+        assert participants
+        assert {u.user for u in report.users if not u.byte_equal} == participants
+        assert all(u.recovered for u in report.users)
 
 
 class TestDecoderFaults:
