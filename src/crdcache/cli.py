@@ -199,8 +199,9 @@ def cmd_sweep(args: argparse.Namespace, caps: SizeCaps) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, default_format: str = "text") -> None:
-    sub.add_argument("--format", choices=("text", "json", "csv"), default=default_format)
+def _add_common(sub: argparse.ArgumentParser, *formats: str) -> None:
+    """The shared options; ``--format`` offers ``formats``, the first by default."""
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--out", help="write output to this path instead of stdout")
     sub.add_argument("--cap-points", type=int, default=None)
     sub.add_argument("--cap-intersections", type=int, default=None)
@@ -215,13 +216,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("construct", help="build a design and show its parameters")
     p.add_argument("--design", required=True, help="spec string or design JSON path")
-    _add_common(p)
+    _add_common(p, "text", "json")
     p.set_defaults(func=cmd_construct)
 
     p = subs.add_parser("analyze", help="metrics at one z next to the baselines")
     p.add_argument("--design", required=True)
     p.add_argument("--z", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "text", "json", "csv")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("schedule", help="emit the coded delivery schedule")
@@ -229,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--files", type=int, required=True, help="number of files N")
     p.add_argument("--demands", default="distinct", help="distinct | equal | comma list")
-    _add_common(p, default_format="json")
+    _add_common(p, "json", "text")
     p.set_defaults(func=cmd_schedule)
 
     p = subs.add_parser("simulate", help="run the byte-exact broadcast end to end")
@@ -240,12 +241,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--demands", default="distinct")
     p.add_argument("--dump-payloads", action="store_true", help="print each payload as hex")
-    _add_common(p)
+    _add_common(p, "text", "json")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("table", help="reproduce a built-in comparison table")
     p.add_argument("--name", required=True)
-    _add_common(p)
+    _add_common(p, "text", "json", "csv")
     p.set_defaults(func=cmd_table)
 
     p = subs.add_parser("sweep", help="CSV series over a construction family")
@@ -253,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma-separated parameter values")
     p.add_argument("--z", type=int, default=2)
     p.add_argument("--m", type=int, default=None, help="fixed dimension for the ag family")
-    _add_common(p, default_format="csv")
+    _add_common(p, "csv")
     p.set_defaults(func=cmd_sweep)
     return parser
 

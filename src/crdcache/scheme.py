@@ -328,45 +328,37 @@ class DeliverySchedule:
         terms.flags.writeable = bounds.flags.writeable = False
         return terms, bounds
 
-    @cached_property
-    def term_slots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The subfiles the terms read: ``(needed, slots)``, both read-only.
+    def term_keys(self, terms: np.ndarray | None = None) -> np.ndarray:
+        """The flat subfile key ``(demanded file - 1) * v + point - 1`` of every
+        term, shaped like ``users``, or of the flat term positions ``terms``
+        (positions in ``users.ravel()``), shaped like ``terms``.
 
-        ``needed`` is the (N, v) bool mask of the (file, point) subfiles some
-        term names; term (t, m) reads compact row ``slots[t, m]`` (int32, or
-        int64 past 2^31 subfiles) of those subfiles in row-major order.  One
-        scatter marks them and one cumsum numbers them, in place of a sort.
+        A key names one subfile of the (N, v) file library in row-major
+        order; keys are int32, or int64 past 2^31 subfiles.  All terms are
+        keyed in row chunks, which bound the intp copies numpy makes of int32
+        index arrays.
         """
-        n_files, v = self.scheme.n_files, self.scheme.res.design.v
-        dtype = np.int32 if n_files * v < 2**31 else np.int64
-        slots = np.empty(self.users.shape, dtype=dtype)
-        needed = np.zeros(n_files * v, dtype=bool)
-        # row chunks bound the intp keys and the intp copies numpy makes of
-        # int32 index arrays
+        if terms is not None:
+            return self._keys(self.users.ravel()[terms], self.subfiles.ravel()[terms])
+        keys = np.empty(self.users.shape, dtype=self._demanded.dtype)
         step = max(1, _SCHEDULE_BYTES // (8 * max(1, self.users.shape[1])))
-        chunks = [slice(start, start + step) for start in range(0, len(slots), step)]
-        for rows in chunks:
-            keys = np.take(self.demand_rows, self.users[rows])
-            keys *= v
-            keys += self.subfiles[rows]
-            keys -= 1
-            needed[keys] = True
-            slots[rows] = keys
-        ranks = np.cumsum(needed, dtype=dtype)
-        ranks -= 1
-        for rows in chunks:
-            slots[rows] = np.take(ranks, slots[rows])
-        del ranks
-        needed = needed.reshape(n_files, v)
-        needed.flags.writeable = slots.flags.writeable = False
-        return needed, slots
+        for start in range(0, len(keys), step):
+            rows = slice(start, start + step)
+            keys[rows] = self._keys(self.users[rows], self.subfiles[rows])
+        return keys
+
+    def _keys(self, users: np.ndarray, points: np.ndarray) -> np.ndarray:
+        keys = np.take(self._demanded, users)
+        keys *= self.scheme.res.design.v
+        keys += points
+        keys -= 1
+        return keys
 
     @cached_property
-    def demand_rows(self) -> np.ndarray:
-        """Each user's demanded file as a read-only 0-based library row."""
-        rows = np.array(self.demands, dtype=np.intp) - 1
-        rows.flags.writeable = False
-        return rows
+    def _demanded(self) -> np.ndarray:
+        """Each user's demanded file, 0-based, in the key dtype."""
+        n_files, v = self.scheme.n_files, self.scheme.res.design.v
+        return np.array(self.demands, dtype=np.int32 if n_files * v < 2**31 else np.int64) - 1
 
 
 # Working-set bound: the joint labels, counts, sort and gathered rows of one

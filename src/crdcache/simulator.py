@@ -2,19 +2,21 @@
 
 The server holds N equal-length pseudo-random files, file i being the i-th
 ``random.Random(seed).randbytes(file_len)``, generated by numpy's MT19937
-started in that generator's state, a bounded chunk at a time.  The bytes
-are kept in one of two ways.  ``encode_payloads`` and ``verify_all``
-stream the generator and keep only the subfiles some term of the schedule
-reads, at most mu_z (b_r-1)^z per user, as one compact (count, sub) array
-that both share; they build no (N, v, sub) array.  ``build_caches``,
-``decode_user`` and ``files`` instead read the whole library, one
-read-only zero-padded ``uint8`` array of shape (N, v, sub) for the first
-subpacketization v asked for, whose rows are the ``files``; a library for
-another v is copied from them.  A cache is a read-only view over the
-library restricted to the points of its block, so filling b caches copies
-no further bytes.  Every coded transmission is the bytewise XOR of its
-subfiles, gathered one term column at a time in cache-sized row chunks
-through the schedule's ``term_slots`` index into the compact array; the
+started in that generator's state, a bounded chunk at a time.  A schedule
+names each term's subfile by one flat key (``DeliverySchedule.term_keys``)
+and the store alone decides where those bytes sit: ``FileStore.term_subfiles``
+serves the terms as a table of subfile rows plus a row index per term.  If
+the library is held, the table is its rows, indexed by the keys; otherwise
+it is only the keyed subfiles, at most mu_z (b_r-1)^z per user, streamed
+from the generator into one compact (count, sub) array that the encoder and
+``verify_all`` share, so neither builds an (N, v, sub) array.
+``build_caches``, ``decode_user`` and ``files`` read the whole library, one
+read-only zero-padded ``uint8`` array of shape (N, v, sub), generated for
+each subpacketization v asked for; the first one's rows are the ``files``.
+A cache is a read-only view over the library restricted to the points of
+its block, so filling b caches copies no further bytes.  Every coded
+transmission is the bytewise XOR of its subfiles, gathered one term column
+at a time in cache-sized row chunks through the store's index; the
 payloads are a sequence of ``bytes`` rows over one (T, sub) array.
 
 Only ``decode_user`` strips terms: for each row the user takes part in,
@@ -25,7 +27,7 @@ payload XOR the other terms, which is its own subfile XOR the row's
 residual (the payload XOR all 2^z terms); every participant reads the same
 file bytes, so all of them decode correctly exactly when the residual
 is zero.  That is T * 2^z subfile reads, the size of the encoding, from
-the same compact subfiles the encoder read.  Per user it still checks, in
+the same store table the encoder read.  Per user it still checks, in
 array passes over batches of users, that every other term of its rows is
 readable from its caches (the design's blocks) and every point is cached
 or received.  It also checks, on every transmission, that the
@@ -57,8 +59,8 @@ from .scheme import (
     delivery_rate,
 )
 
-# Working-set bounds: a side-information check chunk, a decode batch, a chunk
-# of generated file words and a gathered term column stay under these bytes
+# Working-set bounds: a side-information check chunk, a decode batch, a chunk of
+# generated file words or term keys and a gathered term column stay under these bytes
 _CHECK_BYTES = 1 << 22
 _DECODE_BYTES = 1 << 22
 _STORE_BYTES = 1 << 22
@@ -69,12 +71,11 @@ _GATHER_BYTES = 1 << 18
 class FileStore:
     """N files of identical length, reproducible from (n_files, file_len, seed).
 
-    Holds no bytes until a library, ``files`` or some subfiles are first
+    Holds no bytes until a library, ``files`` or some term subfiles are first
     asked for; equality, pickling and copying go by the three numbers alone.
-    ``subfiles`` streams the generator and keeps only the subfiles a mask
-    names, which is all ``encode_payloads`` and ``verify_all`` read;
-    ``library`` and ``files`` (and so ``build_caches`` and ``decode_user``)
-    hold every file.
+    ``term_subfiles`` serves a schedule's terms, which is all
+    ``encode_payloads`` and ``verify_all`` read; ``library`` and ``files``
+    (and so ``build_caches`` and ``decode_user``) hold every file.
     """
 
     n_files: int
@@ -83,9 +84,7 @@ class FileStore:
     _libraries: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _subfiles: dict[int, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __reduce__(self):
         return FileStore, (self.n_files, self.file_len, self.seed)
@@ -93,54 +92,64 @@ class FileStore:
     def library(self, v: int) -> np.ndarray:
         """The files split into v subfiles: a read-only (N, v, sub) uint8 array.
 
-        Built on first use for each v and shared by every later caller.  The
-        first one is generated in place; later ones are copied from it.
+        Generated on first use for each v and shared by every later caller.
         """
         lib = self._libraries.get(v)
         if lib is None:
             sub = subfile_length(self.file_len, v)
             rows = np.zeros((self.n_files, v * sub), dtype=np.uint8)
-            if self._libraries:
-                rows[:, : self.file_len] = self._rows()[:, : self.file_len]
-            else:
-                _write_random_files(rows, self.file_len, self.seed)
+            _write_random_files(rows, self.file_len, self.seed)
             lib = rows.reshape(self.n_files, v, sub)
             lib.flags.writeable = False
             self._libraries[v] = lib
         return lib
 
-    def subfiles(self, v: int, needed: np.ndarray) -> np.ndarray:
-        """The subfiles ``needed`` (an (N, v) bool mask) marks, as one read-only
-        (count, sub) uint8 array in row-major (file, point) order.
+    def term_subfiles(self, schedule: DeliverySchedule) -> tuple[np.ndarray, np.ndarray]:
+        """The schedule's term subfiles as ``(table, index)``, both read-only:
+        term (t, m) reads row ``index[t, m]`` of the (n, sub) uint8 ``table``.
 
-        Gathered from ``library(v)`` if that exists; otherwise generated in
-        one pass of the files' stream that keeps only each chunk's needed
-        subfiles, so no (N, v, sub) array is ever held.  The last mask asked
-        for is memoized per v.
+        If ``library(v)`` is held, the table is its rows and the index is the
+        schedule's ``term_keys``: nothing is copied.  Otherwise one scatter
+        marks the keyed subfiles in an (N, v) mask, one cumsum numbers them
+        row-major, one pass of the files' stream keeps only them and each key
+        becomes its number.  The last schedule asked for is memoized.
         """
-        memo = self._subfiles.get(v)
-        if memo is not None and (memo[0] is needed or np.array_equal(memo[0], needed)):
-            return memo[1]
+        if self._terms and self._terms[0] is schedule:
+            return self._terms[1], self._terms[2]
+        n_files, v = schedule.scheme.n_files, schedule.scheme.res.design.v
+        if n_files > self.n_files:
+            raise DemandOutOfRange(f"the schedule is for {n_files} files but the store holds {self.n_files}")
+        index = schedule.term_keys()
         lib = self._libraries.get(v)
         if lib is not None:
-            rows = lib[needed]
+            table = lib.reshape(-1, lib.shape[2])
         else:
-            rows = _stream_subfiles(needed, self.file_len, self.seed)
-        rows.flags.writeable = False
-        self._subfiles[v] = needed, rows
-        return rows
-
-    def _rows(self) -> np.ndarray:
-        """The first library built, as (N, v * sub) padded file rows."""
-        if not self._libraries:
-            self.library(1)
-        return next(iter(self._libraries.values())).reshape(self.n_files, -1)
+            # the schedule's N files, the store's first ones, bound the keys and their dtype
+            needed = np.zeros(n_files * v, dtype=bool)
+            # row chunks bound the intp copies numpy makes of int32 index arrays
+            step = max(1, _STORE_BYTES // (8 * max(1, index.shape[1])))
+            chunks = [slice(start, start + step) for start in range(0, len(index), step)]
+            for rows in chunks:
+                needed[index[rows]] = True
+            ranks = np.cumsum(needed, dtype=index.dtype)
+            ranks -= 1
+            for rows in chunks:
+                index[rows] = np.take(ranks, index[rows])
+            del ranks
+            table = _stream_subfiles(needed.reshape(n_files, v), self.file_len, self.seed)
+            table.flags.writeable = False
+        index.flags.writeable = False
+        self._terms[:] = schedule, table, index
+        return table, index
 
     @cached_property
     def files(self) -> tuple[memoryview, ...]:
-        """The files as read-only ``memoryview``s of the first library's rows;
-        each compares equal to its ``bytes`` and has length ``file_len``."""
-        return tuple(memoryview(row[: self.file_len]) for row in self._rows())
+        """The files as read-only ``memoryview``s of the first library's rows
+        (``library(1)`` if none is held); each compares equal to its ``bytes``
+        and has length ``file_len``."""
+        lib = next(iter(self._libraries.values()), None)
+        rows = (self.library(1) if lib is None else lib).reshape(self.n_files, -1)
+        return tuple(memoryview(row[: self.file_len]) for row in rows)
 
 
 def _random_words(n_files: int, file_len: int, seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -326,12 +335,11 @@ class Payloads(Sequence[bytes]):
 
 def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> Payloads:
     """One XOR payload per coded transmission, in schedule order: every row
-    is XORed into one (T, sub) array by ``_xor_gather`` from the store's
-    term subfiles alone, through the schedule's ``term_slots`` index."""
-    needed, slots = schedule.term_slots
-    rows = store.subfiles(schedule.scheme.res.design.v, needed)
-    air = np.zeros((len(slots), rows.shape[1]), dtype=np.uint8)
-    _xor_gather(air, rows, slots)
+    is XORed into one (T, sub) array by ``_xor_gather`` from the table and
+    index of the store's ``term_subfiles``."""
+    table, index = store.term_subfiles(schedule)
+    air = np.zeros((len(index), table.shape[1]), dtype=np.uint8)
+    _xor_gather(air, table, index)
     return Payloads(air)
 
 
@@ -346,6 +354,7 @@ def _xor_gather(acc: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
         for c in range(rows.shape[1]):
             terms = table[rows[0, c]] if step == 1 else np.take(table, rows[:, c], axis=0)
             np.bitwise_xor(block, terms, out=block)
+            del terms  # before the next column is gathered
 
 
 def _incidence(blocks: np.ndarray, v: int) -> np.ndarray:
@@ -369,12 +378,12 @@ def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray | None, s
 
 def _reach(
     first: int, stop: int, schedule: DeliverySchedule, readable: np.ndarray, demands: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Check, moving no payload byte, that users first..stop-1, who read the
     points of ``readable`` (B, v), can strip every other term of their rows
     and so get every point.  Returns their terms in the users', then schedule
-    order: (flat position, flat positions and 0-based points (2^z - 1, terms)
-    of the row's other terms, own 0-based point, got (B, v))."""
+    order: (flat position, flat positions (2^z - 1, terms) of the row's other
+    terms, own 0-based point, got (B, v))."""
     gain = schedule.users.shape[1]
     order, bounds = schedule.participation
     terms = order[bounds[first] : bounds[stop]]
@@ -406,7 +415,7 @@ def _reach(
             f"user {first + short + 1} never obtained subfile "
             f"{np.argmin(have[short]) + 1} of file {demands[short]}"
         )
-    return terms, others, other_points, own_points, got
+    return terms, others, own_points, got
 
 
 def decode_user(
@@ -429,12 +438,9 @@ def decode_user(
     library = own[0].library
     readable = np.zeros((1, library.shape[1]), dtype=bool)
     readable[0, np.concatenate([cache.block for cache in own]) - 1] = True
-    terms, others, other_points, points, got = _reach(
-        user_idx, user_idx + 1, schedule, readable, (demand,)
-    )
+    terms, others, points, got = _reach(user_idx, user_idx + 1, schedule, readable, (demand,))
     air = _air_rows(payloads, terms // schedule.users.shape[1], library.shape[2])
-    index = schedule.demand_rows[schedule.users.ravel()[others]] * library.shape[1] + other_points
-    _xor_gather(air, library.reshape(-1, library.shape[2]), index.T)
+    _xor_gather(air, library.reshape(-1, library.shape[2]), schedule.term_keys(others).T)
     out = np.empty(library.shape[1:], dtype=np.uint8)
     out[points] = air
     # a readable subfile is taken from the caches, even if it also came over the air
@@ -562,9 +568,8 @@ def verify_all(
     schedule = build_delivery_schedule(scheme, demands)
     _check_side_information_sets(schedule)
     # the participation sort's scratch (a radix sort's T * 2^z index buffer)
-    # and the term index's are freed before the subfiles and payloads exist
+    # is freed before the subfiles and payloads exist
     _, bounds = schedule.participation
-    needed, slots = schedule.term_slots
     v = res.design.v
     n_users = scheme.n_users
     # users are checked in batches of at most _DECODE_BYTES of term indices
@@ -586,7 +591,7 @@ def verify_all(
     n_sent = len(payloads)
     resid = _air_rows(payloads, None, subfile_length(file_len, v))
     del payloads
-    _xor_gather(resid, store.subfiles(v, needed), slots)
+    _xor_gather(resid, *store.term_subfiles(schedule))
     wrong = np.zeros(n_users, dtype=bool)
     wrong[schedule.users[resid.any(axis=1)]] = True
     columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), *counts.tolist())

@@ -362,6 +362,29 @@ class TestBadInput:
         assert "Traceback" not in out.stderr
 
 
+class TestFormats:
+    """Each subcommand offers only the formats it renders."""
+
+    ARGS = {
+        "construct": ["--design", "example:3"],
+        "schedule": ["--design", "example:3", "--z", "2", "--files", "9"],
+        "simulate": ["--design", "example:3", "--z", "2", "--files", "9", "--len", "9"],
+        "sweep": ["--family", "affine", "--values", "2"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, fmt",
+        [("construct", "csv"), ("schedule", "csv"), ("simulate", "csv"), ("sweep", "text"), ("sweep", "json")],
+    )
+    def test_unrendered_format_is_an_error(self, capsys, command, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.ARGS[command], "--format", fmt])
+        assert exc.value.code != 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert any(line.startswith(f"crdcache {command}: error: argument --format") for line in err.splitlines())
+
+
 def _run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -464,10 +464,11 @@ class TestSchedule:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_term_slots_number_the_term_subfiles_in_row_major_order(self, data):
-        """``needed`` marks exactly the (file, point) subfiles of the terms and
-        ``slots`` is each term's rank among them, for distinct and repeated
-        demands, with row chunks of one row, a few rows or the default."""
+    def test_term_keys_are_the_flat_subfile_keys(self, data):
+        """Each term's key is (demanded file - 1) * v + point - 1, for all terms
+        (int32, shaped like ``users``) or for given flat positions, with
+        distinct and repeated demands and row chunks of one row, a few rows or
+        the default; past 2^31 subfiles the keys are int64."""
         res = from_spec(data.draw(st.sampled_from(SCHEDULE_SPECS)))
         z = data.draw(st.sampled_from([1] + sorted(crd_profile(res).mu)), label="z")
         n_users = scheme_metrics(res, z).users
@@ -476,23 +477,26 @@ class TestSchedule:
             demands = None
         else:
             demands = data.draw(st.lists(st.integers(1, n_files), min_size=n_users, max_size=n_users))
-        schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
+        scheme = build_scheme(res, z, n_files)
+        schedule = build_delivery_schedule(scheme, demands)
         budget = data.draw(st.sampled_from([1, 64, scheme_module._SCHEDULE_BYTES]), label="budget")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(scheme_module, "_SCHEDULE_BYTES", budget)
-            needed, slots = schedule.term_slots
+            keys = schedule.term_keys()
         v = res.design.v
-        keys = np.array(schedule.demands)[schedule.users] - 1
-        keys = keys * v + schedule.subfiles - 1
-        assert needed.shape == (n_files, v) and needed.dtype == bool
-        assert slots.shape == schedule.users.shape and slots.dtype == np.int32
-        assert not needed.flags.writeable and not slots.flags.writeable
-        assert np.array_equal(np.flatnonzero(needed), np.unique(keys))
-        assert np.array_equal(np.flatnonzero(needed)[slots], keys)
-        assert schedule.term_slots[1] is slots
-        copied = pickle.loads(pickle.dumps(schedule))
-        assert "term_slots" not in copied.__dict__
-        assert np.array_equal(copied.term_slots[1], slots)
+        expected = np.array(schedule.demands)[schedule.users] - 1
+        expected = expected * v + schedule.subfiles - 1
+        assert keys.shape == schedule.users.shape and keys.dtype == np.int32
+        assert np.array_equal(keys, expected)
+        position = st.integers(0, schedule.users.size - 1)
+        positions = data.draw(st.lists(st.tuples(position, position), min_size=1, max_size=10))
+        positions = np.array(positions, dtype=np.int32).T  # (2, n), as a decoder asks
+        picked = schedule.term_keys(positions)
+        assert picked.dtype == np.int32 and np.array_equal(picked, expected.ravel()[positions])
+        assert np.array_equal(pickle.loads(pickle.dumps(schedule)).term_keys(), keys)
+        wide = build_delivery_schedule(replace(scheme, n_files=2**31 // v + 1), schedule.demands)
+        assert wide.term_keys().dtype == wide.term_keys(positions).dtype == np.int64
+        assert np.array_equal(wide.term_keys(), keys)
 
     def test_json_shape(self):
         scheme = build_scheme(catalog_example(3), 2, 9)

@@ -6,6 +6,8 @@ import pickle
 import random
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
+from math import comb
 from collections.abc import Sequence
 from functools import lru_cache
 from unittest import mock
@@ -42,6 +44,8 @@ from oracles import (
     scan_side_information_sets,
     split_subfiles,
 )
+
+RANDOM_DEMAND_SPECS = ("affine:n=2", "example:4", "example:5", "example:8", "example:9", "hadamard:m=2")
 
 ORACLE_SPECS = (
     [f"example:{i}" for i in range(1, 10)]
@@ -140,49 +144,77 @@ class TestFileStore:
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.one_of(st.just(0), st.integers(-(2**70), -1), st.integers(1, 2**80)),
-        n_files=st.integers(1, 6),
         file_len=st.integers(1, 70),
-        v=st.integers(1, 9),
         chunk_bytes=st.sampled_from([8, 16, 40, 96, simulator._STORE_BYTES]),
         library_first=st.booleans(),
         data=st.data(),
     )
-    def test_subfiles_are_the_library_rows(
-        self, seed, n_files, file_len, v, chunk_bytes, library_first, data
-    ):
-        """The streamed subfiles of any mask equal the library's masked rows
-        byte for byte, for every chunk size of the generator (8 bytes is one
-        word per chunk, so pieces end inside subfiles and inside files), and
-        whether the library is built first (then they are gathered from it)."""
-        flags = data.draw(st.lists(st.booleans(), min_size=n_files * v, max_size=n_files * v))
-        needed = np.array(flags, dtype=bool).reshape(n_files, v)
-        sub = subfile_length(file_len, v)
-        expected = make_file_store(n_files, file_len, seed).library(v).reshape(-1, sub)[needed.ravel()]
+    def test_term_subfiles_are_the_randbytes_subfiles(self, seed, file_len, chunk_bytes, library_first, data):
+        """``table[index]`` holds each term's subfile of the randbytes oracle, for
+        random schedules with distinct and repeated demands (terms sharing a
+        key), for every chunk size of the generator (8 bytes is one word per
+        chunk, so pieces end inside subfiles and inside files), and whether
+        the library is built first: then the table is the library's rows in
+        place and the index is the keys; else it holds only the term subfiles."""
+        res = from_spec(data.draw(st.sampled_from(ORACLE_SPECS), label="spec"))
+        z = data.draw(st.sampled_from([1] + sorted(crd_profile(res).mu)), label="z")
+        n_users = scheme_metrics(res, z).users
+        n_files = data.draw(st.integers(1, n_users + 2), label="files")
+        if n_files >= n_users and data.draw(st.booleans(), label="distinct"):
+            demands = None
+        else:
+            demands = data.draw(st.lists(st.integers(1, n_files), min_size=n_users, max_size=n_users))
+        schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
+        v = res.design.v
+        rng = random.Random(seed)
+        subs = [split_subfiles(rng.randbytes(file_len), v) for _ in range(n_files)]
+        expected = [
+            [subs[schedule.demands[u] - 1][p - 1] for u, p in zip(users, points)]
+            for users, points in zip(schedule.users.tolist(), schedule.subfiles.tolist())
+        ]
         store = make_file_store(n_files, file_len, seed)
         with mock.patch.object(simulator, "_STORE_BYTES", chunk_bytes):
             if library_first:
-                store.library(v)
-            rows = store.subfiles(v, needed)
-        assert rows.dtype == np.uint8 and rows.shape == (needed.sum(), sub)
-        assert not rows.flags.writeable
-        assert rows.tobytes() == expected.tobytes()
-        assert store.subfiles(v, needed.copy()) is rows  # memoized per v and mask
-        assert store._libraries.keys() == ({v} if library_first else set())
+                library = store.library(v)
+            table, index = store.term_subfiles(schedule)
+        assert table.dtype == np.uint8 and table.shape[1] == subfile_length(file_len, v)
+        assert index.dtype == np.int32 and index.shape == schedule.users.shape
+        assert not table.flags.writeable and not index.flags.writeable
+        assert [[row.tobytes() for row in rows] for rows in table[index]] == expected
+        again = store.term_subfiles(schedule)  # memoized for the last schedule
+        assert again[0] is table and again[1] is index
+        if library_first:
+            assert np.shares_memory(table, library)
+            assert np.array_equal(index, schedule.term_keys())
+        else:
+            assert store._libraries == {}
+            assert len(table) == len(np.unique(schedule.term_keys()))
 
-    def test_subfiles_stream_crosses_the_default_chunk(self):
-        # each file's stream spans two generation chunks of the real size, and
-        # one needed subfile straddles the boundary between them
-        file_len, v = simulator._STORE_BYTES // 2 + 3, 7
+    def test_term_subfiles_stream_crosses_the_default_chunk(self):
+        # each file's stream spans two generation chunks of the real size; file
+        # 1 is read only by user 1, whose air subfiles skip some points and
+        # include the one straddling the boundary between the chunks
+        res, file_len = catalog_example(3), simulator._STORE_BYTES // 2 + 3
+        v = res.design.v
         sub = subfile_length(file_len, v)
         boundary = simulator._STORE_BYTES // 2  # file bytes of one chunk of outputs
         straddling = boundary // sub
         assert straddling * sub < boundary < (straddling + 1) * sub
-        needed = np.zeros((2, v), dtype=bool)
-        needed[0, [0, 3, straddling]] = True
-        needed[1, straddling] = True
-        rows = make_file_store(2, file_len, 5).subfiles(v, needed)
-        library = make_file_store(2, file_len, 5).library(v)
-        assert rows.tobytes() == library[needed].tobytes()
+        scheme = build_scheme(res, 2, 2)
+        schedule = build_delivery_schedule(scheme, [1] + [2] * (scheme.n_users - 1))
+        keys = schedule.term_keys()
+        assert straddling in keys and len(np.unique(keys[keys < v])) < v
+        table, index = make_file_store(2, file_len, 5).term_subfiles(schedule)
+        rng = random.Random(5)
+        subs = [split_subfiles(rng.randbytes(file_len), v) for _ in range(2)]
+        flat = [piece for pieces in subs for piece in pieces]
+        assert all(table[i].tobytes() == flat[k] for i, k in zip(index.ravel(), keys.ravel()))
+
+    def test_term_subfiles_refuse_a_schedule_for_more_files(self):
+        schedule = build_delivery_schedule(build_scheme(catalog_example(3), 2, 9))
+        with pytest.raises(errors.DemandOutOfRange, match="for 9 files but the store holds 2"):
+            encode_payloads(schedule, make_file_store(2, 18, 0))
+        assert len(encode_payloads(schedule, make_file_store(12, 18, 0))) == 9
 
     def test_one_array_in_memory(self):
         """make_file_store plus library(v), v not dividing the file length,
@@ -578,8 +610,8 @@ class TestEndToEnd:
         batches (_DECODE_BYTES), which is less than the library's size."""
         res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
         sub = subfile_length(file_len, res.design.v)
-        needed, _ = build_delivery_schedule(build_scheme(res, z, n_files)).term_slots
-        bound = int(needed.sum()) * sub + 2 * simulator._DECODE_BYTES
+        keys = build_delivery_schedule(build_scheme(res, z, n_files)).term_keys()
+        bound = len(np.unique(keys)) * sub + 2 * simulator._DECODE_BYTES
         assert bound < n_files * res.design.v * sub
         tracemalloc.start()
         try:
@@ -589,6 +621,25 @@ class TestEndToEnd:
             tracemalloc.stop()
         assert report.all_recovered
         assert peak < bound, (peak, bound)
+
+    def test_encode_after_build_caches_reads_the_library_in_place(self):
+        """Once build_caches holds the library, encode_payloads gathers from it
+        in place: under tracemalloc it grows by the payloads, the term index
+        and one gather chunk, not by a copy of the term subfiles."""
+        res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
+        sub = subfile_length(file_len, res.design.v)
+        schedule = build_delivery_schedule(build_scheme(res, z, n_files))
+        store = make_file_store(n_files, file_len, 1)
+        build_caches(store, res)
+        tracemalloc.start()
+        try:
+            payloads = encode_payloads(schedule, store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = len(payloads) * sub + simulator._GATHER_BYTES + 8 * schedule.users.size
+        assert peak < bound, (peak, bound)
+        assert np.shares_memory(store.term_subfiles(schedule)[0], store.library(res.design.v))
 
     def test_distinct_needs_enough_files(self):
         with pytest.raises(errors.DemandOutOfRange):
@@ -603,15 +654,30 @@ class TestEndToEnd:
         assert obj["users"][0]["user"] == 1
         json.dumps(obj)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        demands=st.lists(st.integers(1, 5), min_size=12, max_size=12),
+        spec=st.sampled_from(RANDOM_DEMAND_SPECS),
         file_len=st.integers(1, 40),
         seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
     )
-    def test_random_demands_recover(self, demands, file_len, seed):
-        report = verify_all(affine_plane(2), 2, 5, file_len, seed, demands)
+    def test_random_demands_recover(self, spec, file_len, seed, data):
+        """Random demands, repeated ones among them (whose terms share keys), on
+        small designs at every admissible z: every user recovers its file
+        byte for byte, the rate is mu_z C(b_r,2)^z C(r,z) / v and each user
+        takes mu_z (b_r-1)^z subfiles from the air (mu_1 := k)."""
+        res = from_spec(spec)
+        z = data.draw(st.sampled_from([1] + sorted(crd_profile(res).mu)), label="z")
+        n_users = scheme_metrics(res, z).users
+        n_files = data.draw(st.integers(1, 5), label="files")
+        demands = data.draw(st.lists(st.integers(1, n_files), min_size=n_users, max_size=n_users))
+        report = verify_all(res, z, n_files, file_len, seed, demands)
+        mu_z = res.design.k if z == 1 else crd_profile(res).mu[z]
+        rate = Fraction(mu_z * comb(res.b_r, 2) ** z * comb(res.r, z), res.design.v)
         assert report.all_recovered
+        assert [u.demand for u in report.users] == demands
+        assert report.measured_rate == report.theoretical_rate == rate
+        assert [u.subfiles_from_air for u in report.users] == [mu_z * (res.b_r - 1) ** z] * n_users
 
 
 def _no_library(store, v):
