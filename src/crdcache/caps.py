@@ -3,8 +3,10 @@
 The cross-intersection search and the field/point constructions are
 exhaustive by design; the caps below bound how much work a single call may
 do.  ``max_intersections`` counts b_r^i intersections per i-subset of classes
-the mu_i search counts (it stops at the first non-uniform chunk, so a design
-whose profile dies quickly stays cheap even when C(r,i) b_r^i is huge).
+the mu_i search reads, in ``combinations`` order, whether a bincount or (at
+i = b_r = 2) a Gram entry decides the subset.  The search stops at the first
+non-uniform subset within the cap, so a design whose profile dies quickly
+stays cheap even when C(r,i) b_r^i is huge; past the cap it raises.
 """
 
 from __future__ import annotations

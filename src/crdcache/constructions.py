@@ -20,12 +20,14 @@ Three infinite families plus a small hand-built catalog:
   [3]^2, [2]^3, [3]^3 and [2]^4; the rest are kept verbatim.
 
 The family and grid builders emit ``Resolution.labels``, class c becoming
-blocks c*b_r .. c*b_r + b_r - 1: a stable argsort of each label row is the
-class's rows of the design's point matrix, which ``validate_resolution``
-checks like any other (every class tiles 1..v once) before it scatters the
-labels back.  Point numbering for the field constructions: coordinate
-vectors are sorted by canonical field-element order, most significant
-coordinate first, then mapped to 1..v.
+blocks c*b_r .. c*b_r + b_r - 1, and ``_from_labels`` keeps that matrix: a
+label matrix is a resolution exactly when each row marks v / b_r points with
+every value, which one bincount checks, and a stable argsort of each label
+row is the class's rows of the design's point matrix.  Parsed designs and
+the hand-built catalog go through ``validate_resolution`` instead.  Point
+numbering for the field constructions: coordinate vectors are sorted by
+canonical field-element order, most significant coordinate first, then
+mapped to 1..v.
 """
 
 from __future__ import annotations
@@ -37,8 +39,17 @@ import numpy as np
 
 from .caps import DEFAULT_CAPS, SizeCaps
 from .designs import Design, Resolution, validate_design, validate_resolution
-from .errors import BadSpec, NoConstructionAvailable, SizeCapExceeded, UnknownExample
+from .errors import (
+    BadSpec,
+    NoConstructionAvailable,
+    NonUniformBlockSize,
+    SizeCapExceeded,
+    UnknownExample,
+)
 from .gf import GF, prime_power
+
+# Working-set bound of one row chunk of labels turned into blocks
+_LABEL_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -75,15 +86,42 @@ def hadamard_params(m: int) -> FamilyParams:
 
 
 def _from_labels(labels: np.ndarray) -> Resolution:
-    """The resolution putting point x in block ``labels[c, x-1]`` of class c;
-    every label value must mark v / b_r points of its row."""
+    """The resolution putting point x in block ``labels[c, x-1]`` of class c,
+    class c being blocks c*b_r .. c*b_r + b_r - 1; it keeps a read-only copy
+    of the labels.
+
+    The matrix is a resolution exactly when every label value 0..b_r-1 marks
+    v / b_r points of its row, which one bincount of the rows' offset labels
+    checks (else NonUniformBlockSize names the first class that fails); a
+    stable argsort of each row then lists its blocks' points ascending.
+    """
     r, v = labels.shape
     b_r = int(labels.max()) + 1
-    # a stable sort lists each block's points ascending
-    blocks = np.argsort(labels, axis=1, kind="stable").reshape(r * b_r, v // b_r)
-    blocks += 1
-    classes = [range(c * b_r, (c + 1) * b_r) for c in range(r)]
-    return validate_resolution(Design(v, blocks, v // b_r), classes)
+    blocks = np.empty((r, v), dtype=np.min_scalar_type(v))
+    # row chunks bound the intp offset labels and sort orders
+    step = max(1, _LABEL_BYTES // (8 * v))
+    for top in range(0, r, step):
+        rows = labels[top : top + step]
+        offsets = np.arange(0, len(rows) * b_r, b_r)[:, None]
+        sizes = np.bincount((rows + offsets).ravel(), minlength=len(rows) * b_r).reshape(-1, b_r)
+        uneven = (sizes * b_r != v).any(axis=1)
+        if uneven.any():
+            c = int(np.argmax(uneven))
+            raise NonUniformBlockSize(
+                f"class {top + c + 1} splits the {v} points into blocks of "
+                f"{sizes[c].tolist()} points, not into {b_r} equal blocks"
+            )
+        order = np.argsort(rows, axis=1, kind="stable")
+        np.add(order, 1, out=blocks[top : top + step], casting="unsafe")
+    blocks = blocks.reshape(r * b_r, v // b_r)
+    labels = labels.astype(np.min_scalar_type(b_r - 1))
+    labels.flags.writeable = False
+    return Resolution(
+        design=Design(v, blocks, v // b_r),
+        classes=tuple(tuple(range(c * b_r, (c + 1) * b_r)) for c in range(r)),
+        b_r=b_r,
+        labels=labels,
+    )
 
 
 def _grid(b_r: int, r: int) -> np.ndarray:

@@ -17,7 +17,9 @@ A design stores its blocks once, as a read-only (b, k) point matrix:
 row j lists the points of block j ascending, in the smallest unsigned
 dtype that holds v.  ``validate_design`` is the one step that takes ragged
 outside input; ``validate_resolution`` checks a resolution on that matrix
-and derives the label matrix from it with one scatter.
+and derives the label matrix from it with one scatter.  The family
+builders go the other way: they emit the labels, and
+``constructions._from_labels`` keeps them and sorts them into blocks.
 
 Conventions: points are 1-based everywhere (they double as subfile
 indices).  Block and class indices are 0-based in the Python API and
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -46,6 +48,10 @@ from .errors import (
     PointOutOfRange,
     SizeCapExceeded,
 )
+
+# Working-set bound of the b_r = 2 pair search: a tile of label rows as floats,
+# or a tile of their Gram products, stays under these bytes
+_GRAM_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -233,8 +239,11 @@ def cross_intersection_number(
     """Common size of all i-wise block intersections across i distinct classes.
 
     It is v / b_r^i if that divides and every i classes have a uniform joint
-    label, else None.  Subsets sharing their first i-1 classes are counted in
-    one bincount, each as b_r^i intersections against the cap.
+    label, else None.  The i-subsets are read in ``combinations`` order, each
+    charged as b_r^i intersections against the cap: a non-uniform subset
+    within the cap gives None, and a subset past it raises.  At i = 2 and
+    b_r = 2 one Gram entry decides a pair (``_first_split_pair``); otherwise
+    subsets sharing their first i-1 classes are counted in one bincount.
     """
     if i < 2 or i > res.r:
         raise IndexOutOfRange(f"intersection order must be in 2..{res.r}, got {i}")
@@ -243,6 +252,14 @@ def cross_intersection_number(
     if rem:
         return None
     room = budget = caps.max_intersections
+    if i == 2 and res.b_r == 2:
+        pairs = comb(res.r, 2)
+        admitted = min(pairs, max(0, budget // cells))
+        if _first_split_pair(res.labels, mu, admitted) < admitted:
+            return None
+        if admitted < pairs:
+            raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {budget} intersections")
+        return mu
     for prefix in combinations(range(res.r - 1), i - 1):
         later = res.labels[prefix[-1] + 1 :]
         # clamped: a negative cap must not become a negative slice bound
@@ -255,6 +272,48 @@ def cross_intersection_number(
         if take < len(later):
             raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {budget} intersections")
     return mu
+
+
+def _gram_dtype(v: int) -> type[np.floating]:
+    """float32 while it holds every Gram sum exactly: each is an integer <= v,
+    and float32 holds every integer below 2^24; float64 from there on."""
+    return np.float32 if v < 1 << 24 else np.float64
+
+
+def _first_split_pair(labels: np.ndarray, quarter: int, stop: int) -> int:
+    """The ``combinations``-order rank of the first class pair of a b_r = 2
+    label matrix whose joint label is not uniform, if it ranks below ``stop``;
+    else ``stop``.
+
+    Let N be the indicator of label 1, G = N N^T.  Each block holds v / 2
+    points, so G[c, c'] fixes all four cells of the pair's joint label, and
+    the pair is uniform exactly when G[c, c'] = v / 4 (``quarter``).  G is
+    formed in square tiles of label rows converted on the fly, each array at
+    most ``_GRAM_BYTES`` (one label row at least).  Row c's pairs take the
+    ranks from c (2r - c - 1) / 2 on, so a band of rows is finished across
+    all its columns before the next; no band starting at or after ``stop``
+    is formed.
+    """
+    r, v = labels.shape
+    dtype = _gram_dtype(v)
+    size = np.dtype(dtype).itemsize
+    step = max(1, min(_GRAM_BYTES // (size * v), isqrt(_GRAM_BYTES // size)))
+    for top in range(0, r - 1, step):
+        if top * (2 * r - top - 1) // 2 >= stop:
+            break
+        band = labels[top : top + step].astype(dtype)
+        first = np.full(len(band), r)  # each row's first split column, r for none
+        for left in range(top, r, step):
+            tile = band if left == top else labels[left : left + step].astype(dtype)
+            # column left + j pairs with row top + i only when it is the later class
+            split = np.triu(band @ tile.T != quarter, top - left + 1)
+            hit = split.any(axis=1) & (first == r)
+            first[hit] = left + split.argmax(axis=1)[hit]
+        rows = np.flatnonzero(first < r)
+        if len(rows):
+            c = top + int(rows[0])
+            return min(stop, c * (2 * r - c - 1) // 2 + int(first[rows[0]]) - c - 1)
+    return stop
 
 
 def crd_profile(res: Resolution, caps: SizeCaps = DEFAULT_CAPS) -> CrdProfile:

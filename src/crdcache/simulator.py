@@ -6,10 +6,11 @@ started in that generator's state, a bounded chunk at a time.  A schedule
 names each term's subfile by one flat key (``DeliverySchedule.term_keys``)
 and the store alone decides where those bytes sit: ``FileStore.term_subfiles``
 serves the terms as a table of subfile rows plus a row index per term.  If
-the library is held, the table is its rows, indexed by the keys; otherwise
-it is only the keyed subfiles, at most mu_z (b_r-1)^z per user, streamed
-from the generator into one compact (count, sub) array that the encoder and
-``verify_all`` share, so neither builds an (N, v, sub) array.
+the library is held, or fits in one generator chunk, the table is its rows,
+indexed by the keys; otherwise it is only the keyed subfiles, at most
+mu_z (b_r-1)^z per user, streamed from the generator into one compact
+(count, sub) array that the encoder and ``verify_all`` share, so neither
+builds an (N, v, sub) array.
 ``build_caches``, ``decode_user`` and ``files`` read the whole library, one
 read-only zero-padded ``uint8`` array of shape (N, v, sub), generated for
 each subpacketization v asked for; the first one's rows are the ``files``.
@@ -108,7 +109,8 @@ class FileStore:
         """The schedule's term subfiles as ``(table, index)``, both read-only:
         term (t, m) reads row ``index[t, m]`` of the (n, sub) uint8 ``table``.
 
-        If ``library(v)`` is held, the table is its rows and the index is the
+        If ``library(v)`` is held, or is built because it fits in one stream
+        chunk (``_STORE_BYTES``), the table is its rows and the index is the
         schedule's ``term_keys``: nothing is copied.  Otherwise one scatter
         marks the keyed subfiles in an (N, v) mask, one cumsum numbers them
         row-major, one pass of the files' stream keeps only them and each key
@@ -121,6 +123,8 @@ class FileStore:
             raise DemandOutOfRange(f"the schedule is for {n_files} files but the store holds {self.n_files}")
         index = schedule.term_keys()
         lib = self._libraries.get(v)
+        if lib is None and self.n_files * v * subfile_length(self.file_len, v) <= _STORE_BYTES:
+            lib = self.library(v)  # one stream chunk: cheaper whole than sifted
         if lib is not None:
             table = lib.reshape(-1, lib.shape[2])
         else:

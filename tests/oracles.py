@@ -7,6 +7,7 @@ the library uses.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
 from math import comb
 
@@ -130,6 +131,28 @@ def scan_cross_intersection(res: Resolution, i: int, caps: SizeCaps = DEFAULT_CA
             elif len(inter) != seen:
                 return None
     return seen
+
+
+def subset_scan_cross_intersection(
+    res: Resolution, i: int, caps: SizeCaps = DEFAULT_CAPS
+) -> int | None:
+    """The label search's charging, one class i-subset at a time in
+    ``combinations`` order: each costs b_r^i intersections, the first subset
+    past the cap raises, and the first whose joint label does not mark every
+    value v / b_r^i times gives None."""
+    cells = res.b_r**i
+    mu, rem = divmod(res.design.v, cells)
+    if rem:
+        return None
+    spent = 0
+    for subset in combinations(range(res.r), i):
+        spent += cells
+        if spent > caps.max_intersections:
+            raise SizeCapExceeded(f"mu_{i} search exceeded the cap")
+        counts = Counter(zip(*(res.labels[c].tolist() for c in subset)))
+        if len(counts) != cells or set(counts.values()) != {mu}:
+            return None
+    return mu
 
 
 def brute_profile(res: Resolution) -> dict[int, int]:

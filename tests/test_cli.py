@@ -308,6 +308,21 @@ class TestCaps:
         ) == 1
         assert "exceeded the cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, mu2", [("hadamard:m=1023", 1023), ("ag:q=2,m=12", 1024)])
+    def test_largest_b_r_2_designs_settle_mu2_in_seconds(self, capsys, spec, mu2):
+        """About 8.4M class pairs each: the default cap admits 2.5M of them and
+        raises after reading those; a cap of 4 * 10^7 admits all and finds mu_2."""
+        start = time.perf_counter()
+        assert main(["construct", "--design", spec]) == 1
+        assert time.perf_counter() - start < 15
+        err = capsys.readouterr().err
+        assert err == "error: mu_2 search exceeded the cap of 10000000 intersections\n"
+        start = time.perf_counter()
+        assert main(["construct", "--design", spec, "--cap-intersections", "40000000"]) == 0
+        assert time.perf_counter() - start < 15
+        out = capsys.readouterr().out
+        assert f"mu profile: mu2={mu2}\n" in out and "crn=2" in out
+
 
 def _cli(argv, env=None, timeout=60):
     src = str(Path(crdcache.__file__).resolve().parent.parent)

@@ -1,14 +1,17 @@
 """Family constructions: predicted parameters, profiles and the catalog."""
 
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crdcache import errors
+from crdcache import constructions, errors
 from crdcache.caps import SizeCaps
 from crdcache.constructions import (
+    _from_labels,
     affine_geometry_bibd,
     affine_geometry_params,
     affine_plane,
@@ -278,3 +281,41 @@ def test_build_memory_per_incidence(spec):
     incidences = res.design.b * res.design.k
     assert retained <= 8 * incidences, retained / incidences
     assert peak <= 40 * incidences, peak / incidences
+
+
+class TestFromLabels:
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([[0, 0, 0, 1], [0, 1, 0, 1]], "class 1 splits the 4 points into blocks of [3, 1] points"),
+            ([[0, 1, 0, 1], [1, 1, 0, 1]], "class 2 splits the 4 points into blocks of [1, 3] points"),
+            ([[0, 1, 2, 0, 1], [2, 1, 0, 2, 1]], "class 1 splits the 5 points into blocks of [2, 2, 1]"),
+            ([[0, 1, 0, 1, 0, 1], [0, 1, 2, 0, 1, 2]], "blocks of [3, 3, 0] points, not into 3 equal"),
+        ],
+        ids=["unbalanced", "later-class", "v-not-divisible", "empty-block"],
+    )
+    @pytest.mark.parametrize("rows_per_chunk", [None, 1])
+    def test_uneven_labels_are_a_typed_error_naming_the_class(
+        self, monkeypatch, labels, message, rows_per_chunk
+    ):
+        labels = np.array(labels)
+        if rows_per_chunk:
+            monkeypatch.setattr(constructions, "_LABEL_BYTES", 8 * labels.shape[1] * rows_per_chunk)
+        with pytest.raises(errors.NonUniformBlockSize, match=re.escape(message)):
+            _from_labels(labels)
+
+    @pytest.mark.parametrize("spec", ["affine:n=5", "ag:q=2,m=5", "hadamard:m=7", "example:8"])
+    def test_row_chunks_build_the_same_resolution(self, monkeypatch, spec):
+        res = from_spec(spec)
+        monkeypatch.setattr(constructions, "_LABEL_BYTES", 3 * 8 * res.design.v)
+        again = _from_labels(np.array(res.labels))
+        assert again == res and np.array_equal(again.labels, res.labels)
+        assert again.labels.dtype == res.labels.dtype and not again.labels.flags.writeable
+        assert again.design.blocks.dtype == res.design.blocks.dtype
+
+    def test_keeps_a_copy_of_its_labels(self):
+        labels = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])
+        res = _from_labels(labels)
+        labels[0, 0] = 1
+        assert res.labels[0].tolist() == [0, 1, 1, 0]
+        assert [block.tolist() for block in res.design.blocks] == [[1, 4], [2, 3], [3, 4], [1, 2]]

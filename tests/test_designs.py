@@ -2,7 +2,9 @@
 
 import copy
 import pickle
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from crdcache import baselines, cli, designs, errors, scheme, simulator
 from crdcache.baselines import analyze_table, z_sweep_table
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
-from crdcache.constructions import catalog_example
+from crdcache.constructions import _from_labels, catalog_example, from_spec
 from crdcache.designs import (
     Resolution,
     crd_profile,
@@ -29,8 +31,10 @@ from oracles import (
     brute_cross_intersection,
     count_users_on_cache,
     count_users_seeing_point,
+    scan_cross_intersection,
     set_validate_design,
     set_validate_resolution,
+    subset_scan_cross_intersection,
 )
 
 EXAMPLE1_BLOCKS = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
@@ -227,6 +231,81 @@ class TestCrossIntersection:
         res = catalog_example(6)
         with pytest.raises(errors.SizeCapExceeded):
             cross_intersection_number(res, 2, SizeCaps(max_intersections=3))
+
+
+@st.composite
+def pair_labels(draw):
+    """b_r = 2 label matrices, up to 12 classes on v = 2^d * spare <= 64 points:
+    rows are mostly the parity of a nonzero mask of each point's d digits
+    (rows of distinct masks are uniform pairs, equal masks are not), maybe
+    complemented, else random balanced rows; the points are shuffled."""
+    d = draw(st.integers(1, 6))
+    spare = draw(st.integers(1, 64 >> d))
+    v = spare << d
+    digits = np.arange(v) // spare
+    rows = []
+    for _ in range(draw(st.integers(2, 12))):
+        if draw(st.integers(0, 3)):
+            mask = draw(st.integers(1, (1 << d) - 1))
+            rows.append(np.bitwise_count(digits & mask) % 2 ^ draw(st.integers(0, 1)))
+        else:
+            rows.append(np.array(draw(st.permutations([0, 1] * (v // 2)))))
+    return np.array(rows)[:, np.array(draw(st.permutations(range(v))))]
+
+
+class TestGramSearch:
+    """mu_2 at b_r = 2 is read from tiles of the Gram product of the labels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_labels(), st.integers(1, 5), st.integers(0, 60))
+    def test_tiles_keep_the_subset_order_and_the_raise_points(self, labels, tile_rows, cap):
+        """Tiles of 1-5 rows put the class pairs, and the cap boundary at
+        cap // 4 pairs, inside and across tiles.  The answer or the raise is
+        the one-subset-at-a-time oracle's exactly, and it stands to the
+        frozenset scan as the bincount search does in test_small_caps."""
+        res = _from_labels(labels)
+        v = res.design.v
+        caps = SizeCaps(max_intersections=cap)
+        size = np.dtype(designs._gram_dtype(v)).itemsize
+        spy = mock.patch.object(designs, "_first_split_pair", wraps=designs._first_split_pair)
+        with mock.patch.object(designs, "_GRAM_BYTES", tile_rows * size * v), spy as gram:
+            new = _outcome(cross_intersection_number, res, 2, caps)
+            full = cross_intersection_number(res, 2)
+        assert gram.called == (v % 4 == 0)
+        assert full == scan_cross_intersection(res, 2)
+        expected = _outcome(subset_scan_cross_intersection, res, 2, caps)
+        if isinstance(expected, tuple):
+            assert isinstance(new, tuple) and new[0] is errors.SizeCapExceeded
+            assert new[1] == f"mu_2 search exceeded the cap of {cap} intersections"
+        else:
+            assert new == expected
+        scanned = _outcome(scan_cross_intersection, res, 2, caps)
+        if isinstance(scanned, tuple):
+            assert isinstance(new, tuple) or (new is None and v % 4)
+        elif scanned is None:
+            assert new is None or isinstance(new, tuple)
+        else:
+            assert new == scanned
+
+    def test_gram_dtype_holds_every_sum_exactly(self):
+        """A sum is an integer <= v; float32 stops counting one past 2^24."""
+        assert designs._gram_dtype(2**24 - 1) is np.float32
+        assert designs._gram_dtype(2**24) is np.float64
+        assert np.float32(2**24) + np.float32(1) == np.float32(2**24)
+        assert np.float64(2**24) + np.float64(1) == 2**24 + 1
+
+    def test_working_set_stays_within_the_tile_bytes(self, monkeypatch):
+        """hadamard:m=255 (1019 classes on 1020 points) under 64 KiB tiles: the
+        band, a column tile, their product and its masks are alive at once."""
+        res = from_spec("hadamard:m=255")
+        monkeypatch.setattr(designs, "_GRAM_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            assert cross_intersection_number(res, 2) == 255
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * designs._GRAM_BYTES, peak / designs._GRAM_BYTES
 
 
 class TestProfile:

@@ -154,8 +154,9 @@ class TestFileStore:
         random schedules with distinct and repeated demands (terms sharing a
         key), for every chunk size of the generator (8 bytes is one word per
         chunk, so pieces end inside subfiles and inside files), and whether
-        the library is built first: then the table is the library's rows in
-        place and the index is the keys; else it holds only the term subfiles."""
+        the library is built first.  If it is, or if it fits in one chunk, the
+        table is the library's rows in place and the index is the keys; else
+        the table holds only the term subfiles, streamed."""
         res = from_spec(data.draw(st.sampled_from(ORACLE_SPECS), label="spec"))
         z = data.draw(st.sampled_from([1] + sorted(crd_profile(res).mu)), label="z")
         n_users = scheme_metrics(res, z).users
@@ -175,7 +176,7 @@ class TestFileStore:
         store = make_file_store(n_files, file_len, seed)
         with mock.patch.object(simulator, "_STORE_BYTES", chunk_bytes):
             if library_first:
-                library = store.library(v)
+                store.library(v)
             table, index = store.term_subfiles(schedule)
         assert table.dtype == np.uint8 and table.shape[1] == subfile_length(file_len, v)
         assert index.dtype == np.int32 and index.shape == schedule.users.shape
@@ -183,8 +184,9 @@ class TestFileStore:
         assert [[row.tobytes() for row in rows] for rows in table[index]] == expected
         again = store.term_subfiles(schedule)  # memoized for the last schedule
         assert again[0] is table and again[1] is index
-        if library_first:
-            assert np.shares_memory(table, library)
+        whole = n_files * v * subfile_length(file_len, v) <= chunk_bytes
+        if library_first or whole:
+            assert np.shares_memory(table, store.library(v))
             assert np.array_equal(index, schedule.term_keys())
         else:
             assert store._libraries == {}
@@ -685,7 +687,8 @@ def _no_library(store, v):
 
 
 class TestStreamedStore:
-    """encode_payloads and verify_all read only the term subfiles."""
+    """encode_payloads and verify_all read only the term subfiles of a library
+    above one generator chunk; a 64-byte chunk puts these small ones above it."""
 
     @pytest.mark.parametrize("spec, z", [("example:3", 2), ("example:8", 3), ("affine:n=3", 2), ("example:4", 1)])
     def test_verify_all_and_encode_payloads_build_no_library(self, monkeypatch, spec, z):
@@ -694,6 +697,7 @@ class TestStreamedStore:
         schedule = build_delivery_schedule(build_scheme(res, z, n_users))
         expected = int_xor_payloads(schedule, make_file_store(n_users, 45, 2))
         monkeypatch.setattr(simulator.FileStore, "library", _no_library)
+        monkeypatch.setattr(simulator, "_STORE_BYTES", 64)
         assert encode_payloads(schedule, make_file_store(n_users, 45, 2)) == expected
         assert verify_all(res, z, n_users, 45, seed=2).all_recovered
 
@@ -709,6 +713,7 @@ class TestStreamedStore:
             return payloads
 
         monkeypatch.setattr(simulator.FileStore, "library", _no_library)
+        monkeypatch.setattr(simulator, "_STORE_BYTES", 64)
         monkeypatch.setattr(simulator, "encode_payloads", flip)
         report = verify_all(catalog_example(9), 3, 32, 40, seed=3)
         assert participants
