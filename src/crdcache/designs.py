@@ -49,8 +49,9 @@ from .errors import (
     SizeCapExceeded,
 )
 
-# Working-set bound of the b_r = 2 pair search: a tile of label rows as floats,
-# or a tile of their Gram products, stays under these bytes
+# Working-set bound of the mu search: a tile of label rows as floats, a tile
+# of their Gram products (b_r = 2 pairs), or a chunk of joint labels (every
+# other order) stays under these bytes
 _GRAM_BYTES = 1 << 22
 
 
@@ -243,7 +244,9 @@ def cross_intersection_number(
     charged as b_r^i intersections against the cap: a non-uniform subset
     within the cap gives None, and a subset past it raises.  At i = 2 and
     b_r = 2 one Gram entry decides a pair (``_first_split_pair``); otherwise
-    subsets sharing their first i-1 classes are counted in one bincount.
+    subsets sharing their first i-1 classes are counted in one bincount per
+    chunk of later classes, each chunk's intp joint labels at most
+    ``_GRAM_BYTES`` (one class at least).
     """
     if i < 2 or i > res.r:
         raise IndexOutOfRange(f"intersection order must be in 2..{res.r}, got {i}")
@@ -260,15 +263,19 @@ def cross_intersection_number(
         if admitted < pairs:
             raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {budget} intersections")
         return mu
+    step = max(1, _GRAM_BYTES // (8 * res.design.v))
     for prefix in combinations(range(res.r - 1), i - 1):
         later = res.labels[prefix[-1] + 1 :]
         # clamped: a negative cap must not become a negative slice bound
         take = min(len(later), max(0, room // cells))
         room -= take * cells
-        joint = later[:take] + joint_labels(res, prefix) * res.b_r
-        joint += np.arange(take)[:, None] * cells  # one block of values per subset
-        if (np.bincount(joint.ravel(), minlength=take * cells) != mu).any():
-            return None
+        head = joint_labels(res, prefix) * res.b_r
+        for start in range(0, take, step):
+            joint = later[start : min(take, start + step)].astype(np.intp)
+            joint += head
+            joint += np.arange(len(joint))[:, None] * cells  # one block of values per subset
+            if (np.bincount(joint.ravel(), minlength=len(joint) * cells) != mu).any():
+                return None
         if take < len(later):
             raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {budget} intersections")
     return mu

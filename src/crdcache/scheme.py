@@ -17,14 +17,15 @@ mu_z * C(b_r,2)^z * C(r,z) subfiles in total (rate = that count / v).
 The z = 1 degenerate case pairs blocks inside one class with mu_1 := k
 and serves 2 users per transmission.
 
-A ``DeliverySchedule`` stores the transmissions as int32 columns, one row
-each: the 2^z users and subfiles of the terms, the classes, the block pairs
-and s.  They are computed by index arithmetic on the label matrix, in a
-fixed number of array passes per block of class subsets and without one
-Python object per transmission: a user's id is its class subset's rank
-times b_r^z plus its mixed-radix block positions (``enumerate_users``
-order), and f_m is a row of the class subset's points sorted by joint
-label.  ``CodedTransmission`` objects are built only when asked for.
+A ``DeliverySchedule`` stores the transmissions as two int32 columns, one
+row each: the 2^z users and the 2^z subfiles of the terms.  They are
+computed by index arithmetic on the label matrix, in a fixed number of
+array passes per block of class subsets and without one Python object per
+transmission: a user's id is its class subset's rank times b_r^z plus its
+mixed-radix block positions (``enumerate_users`` order), and f_m is a row
+of the class subset's points sorted by joint label.  The provenance (the
+classes, the block pairs and s) follows from the users and the row number,
+and only ``CodedTransmission`` objects, built when asked for, carry it.
 """
 
 from __future__ import annotations
@@ -249,26 +250,25 @@ class CodedTransmission:
         return f"classes={classes} pairs={pairs} s={self.s}"
 
 
-_COLUMNS = ("users", "subfiles", "classes", "pairs", "s")
+_COLUMNS = ("users", "subfiles")
 
 
 @dataclass(frozen=True, eq=False)
 class DeliverySchedule:
-    """Every coded transmission as one row of read-only int32 columns.
+    """Every coded transmission as one row of two read-only int32 columns.
 
     ``users`` (T, 2^z) and ``subfiles`` (T, 2^z) are the terms of each row,
-    users ascending; ``classes`` (T, z), ``pairs`` (T, z, 2) and ``s`` (T,)
-    are the provenance: the 0-based classes, the 0-based block pair per
-    class and the 1-based position inside the side-information sets.
+    users ascending.  The provenance follows from them: the first user holds
+    one block of each class's pair and the last user the other, and the mu_z
+    rows of one class subset and pair choice are consecutive, so row t has
+    s = t mod mu_z + 1.  ``transmissions`` derives the classes, pairs and s
+    on demand.
     """
 
     scheme: SchemeInstance
     demands: tuple[int, ...]
     users: np.ndarray
     subfiles: np.ndarray
-    classes: np.ndarray
-    pairs: np.ndarray
-    s: np.ndarray
 
     def __post_init__(self) -> None:
         for name in _COLUMNS:
@@ -298,12 +298,16 @@ class DeliverySchedule:
         Only the schedule's JSON and text and the payload hex dump read them;
         encoding, checking and decoding read the columns.
         """
-        pairs = [tuple(map(tuple, row)) for row in self.pairs.tolist()]
+        res = self.scheme.res
+        class_of = np.argsort(np.ravel(res.classes)) // res.b_r  # block -> its class
+        ends = self.scheme.users[self.users[:, [0, -1]]]  # (T, 2, z)
+        classes = class_of[ends[:, 0]].tolist()
+        pairs = [tuple(zip(*row)) for row in ends.tolist()]
+        mu_z = self.scheme.mu_z
         return tuple(
-            CodedTransmission(classes=tuple(c), pairs=p, s=s, terms=tuple(zip(u, y)))
-            for c, p, s, u, y in zip(
-                self.classes.tolist(), pairs, self.s.tolist(),
-                self.users.tolist(), self.subfiles.tolist(),
+            CodedTransmission(classes=tuple(c), pairs=p, s=t % mu_z + 1, terms=tuple(zip(u, y)))
+            for t, (c, p, u, y) in enumerate(
+                zip(classes, pairs, self.users.tolist(), self.subfiles.tolist())
             )
         )
 
@@ -376,8 +380,8 @@ def build_delivery_schedule(
     term refers to and is validated here.  ``None`` means the distinct
     worst case: user i demands file i, which needs N >= K files.
 
-    The columns come from index arithmetic on the label matrix, in a fixed
-    number of array passes per block of class subsets; a block holds as many
+    The two columns come from index arithmetic on the label matrix, in a
+    fixed number of array passes per block of class subsets; a block holds as many
     consecutive subsets as fit in about ``_SCHEDULE_BYTES`` of working arrays,
     so the peak stays the size of the columns.  The pair choices and, per
     choice, each participant's own and complementary block positions are the
@@ -387,9 +391,9 @@ def build_delivery_schedule(
     sort for such dtypes) into the side-information table ``sides``, the
     points sorted by joint label, whose row ``pick`` lists the mu_z ascending
     points of the blocks at the mixed-radix positions ``pick``.  Each column
-    is then filled by one pass over its (S, P, mu_z, ...) view; ``users``,
-    ``subfiles`` and ``pairs`` from one subset's pattern flattened over
-    (P, mu_z, ...), so that no inner loop is only 2^z or 2z items long.
+    is then filled by one pass over its (S, P * mu_z * 2^z) view, from one
+    subset's pattern flattened the same way, so that no inner loop is only
+    2^z items long.  No provenance is stored: ``transmissions`` derives it.
     The first subset, pair choice and participant whose side-information set
     does not hold mu_z points raises ``InternalMuMismatch``.
     """
@@ -425,24 +429,17 @@ def build_delivery_schedule(
     slot = np.arange(z)
     own = (chosen[:, slot, bits] @ radix).astype(np.int32)
     pick = chosen[:, slot, 1 - bits] @ radix
-    # a subset's (z * b_r) class blocks, read at these positions, give its pairs
-    class_blocks = np.array(res.classes, dtype=np.int32).reshape(res.r, b_r)
-    pair_cells = slot[:, None] * b_r + chosen
-    # one class subset's users, subfiles (as positions in its sorted points)
-    # and pairs, flattened in (P, mu_z, ...) order: every fill below is one
-    # pass with an inner loop of P * mu_z * (2^z or 2z) items, not 2^z or 2z
+    # one class subset's users and subfiles (as positions in its sorted points),
+    # flattened in (P, mu_z, 2^z) order: each fill below is one pass with an
+    # inner loop of P * mu_z * 2^z items, not 2^z
     own_row = np.repeat(own, mu_z, axis=0).reshape(1, -1)
     side_row = (pick[:, None] * mu_z + np.arange(mu_z)[:, None]).reshape(-1)
-    pair_row = np.repeat(pair_cells, mu_z, axis=0).reshape(-1)
 
     n_subsets = comb(res.r, z)
-    users = np.empty((n_subsets, n_choices, mu_z, gain), dtype=np.int32)
+    users = np.empty((n_subsets, n_choices * mu_z * gain), dtype=np.int32)
     subfiles = np.empty_like(users)
-    classes = np.empty((n_subsets, n_choices * mu_z, z), dtype=np.int32)
-    pairs = np.empty((n_subsets, n_choices, mu_z, z, 2), dtype=np.int32)
-    s = np.empty((n_subsets, n_choices, mu_z), dtype=np.int32)
     label_type = np.min_scalar_type(cells - 1)
-    per_subset = 8 * (3 * res.design.v + cells) + 4 * n_choices * (gain * mu_z + 2 * z)
+    per_subset = 8 * (3 * res.design.v + cells) + 4 * n_choices * gain * mu_z
     step = max(1, _SCHEDULE_BYTES // per_subset)
     subsets = combinations(range(res.r), z)
     # b_r = 1 leaves no pair to choose: nothing to check or send
@@ -466,20 +463,10 @@ def build_delivery_schedule(
         sides = np.argsort(joint, axis=1, kind="stable").astype(np.int32) + 1
         rows = slice(first, first + n)
         ranks = np.arange(first, first + n, dtype=np.int32)[:, None]
-        np.add(ranks * cells, own_row, out=users[rows].reshape(n, -1))
-        np.take(sides, side_row, axis=1, out=subfiles[rows].reshape(n, -1), mode="clip")
-        for c in range(z):  # one pass per class position, not z-item inner loops
-            classes[rows, :, c] = block[:, c, None]
-        cells_of = class_blocks[block].reshape(n, -1)
-        np.take(cells_of, pair_row, axis=1, out=pairs[rows].reshape(n, -1), mode="clip")
-        s[rows] = np.arange(1, mu_z + 1)
-    n_rows = n_subsets * n_choices * mu_z
-    users, subfiles = users.reshape(n_rows, gain), subfiles.reshape(n_rows, gain)
-    classes, pairs, s = classes.reshape(n_rows, z), pairs.reshape(n_rows, z, 2), s.reshape(n_rows)
-    return DeliverySchedule(
-        scheme=scheme, demands=demands, users=users, subfiles=subfiles,
-        classes=classes, pairs=pairs, s=s,
-    )
+        np.add(ranks * cells, own_row, out=users[rows])
+        np.take(sides, side_row, axis=1, out=subfiles[rows], mode="clip")
+    users, subfiles = users.reshape(-1, gain), subfiles.reshape(-1, gain)
+    return DeliverySchedule(scheme=scheme, demands=demands, users=users, subfiles=subfiles)
 
 
 def schedule_to_json(schedule: DeliverySchedule) -> dict:

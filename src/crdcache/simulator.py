@@ -496,10 +496,13 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     participant must equal the intersection of all other participants'
     readable index sets.
 
-    Point sets are packed bit rows of W = ceil(v/64) words, stored words
-    first: every array is (W, ..., rows), so each pass runs along the rows
-    of a chunk of bounded size, gathered through intp indices.  The others'
-    intersection comes from prefix and suffix ANDs over the participants.
+    A participant's complementary block in each class is the pair's other
+    block, and a row's first and last participants hold the two blocks of
+    every pair, so the check reads only the ``users`` column.  Point sets
+    are packed bit rows of W = ceil(v/64) words, stored words first: every
+    array is (W, ..., rows), so each pass runs along the rows of a chunk of
+    bounded size, gathered through intp indices.  The others' intersection
+    comes from prefix and suffix ANDs over the participants.
     A schedule's users ascend in every row, so only a row that does not may
     name one user twice; such rows are recomputed leaving every copy of the
     participant out, without sorting any row.
@@ -515,21 +518,20 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
 
     n_rows, gain = schedule.users.shape
     words, z = incidence.shape[0], scheme.z
-    # bytes a row holds at most at once: its users, pairs, mine and other
-    # indices (8 bytes each), four (W, 2^z) word rows (direct, sets,
-    # via_others and one np.take temporary) and after; a chunk's arrays are
-    # freed before the next chunk's
-    per_row = 8 * (gain * (1 + 2 * z + 4 * words) + 2 * z + words)
+    # bytes a row holds at most at once: its users, mine and other indices
+    # (8 bytes each), four (W, 2^z) word rows (direct, sets, via_others and
+    # one np.take temporary) and after; a chunk's arrays are freed before the
+    # next chunk's
+    per_row = 8 * (gain * (1 + 2 * z + 4 * words) + words)
     step = max(1, _CHECK_BYTES // per_row)
     for start in range(0, n_rows, step):
         users = schedule.users[start : start + step].T.astype(np.intp, order="C")  # (2^z, rows)
-        pairs = schedule.pairs[start : start + step].transpose(1, 2, 0).astype(np.intp, order="C")
-        mine = np.take(blocks_of, users, axis=1)
-        other = np.where(mine == pairs[:, :1], pairs[:, 1:], pairs[:, :1])
+        mine = np.take(blocks_of, users, axis=1)  # (z, 2^z, rows)
+        other = np.where(mine == mine[:, :1], mine[:, -1:], mine[:, :1])
         direct = np.take(incidence, other[0], axis=1)  # (W, 2^z, rows)
         for c in range(1, z):
             direct &= np.take(incidence, other[c], axis=1)
-        del pairs, mine, other
+        del mine, other
         sets = np.take(readable, users, axis=1)
         via_others = np.empty_like(sets)
         via_others[:, 0] = everything

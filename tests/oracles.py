@@ -213,11 +213,15 @@ def scan_participation(schedule: DeliverySchedule, user: int) -> list[tuple[int,
     ]
 
 
-def loop_delivery_schedule(scheme: SchemeInstance, demands: tuple[int, ...]) -> DeliverySchedule:
+def loop_delivery_schedule(
+    scheme: SchemeInstance, demands: tuple[int, ...]
+) -> tuple[DeliverySchedule, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """``build_delivery_schedule`` one class subset at a time, with the same
     ``InternalMuMismatch`` on the first subset, pair choice and participant
     whose side-information set does not hold mu_z points; ``demands`` is
-    taken as given."""
+    taken as given.  Beside the schedule it returns each row's provenance as
+    it is built, the (T, z) classes, (T, z, 2) block pairs and (T,) s, for
+    comparison with what ``DeliverySchedule.transmissions`` derives."""
     res = scheme.res
     z, b_r, mu_z = scheme.z, res.b_r, scheme.mu_z
     cells = b_r**z
@@ -260,10 +264,8 @@ def loop_delivery_schedule(scheme: SchemeInstance, demands: tuple[int, ...]) -> 
         pair_blocks = class_blocks[list(subset)][slot[:, None], chosen]
         pairs[rows].reshape(n_choices, mu_z, z, 2)[:] = pair_blocks[:, None]
         s[rows].reshape(n_choices, mu_z)[:] = np.arange(1, mu_z + 1)
-    return DeliverySchedule(
-        scheme=scheme, demands=demands, users=users, subfiles=subfiles,
-        classes=classes, pairs=pairs, s=s,
-    )
+    schedule = DeliverySchedule(scheme=scheme, demands=demands, users=users, subfiles=subfiles)
+    return schedule, (classes, pairs, s)
 
 
 def scan_side_information_sets(schedule: DeliverySchedule) -> None:

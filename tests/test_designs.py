@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from crdcache import baselines, cli, designs, errors, scheme, simulator
 from crdcache.baselines import analyze_table, z_sweep_table
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
-from crdcache.constructions import _from_labels, catalog_example, from_spec
+from crdcache.constructions import _from_labels, _sylvester, catalog_example, from_spec
 from crdcache.designs import (
     Resolution,
     crd_profile,
@@ -306,6 +306,21 @@ class TestGramSearch:
         finally:
             tracemalloc.stop()
         assert peak < 4 * designs._GRAM_BYTES, peak / designs._GRAM_BYTES
+
+    def test_default_tile_bytes_bound_the_working_set(self):
+        """The constant as shipped, not patched: the first band of the
+        4095 x 4096 Sylvester labels (the classes of ``hadamard:m=1024``)
+        peaks within four times its 4 MiB default, so a default raised far
+        past it (1 GiB peaks at about 151 MB here) fails this test."""
+        default = 1 << 22
+        labels = _sylvester(4096)[1:] == -1
+        tracemalloc.start()
+        try:
+            assert designs._first_split_pair(labels, 1024, 1) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * default, peak / default
 
 
 class TestProfile:

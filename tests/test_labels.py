@@ -3,14 +3,16 @@ and the grid designs [b_r]^r."""
 
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crdcache import errors, from_spec, scheme_metrics, verify_all
+from crdcache import designs, errors, from_spec, scheme_metrics, verify_all
 from crdcache.caps import SizeCaps
 from crdcache.constructions import _from_labels, _grid, catalog_example
 from crdcache.designs import (
@@ -72,29 +74,57 @@ class TestLabelSearch:
             assert cross_intersection_number(res, i) == scan_cross_intersection(res, i)
 
     @settings(max_examples=100, deadline=None)
-    @given(balanced_labels(), st.integers(0, 60))
-    def test_small_caps(self, labels, cap):
+    @given(balanced_labels(), st.integers(0, 60), st.sampled_from([1, designs._GRAM_BYTES]))
+    def test_small_caps(self, labels, cap, budget):
         """A value from the scan is the search's value; where the scan runs into
         the cap, the search raises too, or returns None because b_r^i does not
         divide v; where the scan finds a mismatch, the search returns None or
-        raises at the subset that straddles the cap."""
+        raises at the subset that straddles the cap.  A ``_GRAM_BYTES`` of one
+        label row, which checks one later class per chunk, gives the same
+        value or raise as the default."""
         res = _from_labels(labels)
         caps = SizeCaps(max_intersections=cap)
+
+        def search(i):
+            try:
+                return cross_intersection_number(res, i, caps)
+            except errors.SizeCapExceeded:
+                return "cap"
+
         for i in range(2, res.r + 1):
             try:
                 old = scan_cross_intersection(res, i, caps)
             except errors.SizeCapExceeded:
                 old = "cap"
-            try:
-                new = cross_intersection_number(res, i, caps)
-            except errors.SizeCapExceeded:
-                new = "cap"
+            with mock.patch.object(designs, "_GRAM_BYTES", budget):
+                new = search(i)
+            assert new == search(i), (i, cap)
             if old == "cap":
                 assert new == "cap" or (new is None and res.design.v % res.b_r**i), (i, cap)
             elif old is None:
                 assert new in (None, "cap"), (i, cap)
             else:
                 assert new == old, (i, cap)
+
+    def test_joint_label_chunks_stay_within_the_budget(self, monkeypatch):
+        """At i = 3 on a binary array of strength 3 (1024 points; the 512
+        classes are the parities of normals with the top bit set, so any three
+        are independent), under a 64 KiB ``_GRAM_BYTES`` and a cap that admits
+        only the first prefix: its 510 later classes are counted 8 at a time,
+        where in one piece their joint labels are a (510, 1024) intp array of
+        about 4 MiB.  The prefix is uniform, so the search raises at the next one."""
+        normals = np.arange(512, 1024)
+        res = _from_labels(np.bitwise_count(normals[:, None] & np.arange(1024)) % 2)
+        caps = SizeCaps(max_intersections=8 * 510)
+        monkeypatch.setattr(designs, "_GRAM_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.SizeCapExceeded):
+                cross_intersection_number(res, 3, caps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * designs._GRAM_BYTES, peak / designs._GRAM_BYTES
 
     def test_negative_cap_raises(self):
         res = catalog_example(6)

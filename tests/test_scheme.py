@@ -438,10 +438,11 @@ class TestSchedule:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_columns_match_the_per_subset_loop(self, data):
-        """All five columns equal the one-subset-at-a-time loop's, on grids
-        (b_r = 1 sends nothing) and catalogue designs at every admissible z,
-        with one class subset per block or the default blocks; a forged mu_z
-        raises the loop's message."""
+        """Both columns equal the one-subset-at-a-time loop's, and the
+        classes, pairs and s that ``transmissions`` derives equal the ones the
+        loop builds, on grids (b_r = 1 sends nothing) and catalogue designs at
+        every admissible z, with one class subset per block or the default
+        blocks; a forged mu_z raises the loop's message."""
         if data.draw(st.booleans(), label="grid"):
             res = _from_labels(_grid(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))))
         else:
@@ -456,11 +457,18 @@ class TestSchedule:
             patch.setattr(scheme_module, "_SCHEDULE_BYTES", budget)
             got = _outcome(build_delivery_schedule, scheme, demands)
         expected = _outcome(loop_delivery_schedule, scheme, demands)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        expected, (classes, pairs, s) = expected
         assert got == expected
-        if not isinstance(got, str):
-            for name in ("users", "subfiles", "classes", "pairs", "s"):
-                column = getattr(got, name)
-                assert column.dtype == np.int32 and column.shape == getattr(expected, name).shape
+        for name in ("users", "subfiles"):
+            column = getattr(got, name)
+            assert column.dtype == np.int32 and column.shape == getattr(expected, name).shape
+        built = zip(map(tuple, classes.tolist()), pairs.tolist(), s.tolist())
+        assert [(t.classes, t.pairs, t.s) for t in got.transmissions] == [
+            (c, tuple(map(tuple, p)), s_) for c, p, s_ in built
+        ]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

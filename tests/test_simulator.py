@@ -379,19 +379,12 @@ class TestAgainstOracles:
     def test_side_information_check_matches_the_frozenset_scan(self, data):
         spec, z = data.draw(st.sampled_from([p.values for p in _oracle_points()]))
         schedule = _oracle_schedule(spec, z)
-        res = schedule.scheme.res
-        column = data.draw(st.sampled_from(["users", "pairs"]))
-        doctored = getattr(schedule, column).copy()
+        doctored = schedule.users.copy()
         for _ in range(data.draw(st.integers(0, 3))):
             row = data.draw(st.integers(0, len(doctored) - 1))
-            if column == "users":
-                col = data.draw(st.integers(0, doctored.shape[1] - 1))
-                doctored[row, col] = data.draw(st.integers(0, schedule.scheme.n_users - 1))
-            else:
-                s = data.draw(st.integers(0, z - 1))
-                side = data.draw(st.integers(0, 1))
-                doctored[row, s, side] = data.draw(st.integers(0, res.design.b - 1))
-        broken = replace(schedule, **{column: doctored})
+            col = data.draw(st.integers(0, doctored.shape[1] - 1))
+            doctored[row, col] = data.draw(st.integers(0, schedule.scheme.n_users - 1))
+        broken = replace(schedule, users=doctored)
         expected = _raised(scan_side_information_sets, broken)
         # the smallest budgets check one row per chunk
         budget = data.draw(st.sampled_from([1, 64, 512, 4096, simulator._CHECK_BYTES]))
@@ -785,14 +778,7 @@ class TestDecoderFaults:
         caches = build_caches(store, res)
         payloads = encode_payloads(schedule, store)
         victim = int(schedule.users[0, 0])
-        clipped = replace(
-            schedule,
-            users=schedule.users[1:],
-            subfiles=schedule.subfiles[1:],
-            classes=schedule.classes[1:],
-            pairs=schedule.pairs[1:],
-            s=schedule.s[1:],
-        )
+        clipped = replace(schedule, users=schedule.users[1:], subfiles=schedule.subfiles[1:])
         with pytest.raises(errors.IncompleteRecovery) as exc:
             decode_user(victim, payloads[1:], clipped, caches, victim + 1, 36)
         assert str(exc.value) == "user 1 never obtained subfile 5 of file 1"
