@@ -1,4 +1,5 @@
-"""Size guards for the exhaustive enumerations used throughout.
+"""Size guards for the exhaustive enumerations used throughout, and the one
+working-set budget of every chunked pass.
 
 The cross-intersection search and the field/point constructions are
 exhaustive by design; the caps below bound how much work a single call may
@@ -7,11 +8,19 @@ the mu_i search reads, in ``combinations`` order, whether a bincount or (at
 i = b_r = 2) a Gram entry decides the subset.  The search stops at the first
 non-uniform subset within the cap, so a design whose profile dies quickly
 stays cheap even when C(r,i) b_r^i is huge; past the cap it raises.
+
+``WORK_BYTES`` is the one budget of every chunked pass, from the mu search
+to ``verify_all``'s user batches: a stage states what one row of its pass
+costs, and ``row_chunks`` cuts its rows into runs that fit.  It is read at
+call time, so one patch of it reaches every stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
+
+WORK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -21,3 +30,11 @@ class SizeCaps:
 
 
 DEFAULT_CAPS = SizeCaps()
+
+
+def row_chunks(n: int, row_bytes: int) -> Iterator[slice]:
+    """Slices covering rows 0..n-1 in order, each of max(1, WORK_BYTES //
+    row_bytes) rows but the last: at most ``WORK_BYTES`` of rows of
+    ``row_bytes`` each, and one row at least."""
+    step = max(1, WORK_BYTES // row_bytes)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .caps import DEFAULT_CAPS, SizeCaps
+from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
 from .designs import Design, Resolution, validate_design, validate_resolution
 from .errors import (
     BadSpec,
@@ -47,9 +47,6 @@ from .errors import (
     UnknownExample,
 )
 from .gf import GF, prime_power
-
-# Working-set bound of one row chunk of labels turned into blocks
-_LABEL_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -93,26 +90,26 @@ def _from_labels(labels: np.ndarray) -> Resolution:
     The matrix is a resolution exactly when every label value 0..b_r-1 marks
     v / b_r points of its row, which one bincount of the rows' offset labels
     checks (else NonUniformBlockSize names the first class that fails); a
-    stable argsort of each row then lists its blocks' points ascending.
+    stable argsort of each row then lists its blocks' points ascending.  Both
+    run in row chunks of at most ``WORK_BYTES`` of intp offset labels
+    and sort orders.
     """
     r, v = labels.shape
     b_r = int(labels.max()) + 1
     blocks = np.empty((r, v), dtype=np.min_scalar_type(v))
-    # row chunks bound the intp offset labels and sort orders
-    step = max(1, _LABEL_BYTES // (8 * v))
-    for top in range(0, r, step):
-        rows = labels[top : top + step]
+    for chunk in row_chunks(r, 8 * v):
+        rows = labels[chunk]
         offsets = np.arange(0, len(rows) * b_r, b_r)[:, None]
         sizes = np.bincount((rows + offsets).ravel(), minlength=len(rows) * b_r).reshape(-1, b_r)
         uneven = (sizes * b_r != v).any(axis=1)
         if uneven.any():
             c = int(np.argmax(uneven))
             raise NonUniformBlockSize(
-                f"class {top + c + 1} splits the {v} points into blocks of "
+                f"class {chunk.start + c + 1} splits the {v} points into blocks of "
                 f"{sizes[c].tolist()} points, not into {b_r} equal blocks"
             )
         order = np.argsort(rows, axis=1, kind="stable")
-        np.add(order, 1, out=blocks[top : top + step], casting="unsafe")
+        np.add(order, 1, out=blocks[chunk], casting="unsafe")
     blocks = blocks.reshape(r * b_r, v // b_r)
     labels = labels.astype(np.min_scalar_type(b_r - 1))
     labels.flags.writeable = False
@@ -170,18 +167,21 @@ def _sylvester(order: int) -> np.ndarray:
 
 
 def _paley_type1(order: int, caps: SizeCaps) -> np.ndarray:
+    """The Paley type I Hadamard matrix of order q + 1, from the quadratic
+    character of GF(q); no q x q field table is built."""
     q = order - 1
     field = GF(q, caps)
     # quadratic character: 0 at 0, 1 on the nonzero squares, -1 elsewhere
     chi = np.full(q, -1, dtype=np.int8)
-    chi[field.mul_table.diagonal()] = 1
+    chi[field.squares] = 1
     chi[0] = 0
-    negatives = field.add_table.argmin(axis=1)
     s = np.zeros((order, order), dtype=np.int8)
     s[0, 1:] = 1
     s[1:, 0] = -1
-    # entry (a, b) is chi(b - a): row a of add_table gathered at -a
-    s[1:, 1:] = chi[field.add_table[negatives]]
+    # entry (a, b) is chi(b - a); a chunk's differences, their intp index and
+    # the gathered characters take under 16 bytes an entry
+    for rows in row_chunks(q, 16 * q):
+        s[1 + rows.start : 1 + rows.stop, 1:] = chi[field.differences(rows)]
     s.flat[:: order + 1] += 1
     return s
 

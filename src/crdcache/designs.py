@@ -37,7 +37,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .caps import DEFAULT_CAPS, SizeCaps
+from . import caps as _caps
+from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
 from .errors import (
     ClassNotPartitionOfPoints,
     EmptyBlock,
@@ -48,11 +49,6 @@ from .errors import (
     PointOutOfRange,
     SizeCapExceeded,
 )
-
-# Working-set bound of the mu search: a tile of label rows as floats, a tile
-# of their Gram products (b_r = 2 pairs), or a chunk of joint labels (every
-# other order) stays under these bytes
-_GRAM_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -128,20 +124,27 @@ class CrdProfile:
     """Existing cross intersection numbers and the cross resolution number.
 
     ``mu`` is a read-only mapping i -> mu_i for every i in 2..r where mu_i
-    exists; ``crn`` is the largest such i (None when the design is not
-    cross resolvable).
+    exists.  The rest follows from it: ``crn`` is the largest such i (None
+    when the design is not cross resolvable) and ``is_crd`` says whether
+    there is one.
     """
 
     mu: Mapping[int, int]
-    crn: int | None
-    is_crd: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", MappingProxyType(dict(self.mu)))
 
+    @property
+    def crn(self) -> int | None:
+        return max(self.mu, default=None)
+
+    @property
+    def is_crd(self) -> bool:
+        return bool(self.mu)
+
     def __reduce__(self) -> tuple:
         # mappingproxy does not pickle: send a dict, __post_init__ wraps it again
-        return CrdProfile, (dict(self.mu), self.crn, self.is_crd)
+        return CrdProfile, (dict(self.mu),)
 
 
 def validate_design(v: int, raw_blocks: Iterable[Iterable[int]]) -> Design:
@@ -246,7 +249,7 @@ def cross_intersection_number(
     b_r = 2 one Gram entry decides a pair (``_first_split_pair``); otherwise
     subsets sharing their first i-1 classes are counted in one bincount per
     chunk of later classes, each chunk's intp joint labels at most
-    ``_GRAM_BYTES`` (one class at least).
+    ``WORK_BYTES`` (one class at least).
     """
     if i < 2 or i > res.r:
         raise IndexOutOfRange(f"intersection order must be in 2..{res.r}, got {i}")
@@ -263,15 +266,14 @@ def cross_intersection_number(
         if admitted < pairs:
             raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {budget} intersections")
         return mu
-    step = max(1, _GRAM_BYTES // (8 * res.design.v))
     for prefix in combinations(range(res.r - 1), i - 1):
         later = res.labels[prefix[-1] + 1 :]
         # clamped: a negative cap must not become a negative slice bound
         take = min(len(later), max(0, room // cells))
         room -= take * cells
         head = joint_labels(res, prefix) * res.b_r
-        for start in range(0, take, step):
-            joint = later[start : min(take, start + step)].astype(np.intp)
+        for rows in row_chunks(take, 8 * res.design.v):
+            joint = later[rows].astype(np.intp)
             joint += head
             joint += np.arange(len(joint))[:, None] * cells  # one block of values per subset
             if (np.bincount(joint.ravel(), minlength=len(joint) * cells) != mu).any():
@@ -296,7 +298,7 @@ def _first_split_pair(labels: np.ndarray, quarter: int, stop: int) -> int:
     points, so G[c, c'] fixes all four cells of the pair's joint label, and
     the pair is uniform exactly when G[c, c'] = v / 4 (``quarter``).  G is
     formed in square tiles of label rows converted on the fly, each array at
-    most ``_GRAM_BYTES`` (one label row at least).  Row c's pairs take the
+    most ``WORK_BYTES`` (one label row at least).  Row c's pairs take the
     ranks from c (2r - c - 1) / 2 on, so a band of rows is finished across
     all its columns before the next; no band starting at or after ``stop``
     is formed.
@@ -304,7 +306,7 @@ def _first_split_pair(labels: np.ndarray, quarter: int, stop: int) -> int:
     r, v = labels.shape
     dtype = _gram_dtype(v)
     size = np.dtype(dtype).itemsize
-    step = max(1, min(_GRAM_BYTES // (size * v), isqrt(_GRAM_BYTES // size)))
+    step = max(1, min(_caps.WORK_BYTES // (size * v), isqrt(_caps.WORK_BYTES // size)))
     for top in range(0, r - 1, step):
         if top * (2 * r - top - 1) // 2 >= stop:
             break
@@ -340,7 +342,7 @@ def crd_profile(res: Resolution, caps: SizeCaps = DEFAULT_CAPS) -> CrdProfile:
                 # joint label is uniform on any i of its classes (cells merge b_r at a time)
                 break
             mu[i] = value
-        profile = CrdProfile(mu=mu, crn=max(mu) if mu else None, is_crd=bool(mu))
+        profile = CrdProfile(mu)
         res._profiles[caps] = profile
     return profile
 

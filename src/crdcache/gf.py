@@ -9,6 +9,9 @@ vectors of all q elements; a prime field is the one-digit case.  Extension
 fields reduce modulo a fixed irreducible polynomial from a built-in table,
 which keeps the element numbering (and every point ordering built on it)
 identical across runs and platforms.  Every operation reads the tables.
+``squares`` and ``differences`` work on the same digits without forming a
+q x q table: the squares share the product routine with ``mul_table``, and
+the differences come a chunk of rows at a time.
 """
 
 from __future__ import annotations
@@ -112,12 +115,23 @@ class GF:
     @cached_property
     def mul_table(self) -> np.ndarray:
         """``mul_table[a, b]`` is a * b: polynomial product reduced by the modulus."""
+        x = self._coefficients(self.p * self.p - 1)
+        return self._table(self._product([d[:, None] for d in x], x))
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """``squares[a]`` is a * a, read-only: ``mul_table``'s diagonal, without the table."""
+        x = self._coefficients(self.p * self.p - 1)
+        return self._table(self._product(x, x))
+
+    def _product(self, x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
+        """The digits of x * y from the broadcastable digits of x and y, each
+        in a dtype that holds p^2 - 1: polynomial product reduced by the modulus."""
         p, e = self.p, self.e
-        x = self._coefficients(p * p - 1)
         prod: list = [0] * (2 * e - 1)
         for i in range(e):
             for j in range(e):
-                term = x[i][:, None] * x[j]
+                term = x[i] * y[j]
                 term += prod[i + j]
                 term %= p
                 prod[i + j] = term
@@ -126,7 +140,14 @@ class GF:
             for j in range(e):
                 prod[top - e + j] += prod[top] * (p - self.modulus[j])
                 prod[top - e + j] %= p
-        return self._table(prod[:e])
+        return prod[:e]
+
+    def differences(self, rows: slice) -> np.ndarray:
+        """``differences(rows)[i, b]`` is b - a for the i-th element a of
+        ``range(q)[rows]``: digit-wise subtraction mod p, a read-only
+        (len(rows), q) array."""
+        p = self.p
+        return self._table([(d + (p - d[rows, None])) % p for d in self._coefficients(2 * p - 1)])
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .caps import DEFAULT_CAPS, SizeCaps
+from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
 from .designs import Resolution, crd_profile
 from .errors import (
     BadDemandLength,
@@ -339,15 +339,13 @@ class DeliverySchedule:
 
         A key names one subfile of the (N, v) file library in row-major
         order; keys are int32, or int64 past 2^31 subfiles.  All terms are
-        keyed in row chunks, which bound the intp copies numpy makes of int32
-        index arrays.
+        keyed in row chunks of at most ``WORK_BYTES`` of the intp copies
+        numpy makes of int32 index arrays.
         """
         if terms is not None:
             return self._keys(self.users.ravel()[terms], self.subfiles.ravel()[terms])
         keys = np.empty(self.users.shape, dtype=self._demanded.dtype)
-        step = max(1, _SCHEDULE_BYTES // (8 * max(1, self.users.shape[1])))
-        for start in range(0, len(keys), step):
-            rows = slice(start, start + step)
+        for rows in row_chunks(len(keys), 8 * max(1, self.users.shape[1])):
             keys[rows] = self._keys(self.users[rows], self.subfiles[rows])
         return keys
 
@@ -365,11 +363,6 @@ class DeliverySchedule:
         return np.array(self.demands, dtype=np.int32 if n_files * v < 2**31 else np.int64) - 1
 
 
-# Working-set bound: the joint labels, counts, sort and gathered rows of one
-# block of class subsets take about this many bytes (at least one subset)
-_SCHEDULE_BYTES = 1 << 22
-
-
 def build_delivery_schedule(
     scheme: SchemeInstance, demands: Sequence[int] | None = None
 ) -> DeliverySchedule:
@@ -382,10 +375,10 @@ def build_delivery_schedule(
 
     The two columns come from index arithmetic on the label matrix, in a
     fixed number of array passes per block of class subsets; a block holds as many
-    consecutive subsets as fit in about ``_SCHEDULE_BYTES`` of working arrays,
-    so the peak stays the size of the columns.  The pair choices and, per
-    choice, each participant's own and complementary block positions are the
-    same for every class subset.  A block stacks its subsets' joint labels
+    consecutive subsets as fit in about ``WORK_BYTES`` of working arrays (its
+    joint labels, counts, sort and gathered rows), so the peak stays the size
+    of the columns.  The pair choices and, per choice, each participant's own
+    and complementary block positions are the same for every class subset.  A block stacks its subsets' joint labels
     (S, v) in the narrowest dtype that holds b_r^z - 1, counts them in one
     ``bincount`` over offset labels, and argsorts each row stably (a radix
     sort for such dtypes) into the side-information table ``sides``, the
@@ -440,11 +433,10 @@ def build_delivery_schedule(
     subfiles = np.empty_like(users)
     label_type = np.min_scalar_type(cells - 1)
     per_subset = 8 * (3 * res.design.v + cells) + 4 * n_choices * gain * mu_z
-    step = max(1, _SCHEDULE_BYTES // per_subset)
     subsets = combinations(range(res.r), z)
     # b_r = 1 leaves no pair to choose: nothing to check or send
-    for first in range(0, n_subsets if n_choices else 0, step):
-        n = min(step, n_subsets - first)
+    for rows in row_chunks(n_subsets if n_choices else 0, per_subset):
+        n = rows.stop - rows.start
         block = np.fromiter(chain.from_iterable(islice(subsets, n)), np.intp, n * z).reshape(n, z)
         joint = res.labels[block[:, 0]].astype(label_type)
         for c in range(1, z):
@@ -461,8 +453,7 @@ def build_delivery_schedule(
                 f"{tuple(block[i].tolist())}, pairs {tuple(map(tuple, chosen[p].tolist()))}"
             )
         sides = np.argsort(joint, axis=1, kind="stable").astype(np.int32) + 1
-        rows = slice(first, first + n)
-        ranks = np.arange(first, first + n, dtype=np.int32)[:, None]
+        ranks = np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
         np.add(ranks * cells, own_row, out=users[rows])
         np.take(sides, side_row, axis=1, out=subfiles[rows], mode="clip")
     users, subfiles = users.reshape(-1, gain), subfiles.reshape(-1, gain)

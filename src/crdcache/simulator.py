@@ -2,8 +2,8 @@
 
 The server holds N equal-length pseudo-random files, file i being the i-th
 ``random.Random(seed).randbytes(file_len)``, generated by numpy's MT19937
-started in that generator's state, a bounded chunk at a time.  A schedule
-names each term's subfile by one flat key (``DeliverySchedule.term_keys``)
+started in that generator's state, at most ``WORK_BYTES`` at a time.  A
+schedule names each term's subfile by one flat key (``DeliverySchedule.term_keys``)
 and the store alone decides where those bytes sit: ``FileStore.term_subfiles``
 serves the terms as a table of subfile rows plus a row index per term.  If
 the library is held, or fits in one generator chunk, the table is its rows,
@@ -50,7 +50,8 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .caps import DEFAULT_CAPS, SizeCaps
+from . import caps as _caps
+from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
 from .designs import Resolution
 from .errors import DemandOutOfRange, IncompleteRecovery, InternalMuMismatch, MissingSideInformation
 from .scheme import (
@@ -60,11 +61,8 @@ from .scheme import (
     delivery_rate,
 )
 
-# Working-set bounds: a side-information check chunk, a decode batch, a chunk of
-# generated file words or term keys and a gathered term column stay under these bytes
-_CHECK_BYTES = 1 << 22
-_DECODE_BYTES = 1 << 22
-_STORE_BYTES = 1 << 22
+# A gathered chunk of one term column stays under these bytes, so that it
+# stays in the cache; at one row per chunk the XOR reads the table row itself
 _GATHER_BYTES = 1 << 18
 
 
@@ -110,11 +108,13 @@ class FileStore:
         term (t, m) reads row ``index[t, m]`` of the (n, sub) uint8 ``table``.
 
         If ``library(v)`` is held, or is built because it fits in one stream
-        chunk (``_STORE_BYTES``), the table is its rows and the index is the
+        chunk (``WORK_BYTES``), the table is its rows and the index is the
         schedule's ``term_keys``: nothing is copied.  Otherwise one scatter
         marks the keyed subfiles in an (N, v) mask, one cumsum numbers them
         row-major, one pass of the files' stream keeps only them and each key
-        becomes its number.  The last schedule asked for is memoized.
+        becomes its number; the keys are marked and numbered in row chunks of
+        at most ``WORK_BYTES`` of the intp copies numpy makes of int32
+        index arrays.  The last schedule asked for is memoized.
         """
         if self._terms and self._terms[0] is schedule:
             return self._terms[1], self._terms[2]
@@ -123,16 +123,14 @@ class FileStore:
             raise DemandOutOfRange(f"the schedule is for {n_files} files but the store holds {self.n_files}")
         index = schedule.term_keys()
         lib = self._libraries.get(v)
-        if lib is None and self.n_files * v * subfile_length(self.file_len, v) <= _STORE_BYTES:
+        if lib is None and self.n_files * v * subfile_length(self.file_len, v) <= _caps.WORK_BYTES:
             lib = self.library(v)  # one stream chunk: cheaper whole than sifted
         if lib is not None:
             table = lib.reshape(-1, lib.shape[2])
         else:
             # the schedule's N files, the store's first ones, bound the keys and their dtype
             needed = np.zeros(n_files * v, dtype=bool)
-            # row chunks bound the intp copies numpy makes of int32 index arrays
-            step = max(1, _STORE_BYTES // (8 * max(1, index.shape[1])))
-            chunks = [slice(start, start + step) for start in range(0, len(index), step)]
+            chunks = list(row_chunks(len(index), 8 * max(1, index.shape[1])))
             for rows in chunks:
                 needed[index[rows]] = True
             ranks = np.cumsum(needed, dtype=index.dtype)
@@ -163,8 +161,8 @@ def _random_words(n_files: int, file_len: int, seed: int) -> Iterator[tuple[int,
 
     ``randbytes(L)`` is ceil(L/4) MT19937 outputs, so the N files are one
     consecutive output stream.  It is drawn from numpy's MT19937 loaded with
-    the state of ``random.Random(seed)``, at most ``_STORE_BYTES`` of outputs
-    at a time: several whole files, or part of one.
+    the state of ``random.Random(seed)``, at most ``WORK_BYTES`` of
+    outputs at a time: several whole files, or part of one.
     """
     from numpy.random import MT19937  # kept out of the package import
 
@@ -174,14 +172,11 @@ def _random_words(n_files: int, file_len: int, seed: int) -> Iterator[tuple[int,
     gen = MT19937(_unseeded())
     gen.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
     words = -(-file_len // 4)
-    chunk = max(1, _STORE_BYTES // 8)
-    n_rows = max(1, chunk // words)
-    span = min(words, chunk)
-    for first in range(0, n_files, n_rows):
-        n = min(n_rows, n_files - first)
-        for start in range(0, words, span):
-            stop = min(start + span, words)
-            yield first, start, gen.random_raw(n * (stop - start)).reshape(n, -1)
+    for files in row_chunks(n_files, 8 * words):
+        n = files.stop - files.start
+        for span in row_chunks(words, 8):
+            # no local keeps a piece alive once the caller lets go of it
+            yield files.start, span.start, gen.random_raw(n * (span.stop - span.start)).reshape(n, -1)
 
 
 def _put_words(out: np.ndarray, raw: np.ndarray, start: int, file_len: int) -> int:
@@ -501,8 +496,8 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     every pair, so the check reads only the ``users`` column.  Point sets
     are packed bit rows of W = ceil(v/64) words, stored words first: every
     array is (W, ..., rows), so each pass runs along the rows of a chunk of
-    bounded size, gathered through intp indices.  The others' intersection
-    comes from prefix and suffix ANDs over the participants.
+    at most ``WORK_BYTES``, gathered through intp indices.  The others'
+    intersection comes from prefix and suffix ANDs over the participants.
     A schedule's users ascend in every row, so only a row that does not may
     name one user twice; such rows are recomputed leaving every copy of the
     participant out, without sorting any row.
@@ -523,9 +518,8 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     # one np.take temporary) and after; a chunk's arrays are freed before the
     # next chunk's
     per_row = 8 * (gain * (1 + 2 * z + 4 * words) + words)
-    step = max(1, _CHECK_BYTES // per_row)
-    for start in range(0, n_rows, step):
-        users = schedule.users[start : start + step].T.astype(np.intp, order="C")  # (2^z, rows)
+    for chunk in row_chunks(n_rows, per_row):
+        users = schedule.users[chunk].T.astype(np.intp, order="C")  # (2^z, rows)
         mine = np.take(blocks_of, users, axis=1)  # (z, 2^z, rows)
         other = np.where(mine == mine[:, :1], mine[:, -1:], mine[:, :1])
         direct = np.take(incidence, other[0], axis=1)  # (W, 2^z, rows)
@@ -551,7 +545,7 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
         if wrong.any():
             row, m = np.unravel_index(np.argmax(wrong), wrong.shape)
             raise InternalMuMismatch(
-                f"transmission {start + row + 1}: side-information set of user "
+                f"transmission {chunk.start + row + 1}: side-information set of user "
                 f"{users[m, row] + 1} is {_points(direct[:, m, row], v)} but the others share "
                 f"{_points(via_others[:, m, row], v)}"
             )
@@ -578,17 +572,15 @@ def verify_all(
     _, bounds = schedule.participation
     v = res.design.v
     n_users = scheme.n_users
-    # users are checked in batches of at most _DECODE_BYTES of term indices
+    # users are checked in batches of at most WORK_BYTES of term indices
     # and point masks, read from one incidence of the caches
     incidence = _incidence(res.design.blocks, v)
     per_user = int(np.diff(bounds).max()) * 24 * schedule.users.shape[1] + (scheme.z + 3) * v
-    step = max(1, _DECODE_BYTES // per_user)
     counts = np.empty((2, n_users), dtype=np.intp)  # subfiles from cache, from the air
-    for first in range(0, n_users, step):
-        stop = min(first + step, n_users)
-        readable = incidence[scheme.users[first:stop]].any(axis=1)
-        got = _reach(first, stop, schedule, readable, schedule.demands[first:stop])[-1]
-        counts[:, first:stop] = readable.sum(axis=1), got.sum(axis=1)
+    for batch in row_chunks(n_users, per_user):
+        readable = incidence[scheme.users[batch]].any(axis=1)
+        got = _reach(batch.start, batch.stop, schedule, readable, schedule.demands[batch])[-1]
+        counts[:, batch] = readable.sum(axis=1), got.sum(axis=1)
     del readable, got  # the last batch, before the subfiles and payloads exist
     store = make_file_store(n_files, file_len, seed)
     payloads = encode_payloads(schedule, store)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crdcache import constructions, errors
+from crdcache import caps as caps_module
+from crdcache import errors
 from crdcache.caps import SizeCaps
 from crdcache.constructions import (
     _from_labels,
+    _sylvester,
     affine_geometry_bibd,
     affine_geometry_params,
     affine_plane,
@@ -300,18 +302,34 @@ class TestFromLabels:
     ):
         labels = np.array(labels)
         if rows_per_chunk:
-            monkeypatch.setattr(constructions, "_LABEL_BYTES", 8 * labels.shape[1] * rows_per_chunk)
+            monkeypatch.setattr(caps_module, "WORK_BYTES", 8 * labels.shape[1] * rows_per_chunk)
         with pytest.raises(errors.NonUniformBlockSize, match=re.escape(message)):
             _from_labels(labels)
 
     @pytest.mark.parametrize("spec", ["affine:n=5", "ag:q=2,m=5", "hadamard:m=7", "example:8"])
     def test_row_chunks_build_the_same_resolution(self, monkeypatch, spec):
         res = from_spec(spec)
-        monkeypatch.setattr(constructions, "_LABEL_BYTES", 3 * 8 * res.design.v)
+        monkeypatch.setattr(caps_module, "WORK_BYTES", 3 * 8 * res.design.v)
         again = _from_labels(np.array(res.labels))
         assert again == res and np.array_equal(again.labels, res.labels)
         assert again.labels.dtype == res.labels.dtype and not again.labels.flags.writeable
         assert again.design.blocks.dtype == res.design.blocks.dtype
+
+    def test_default_budget_bounds_the_working_set(self):
+        """The 4095 x 4096 Sylvester labels (the classes of ``hadamard:m=1024``)
+        at the budget as shipped: the peak is the blocks and the kept labels
+        plus at most twice the 4 MiB default, where in one piece the intp
+        offset labels alone are 134 MB."""
+        default = 1 << 22
+        labels = _sylvester(4096)[1:] == -1
+        tracemalloc.start()
+        try:
+            res = _from_labels(labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        output = res.design.blocks.nbytes + res.labels.nbytes
+        assert peak <= output + 2 * default, (peak - output) / default
 
     def test_keeps_a_copy_of_its_labels(self):
         labels = np.array([[0, 1, 1, 0], [1, 1, 0, 0]])

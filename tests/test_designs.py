@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crdcache import baselines, cli, designs, errors, scheme, simulator
+from crdcache import caps as caps_module
 from crdcache.baselines import analyze_table, z_sweep_table
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
 from crdcache.constructions import _from_labels, _sylvester, catalog_example, from_spec
@@ -268,7 +269,7 @@ class TestGramSearch:
         caps = SizeCaps(max_intersections=cap)
         size = np.dtype(designs._gram_dtype(v)).itemsize
         spy = mock.patch.object(designs, "_first_split_pair", wraps=designs._first_split_pair)
-        with mock.patch.object(designs, "_GRAM_BYTES", tile_rows * size * v), spy as gram:
+        with mock.patch.object(caps_module, "WORK_BYTES", tile_rows * size * v), spy as gram:
             new = _outcome(cross_intersection_number, res, 2, caps)
             full = cross_intersection_number(res, 2)
         assert gram.called == (v % 4 == 0)
@@ -298,14 +299,14 @@ class TestGramSearch:
         """hadamard:m=255 (1019 classes on 1020 points) under 64 KiB tiles: the
         band, a column tile, their product and its masks are alive at once."""
         res = from_spec("hadamard:m=255")
-        monkeypatch.setattr(designs, "_GRAM_BYTES", 1 << 16)
+        monkeypatch.setattr(caps_module, "WORK_BYTES", 1 << 16)
         tracemalloc.start()
         try:
             assert cross_intersection_number(res, 2) == 255
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * designs._GRAM_BYTES, peak / designs._GRAM_BYTES
+        assert peak < 4 * caps_module.WORK_BYTES, peak / caps_module.WORK_BYTES
 
     def test_default_tile_bytes_bound_the_working_set(self):
         """The constant as shipped, not patched: the first band of the

@@ -1,5 +1,7 @@
 """Field tables and the field designs built from them, against per-call oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,19 @@ def test_tables_match_digit_arithmetic(q):
     assert field.add_table.tolist() == [[oracle.add(a, b) for b in range(q)] for a in range(q)]
     assert field.mul_table.tolist() == [[oracle.mul(a, b) for b in range(q)] for a in range(q)]
     assert [field.neg(a) for a in range(q)] == [oracle.neg(a) for a in range(q)]
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_squares_and_differences_match_digit_arithmetic(q):
+    """Both come without a q x q table: the squares from the product routine
+    elementwise, the differences b - a one slice of rows a at a time."""
+    field, oracle = GF(q), DigitField(q)
+    assert field.squares.tolist() == [oracle.mul(a, a) for a in range(q)]
+    assert not field.squares.flags.writeable
+    for rows in (slice(0, q), slice(1, 3), slice(q - 1, q)):
+        expected = [[oracle.add(b, oracle.neg(a)) for b in range(q)] for a in range(q)[rows]]
+        assert field.differences(rows).tolist() == expected
+    assert "mul_table" not in vars(field) and "add_table" not in vars(field)
 
 
 @pytest.mark.parametrize("q", ORDERS)
@@ -56,7 +71,7 @@ def test_affine_geometry_matches_coset_loop(family, q, m):
     assert res == ref
 
 
-@pytest.mark.parametrize("m", [3, 5, 6, 7])
+@pytest.mark.parametrize("m", [3, 5, 6, 7, 11, 12, 15, 20, 27, 48])
 def test_paley_hadamard_matches_double_loop(m, monkeypatch):
     order = 4 * m
     assert (constructions._paley_type1(order, constructions.DEFAULT_CAPS) == double_loop_paley(order)).all()
@@ -65,3 +80,22 @@ def test_paley_hadamard_matches_double_loop(m, monkeypatch):
     ref = hadamard_crd(m)
     assert res.design == ref.design
     assert res.classes == ref.classes
+
+
+def test_paley_rows_stay_within_the_default_budget():
+    """_paley_type1(4092), q = 4091 prime, at the budget as shipped: the peak
+    is the (q+1)^2 output plus at most twice the 4 MiB default, where in one
+    piece the intp index of the differences alone is 134 MB.  The row chunks
+    join up: the core chi(b - a) is circulant and its first row is chi by
+    Euler's criterion."""
+    default, order, q = 1 << 22, 4092, 4091
+    tracemalloc.start()
+    try:
+        s = constructions._paley_type1(order, constructions.DEFAULT_CAPS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= order**2 + 2 * default, (peak - order**2) / default
+    core = s[1:, 1:] - np.eye(q, dtype=np.int8)
+    assert core[0].tolist() == [0] + [1 if pow(b, (q - 1) // 2, q) == 1 else -1 for b in range(1, q)]
+    assert (core[1:, 1:] == core[:-1, :-1]).all() and (core[1:, 0] == core[:-1, -1]).all()

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crdcache import designs, errors, from_spec, scheme_metrics, verify_all
+from crdcache import caps as caps_module
+from crdcache import errors, from_spec, scheme_metrics, verify_all
 from crdcache.caps import SizeCaps
 from crdcache.constructions import _from_labels, _grid, catalog_example
 from crdcache.designs import (
@@ -74,12 +75,12 @@ class TestLabelSearch:
             assert cross_intersection_number(res, i) == scan_cross_intersection(res, i)
 
     @settings(max_examples=100, deadline=None)
-    @given(balanced_labels(), st.integers(0, 60), st.sampled_from([1, designs._GRAM_BYTES]))
+    @given(balanced_labels(), st.integers(0, 60), st.sampled_from([1, caps_module.WORK_BYTES]))
     def test_small_caps(self, labels, cap, budget):
         """A value from the scan is the search's value; where the scan runs into
         the cap, the search raises too, or returns None because b_r^i does not
         divide v; where the scan finds a mismatch, the search returns None or
-        raises at the subset that straddles the cap.  A ``_GRAM_BYTES`` of one
+        raises at the subset that straddles the cap.  A ``WORK_BYTES`` of one
         label row, which checks one later class per chunk, gives the same
         value or raise as the default."""
         res = _from_labels(labels)
@@ -96,7 +97,7 @@ class TestLabelSearch:
                 old = scan_cross_intersection(res, i, caps)
             except errors.SizeCapExceeded:
                 old = "cap"
-            with mock.patch.object(designs, "_GRAM_BYTES", budget):
+            with mock.patch.object(caps_module, "WORK_BYTES", budget):
                 new = search(i)
             assert new == search(i), (i, cap)
             if old == "cap":
@@ -109,14 +110,14 @@ class TestLabelSearch:
     def test_joint_label_chunks_stay_within_the_budget(self, monkeypatch):
         """At i = 3 on a binary array of strength 3 (1024 points; the 512
         classes are the parities of normals with the top bit set, so any three
-        are independent), under a 64 KiB ``_GRAM_BYTES`` and a cap that admits
+        are independent), under a 64 KiB ``WORK_BYTES`` and a cap that admits
         only the first prefix: its 510 later classes are counted 8 at a time,
         where in one piece their joint labels are a (510, 1024) intp array of
         about 4 MiB.  The prefix is uniform, so the search raises at the next one."""
         normals = np.arange(512, 1024)
         res = _from_labels(np.bitwise_count(normals[:, None] & np.arange(1024)) % 2)
         caps = SizeCaps(max_intersections=8 * 510)
-        monkeypatch.setattr(designs, "_GRAM_BYTES", 1 << 16)
+        monkeypatch.setattr(caps_module, "WORK_BYTES", 1 << 16)
         tracemalloc.start()
         try:
             with pytest.raises(errors.SizeCapExceeded):
@@ -124,7 +125,7 @@ class TestLabelSearch:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * designs._GRAM_BYTES, peak / designs._GRAM_BYTES
+        assert peak < 4 * caps_module.WORK_BYTES, peak / caps_module.WORK_BYTES
 
     def test_negative_cap_raises(self):
         res = catalog_example(6)

@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crdcache import caps as caps_module
 from crdcache import errors
-from crdcache import scheme as scheme_module
 from crdcache.constructions import _from_labels, _grid, affine_plane, catalog_example, from_spec, hadamard_crd
 from crdcache.designs import crd_profile
 from crdcache.scheme import (
@@ -420,7 +421,7 @@ class TestSchedule:
             "intersection size 1 != mu_z=2 at classes (0, 1), pairs ((0, 1), (0, 1))"
         )
 
-    @pytest.mark.parametrize("budget", [1, scheme_module._SCHEDULE_BYTES])
+    @pytest.mark.parametrize("budget", [1, caps_module.WORK_BYTES])
     def test_first_offender_in_a_later_subset_keeps_its_message(self, monkeypatch, budget):
         """Classes 0 and 2 below are one partition: the subset (0, 1) is sound
         and (0, 2), the second of three, holds the first offender.  With one
@@ -428,7 +429,7 @@ class TestSchedule:
         grid = _grid(2, 3)
         twin = _from_labels(np.vstack([grid[:2], grid[:1]]))
         scheme = replace(build_scheme(_from_labels(grid), 2, 12), res=twin)
-        monkeypatch.setattr(scheme_module, "_SCHEDULE_BYTES", budget)
+        monkeypatch.setattr(caps_module, "WORK_BYTES", budget)
         expected = "intersection size 4 != mu_z=2 at classes (0, 2), pairs ((0, 1), (0, 1))"
         assert _outcome(loop_delivery_schedule, scheme, (1,) * 12) == expected
         with pytest.raises(errors.InternalMuMismatch) as exc:
@@ -452,9 +453,9 @@ class TestSchedule:
         forged = data.draw(st.one_of(st.just(0), st.integers(-scheme.mu_z, 2)), label="forged")
         scheme = replace(scheme, mu_z=scheme.mu_z + forged)
         demands = (1,) * scheme.n_users
-        budget = data.draw(st.sampled_from([1, 4096, scheme_module._SCHEDULE_BYTES]), label="budget")
+        budget = data.draw(st.sampled_from([1, 4096, caps_module.WORK_BYTES]), label="budget")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scheme_module, "_SCHEDULE_BYTES", budget)
+            patch.setattr(caps_module, "WORK_BYTES", budget)
             got = _outcome(build_delivery_schedule, scheme, demands)
         expected = _outcome(loop_delivery_schedule, scheme, demands)
         if isinstance(expected, str):
@@ -469,6 +470,21 @@ class TestSchedule:
         assert [(t.classes, t.pairs, t.s) for t in got.transmissions] == [
             (c, tuple(map(tuple, p)), s_) for c, p, s_ in built
         ]
+
+    def test_default_budget_bounds_the_term_keys(self):
+        """affine:n=13 at z = 2 (2.2M terms) at the budget as shipped: keying
+        every term peaks at the keys plus at most twice the 4 MiB default,
+        where in one piece numpy's intp copy of the users alone is 17.7 MB."""
+        default = 1 << 22
+        scheme = build_scheme(affine_plane(13), 2, 1)
+        schedule = build_delivery_schedule(scheme, [1] * scheme.n_users)
+        tracemalloc.start()
+        try:
+            keys = schedule.term_keys()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= keys.nbytes + 2 * default, (peak - keys.nbytes) / default
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -487,9 +503,9 @@ class TestSchedule:
             demands = data.draw(st.lists(st.integers(1, n_files), min_size=n_users, max_size=n_users))
         scheme = build_scheme(res, z, n_files)
         schedule = build_delivery_schedule(scheme, demands)
-        budget = data.draw(st.sampled_from([1, 64, scheme_module._SCHEDULE_BYTES]), label="budget")
+        budget = data.draw(st.sampled_from([1, 64, caps_module.WORK_BYTES]), label="budget")
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(scheme_module, "_SCHEDULE_BYTES", budget)
+            patch.setattr(caps_module, "WORK_BYTES", budget)
             keys = schedule.term_keys()
         v = res.design.v
         expected = np.array(schedule.demands)[schedule.users] - 1

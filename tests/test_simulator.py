@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crdcache import caps as caps_module
 from crdcache import errors
 from crdcache import scheme as scheme_module
 from crdcache import simulator
@@ -111,7 +112,7 @@ class TestFileStore:
         n_files=st.integers(1, 6),
         file_len=st.integers(1, 70),
         vs=st.tuples(st.integers(1, 9), st.integers(1, 9)),
-        chunk_bytes=st.sampled_from([8, 16, 40, 96, simulator._STORE_BYTES]),
+        chunk_bytes=st.sampled_from([8, 16, 40, 96, caps_module.WORK_BYTES]),
         files_first=st.booleans(),
     )
     def test_files_are_the_randbytes_stream(self, seed, n_files, file_len, vs, chunk_bytes, files_first):
@@ -121,7 +122,7 @@ class TestFileStore:
         rng = random.Random(seed)
         expected = [rng.randbytes(file_len) for _ in range(n_files)]
         store = make_file_store(n_files, file_len, seed)
-        with mock.patch.object(simulator, "_STORE_BYTES", chunk_bytes):
+        with mock.patch.object(caps_module, "WORK_BYTES", chunk_bytes):
             if files_first:
                 store.files
             libraries = [store.library(v) for v in vs]
@@ -136,7 +137,7 @@ class TestFileStore:
 
     def test_stream_crosses_the_default_chunk(self):
         # one file's stream spans two generation chunks of the real size
-        file_len = simulator._STORE_BYTES // 2 + 3
+        file_len = caps_module.WORK_BYTES // 2 + 3
         rng = random.Random(5)
         expected = [rng.randbytes(file_len) for _ in range(2)]
         assert list(make_file_store(2, file_len, 5).files) == expected
@@ -145,7 +146,7 @@ class TestFileStore:
     @given(
         seed=st.one_of(st.just(0), st.integers(-(2**70), -1), st.integers(1, 2**80)),
         file_len=st.integers(1, 70),
-        chunk_bytes=st.sampled_from([8, 16, 40, 96, simulator._STORE_BYTES]),
+        chunk_bytes=st.sampled_from([8, 16, 40, 96, caps_module.WORK_BYTES]),
         library_first=st.booleans(),
         data=st.data(),
     )
@@ -174,7 +175,7 @@ class TestFileStore:
             for users, points in zip(schedule.users.tolist(), schedule.subfiles.tolist())
         ]
         store = make_file_store(n_files, file_len, seed)
-        with mock.patch.object(simulator, "_STORE_BYTES", chunk_bytes):
+        with mock.patch.object(caps_module, "WORK_BYTES", chunk_bytes):
             if library_first:
                 store.library(v)
             table, index = store.term_subfiles(schedule)
@@ -196,10 +197,10 @@ class TestFileStore:
         # each file's stream spans two generation chunks of the real size; file
         # 1 is read only by user 1, whose air subfiles skip some points and
         # include the one straddling the boundary between the chunks
-        res, file_len = catalog_example(3), simulator._STORE_BYTES // 2 + 3
+        res, file_len = catalog_example(3), caps_module.WORK_BYTES // 2 + 3
         v = res.design.v
         sub = subfile_length(file_len, v)
-        boundary = simulator._STORE_BYTES // 2  # file bytes of one chunk of outputs
+        boundary = caps_module.WORK_BYTES // 2  # file bytes of one chunk of outputs
         straddling = boundary // sub
         assert straddling * sub < boundary < (straddling + 1) * sub
         scheme = build_scheme(res, 2, 2)
@@ -357,14 +358,14 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize("budget", [1 << 16, 1 << 18])
     def test_side_information_chunk_stays_within_its_budget(self, budget):
-        """A check chunk's arrays, all alive at once, fit _CHECK_BYTES (within
+        """A check chunk's arrays, all alive at once, fit WORK_BYTES (within
         a quarter for numpy's own temporaries), besides the (W, K) readable
         matrix that every chunk reads."""
         res = from_spec("affine:n=7")
         schedule = build_delivery_schedule(build_scheme(res, 2, 1), [1] * scheme_metrics(res, 2).users)
         readable = -(-res.design.v // 64) * 8 * schedule.scheme.n_users
         assert schedule.users.size * 8 > budget  # its intp users alone take several chunks
-        with mock.patch.object(simulator, "_CHECK_BYTES", budget):
+        with mock.patch.object(caps_module, "WORK_BYTES", budget):
             _check_side_information_sets(schedule)
             tracemalloc.start()
             try:
@@ -387,8 +388,8 @@ class TestAgainstOracles:
         broken = replace(schedule, users=doctored)
         expected = _raised(scan_side_information_sets, broken)
         # the smallest budgets check one row per chunk
-        budget = data.draw(st.sampled_from([1, 64, 512, 4096, simulator._CHECK_BYTES]))
-        with mock.patch.object(simulator, "_CHECK_BYTES", budget):
+        budget = data.draw(st.sampled_from([1, 64, 512, 4096, caps_module.WORK_BYTES]))
+        with mock.patch.object(caps_module, "WORK_BYTES", budget):
             assert _raised(_check_side_information_sets, broken) == expected
 
 
@@ -491,9 +492,10 @@ class TestResidualAgainstDecoder:
             return payloads
 
         patches = {"encode_payloads": flip}
-        if tiny_chunks:  # one user per batch and one row per gather
-            patches.update(_DECODE_BYTES=1, _GATHER_BYTES=1)
-        with mock.patch.multiple(simulator, **patches):
+        if tiny_chunks:  # one row (one user, one word) per chunk and one row per gather
+            patches.update(_GATHER_BYTES=1)
+        budget = 1 if tiny_chunks else caps_module.WORK_BYTES
+        with mock.patch.multiple(simulator, **patches), mock.patch.object(caps_module, "WORK_BYTES", budget):
             report = verify_all(res, z, n_files, file_len, seed, demands)
             store = make_file_store(n_files, file_len, seed)
             caches = build_caches(store, res)
@@ -584,7 +586,7 @@ class TestEndToEnd:
 
     def test_working_set_is_one_decode_batch_over_the_library(self):
         """verify_all on 1 MiB files holds the library plus at most one decode
-        batch (_DECODE_BYTES) and, within another _DECODE_BYTES, the payload
+        batch (WORK_BYTES) and, within another WORK_BYTES, the payload
         round trip (two T*sub copies), a gather chunk and index arrays."""
         res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
         sub = subfile_length(file_len, res.design.v)
@@ -595,18 +597,18 @@ class TestEndToEnd:
         finally:
             tracemalloc.stop()
         assert report.all_recovered
-        assert 2 * report.transmissions_sent * sub + simulator._GATHER_BYTES < simulator._DECODE_BYTES
+        assert 2 * report.transmissions_sent * sub + simulator._GATHER_BYTES < caps_module.WORK_BYTES
         over = peak - n_files * res.design.v * sub
-        assert over < 2 * simulator._DECODE_BYTES, over / simulator._DECODE_BYTES
+        assert over < 2 * caps_module.WORK_BYTES, over / caps_module.WORK_BYTES
 
     def test_working_set_is_one_decode_batch_over_the_term_subfiles(self):
         """verify_all on 1 MiB files holds the subfiles the terms read, not the
         library: its traced peak stays under their bytes plus two decode
-        batches (_DECODE_BYTES), which is less than the library's size."""
+        batches (WORK_BYTES), which is less than the library's size."""
         res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
         sub = subfile_length(file_len, res.design.v)
         keys = build_delivery_schedule(build_scheme(res, z, n_files)).term_keys()
-        bound = len(np.unique(keys)) * sub + 2 * simulator._DECODE_BYTES
+        bound = len(np.unique(keys)) * sub + 2 * caps_module.WORK_BYTES
         assert bound < n_files * res.design.v * sub
         tracemalloc.start()
         try:
@@ -616,6 +618,24 @@ class TestEndToEnd:
             tracemalloc.stop()
         assert report.all_recovered
         assert peak < bound, (peak, bound)
+
+    def test_default_budget_bounds_the_streamed_term_subfiles(self):
+        """example:8 at z = 3 with 4 MiB files at the budget as shipped: the
+        store streams the term subfiles and peaks at them and the term index
+        plus at most twice the 4 MiB default, not at the 113 MB library."""
+        default = 1 << 22
+        res, z, n_files, file_len = catalog_example(8), 3, 27, 4 << 20
+        schedule = build_delivery_schedule(build_scheme(res, z, n_files))
+        keys = schedule.term_keys()
+        output = len(np.unique(keys)) * subfile_length(file_len, res.design.v) + keys.nbytes
+        store = make_file_store(n_files, file_len, 1)
+        tracemalloc.start()
+        try:
+            store.term_subfiles(schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= output + 2 * default, (peak - output) / default
 
     def test_encode_after_build_caches_reads_the_library_in_place(self):
         """Once build_caches holds the library, encode_payloads gathers from it
@@ -690,7 +710,7 @@ class TestStreamedStore:
         schedule = build_delivery_schedule(build_scheme(res, z, n_users))
         expected = int_xor_payloads(schedule, make_file_store(n_users, 45, 2))
         monkeypatch.setattr(simulator.FileStore, "library", _no_library)
-        monkeypatch.setattr(simulator, "_STORE_BYTES", 64)
+        monkeypatch.setattr(caps_module, "WORK_BYTES", 64)
         assert encode_payloads(schedule, make_file_store(n_users, 45, 2)) == expected
         assert verify_all(res, z, n_users, 45, seed=2).all_recovered
 
@@ -706,7 +726,7 @@ class TestStreamedStore:
             return payloads
 
         monkeypatch.setattr(simulator.FileStore, "library", _no_library)
-        monkeypatch.setattr(simulator, "_STORE_BYTES", 64)
+        monkeypatch.setattr(caps_module, "WORK_BYTES", 64)
         monkeypatch.setattr(simulator, "encode_payloads", flip)
         report = verify_all(catalog_example(9), 3, 32, 40, seed=3)
         assert participants
@@ -742,8 +762,8 @@ class TestDecoderFaults:
     def test_flipped_payload_byte_fails_exactly_its_participants(
         self, monkeypatch, spec, n_files, demands, tiny_chunks, row
     ):
-        if tiny_chunks:  # one user per decode batch and one row per gather
-            monkeypatch.setattr(simulator, "_DECODE_BYTES", 1)
+        if tiny_chunks:  # one row (one user, one word) per chunk and one row per gather
+            monkeypatch.setattr(caps_module, "WORK_BYTES", 1)
             monkeypatch.setattr(simulator, "_GATHER_BYTES", 1)
         encode = simulator.encode_payloads
         participants = set()
