@@ -378,8 +378,9 @@ def build_delivery_schedule(
     consecutive subsets as fit in about ``WORK_BYTES`` of working arrays (its
     joint labels, counts, sort and gathered rows), so the peak stays the size
     of the columns.  The pair choices and, per choice, each participant's own
-    and complementary block positions are the same for every class subset.  A block stacks its subsets' joint labels
-    (S, v) in the narrowest dtype that holds b_r^z - 1, counts them in one
+    and complementary block positions are the same for every class subset.
+    A block stacks its subsets' joint labels (S, v) in the narrowest dtype
+    that holds b_r^z - 1, counts them in one
     ``bincount`` over offset labels, and argsorts each row stably (a radix
     sort for such dtypes) into the side-information table ``sides``, the
     points sorted by joint label, whose row ``pick`` lists the mu_z ascending

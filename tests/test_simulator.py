@@ -494,8 +494,8 @@ class TestResidualAgainstDecoder:
         patches = {"encode_payloads": flip}
         if tiny_chunks:  # one row (one user, one word) per chunk and one row per gather
             patches.update(_GATHER_BYTES=1)
-        budget = 1 if tiny_chunks else caps_module.WORK_BYTES
-        with mock.patch.multiple(simulator, **patches), mock.patch.object(caps_module, "WORK_BYTES", budget):
+        budget = mock.patch.object(caps_module, "WORK_BYTES", 1 if tiny_chunks else caps_module.WORK_BYTES)
+        with mock.patch.multiple(simulator, **patches), budget:
             report = verify_all(res, z, n_files, file_len, seed, demands)
             store = make_file_store(n_files, file_len, seed)
             caches = build_caches(store, res)
