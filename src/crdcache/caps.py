@@ -10,7 +10,7 @@ non-uniform subset within the cap, so a design whose profile dies quickly
 stays cheap even when C(r,i) b_r^i is huge; past the cap it raises.
 
 ``WORK_BYTES`` is the one budget of every chunked pass, from the mu search
-to ``verify_all``'s user batches: a stage states what one row of its pass
+to ``verify_all``'s transmission pass: a stage states what one row of its pass
 costs, and ``row_chunks`` cuts its rows into runs that fit.  It is read at
 call time, so one patch of it reaches every stage.
 """

@@ -204,10 +204,13 @@ def hadamard_crd(m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
                 f"no Hadamard matrix construction for order {order} "
                 f"(need a power of two, or {order - 1} a prime power = 3 mod 4)"
             )
-    # normalize row 0 and column 0 to all ones, then drop row 0; the +1 block comes first
-    h[:, h[0] == -1] *= -1
-    h[h[:, 0] == -1] *= -1
-    return _from_labels(h[1:] == -1)
+    # normalize row 0 and column 0 to all ones, in place, then drop row 0;
+    # the +1 block comes first, and h is gone before the labels are sorted
+    np.negative(h, out=h, where=h[0] == -1)
+    np.negative(h, out=h, where=h[:, :1] == -1)
+    labels = h[1:] == -1
+    del h
+    return _from_labels(labels)
 
 
 # Hand-built catalog.  Blocks and class groupings (1-based block numbers)

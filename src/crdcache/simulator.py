@@ -28,15 +28,21 @@ payload XOR the other terms, which is its own subfile XOR the row's
 residual (the payload XOR all 2^z terms); every participant reads the same
 file bytes, so all of them decode correctly exactly when the residual
 is zero.  That is T * 2^z subfile reads, the size of the encoding, from
-the same store table the encoder read.  Per user it still checks, in
-array passes over batches of users, that every other term of its rows is
-readable from its caches (the design's blocks) and every point is cached
-or received.  It also checks, on every transmission, that the
-side-information set of each participant (intersection of the
-complementary blocks) equals the intersection of what the other
-participants can read - the identity the delivery argument rests on - on
-packed bit rows scattered from the blocks, stored words first so that every
-pass runs along the transmissions.
+the same store table the encoder read.  What each user can read is
+checked in one pass over the transmissions, the pass that also checks,
+on every transmission, that the side-information set of each participant
+(intersection of the complementary blocks) equals the intersection of
+what the other participants can read - the identity the delivery
+argument rests on - on packed bit rows scattered from the blocks, stored
+words first so that every pass runs along the transmissions.  Given that
+identity, in a row of distinct users a term can be stripped by every
+other participant exactly when its subfile lies in its participant's
+side-information set: one bit per term.  Every point must then be cached
+or received, which one scatter of the terms' own subfiles shows.  A
+schedule this pass cannot vouch for (a row whose users do not strictly
+ascend, a term outside its set, a point never obtained) is checked user
+by user instead, in array passes over batches of users found through the
+participation index; only that path names a fault.
 """
 
 from __future__ import annotations
@@ -491,12 +497,31 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     participant must equal the intersection of all other participants'
     readable index sets.
 
+    The check is the row pass of ``_side_information_pass``, whose extra
+    results are dropped: it raises only ``InternalMuMismatch``.
+    """
+    _side_information_pass(schedule)
+
+
+def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool]:
+    """Check the side-information identity on every transmission (see
+    ``_check_side_information_sets``) and return ``(readable, strippable)``:
+    the (W, K) packed words of the points each user reads from its caches,
+    and whether every row's users strictly ascend and every term's own
+    subfile lies in its participant's side-information set.
+
+    Given the identity, a term's subfile lies in that set exactly when every
+    other participant reads it; in a row of distinct users that is exactly
+    "every other participant can strip this term".  A ``False`` says only
+    that this pass cannot vouch for every term, not that some term fails.
+
     A participant's complementary block in each class is the pair's other
     block, and a row's first and last participants hold the two blocks of
-    every pair, so the check reads only the ``users`` column.  Point sets
-    are packed bit rows of W = ceil(v/64) words, stored words first: every
-    array is (W, ..., rows), so each pass runs along the rows of a chunk of
-    at most ``WORK_BYTES``, gathered through intp indices.  The others'
+    every pair, so the pass reads only the ``users`` column (and
+    ``subfiles`` for the membership bits).  Point sets are packed bit rows
+    of W = ceil(v/64) words, stored words first: every array is
+    (W, ..., rows), so each pass runs along the rows of a chunk of at most
+    ``WORK_BYTES``, gathered through intp indices.  The others'
     intersection comes from prefix and suffix ANDs over the participants.
     A schedule's users ascend in every row, so only a row that does not may
     name one user twice; such rows are recomputed leaving every copy of the
@@ -510,13 +535,18 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     for blocks in blocks_of[1:]:
         readable |= np.take(incidence, blocks, axis=1)
     everything = _packed(np.ones(v, dtype=bool))[:, None]
+    # point p's word and its bit in that word, at index p (1-based)
+    point_word = np.arange(-1, v) >> 6
+    point_bit = _packed(np.eye(64, dtype=bool))[np.arange(-1, v) & 63, 0]
 
     n_rows, gain = schedule.users.shape
     words, z = incidence.shape[0], scheme.z
+    strippable = True
     # bytes a row holds at most at once: its users, mine and other indices
     # (8 bytes each), four (W, 2^z) word rows (direct, sets, via_others and
     # one np.take temporary) and after; a chunk's arrays are freed before the
-    # next chunk's
+    # next chunk's, and the membership bits' temporaries live while mine,
+    # other, sets and via_others do not
     per_row = 8 * (gain * (1 + 2 * z + 4 * words) + words)
     for chunk in row_chunks(n_rows, per_row):
         users = schedule.users[chunk].T.astype(np.intp, order="C")  # (2^z, rows)
@@ -526,6 +556,18 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
         for c in range(1, z):
             direct &= np.take(incidence, other[c], axis=1)
         del mine, other
+        odd = np.flatnonzero((users[1:] <= users[:-1]).any(axis=0))
+        if strippable and not len(odd):
+            points = schedule.subfiles[chunk].T  # (2^z, rows)
+            held = np.take(point_bit, points)
+            if words == 1:
+                held &= direct[0]
+            else:
+                held &= np.take_along_axis(direct, np.take(point_word, points)[None], axis=0)[0]
+            strippable = bool(held.all())
+            del points, held
+        else:
+            strippable = False
         sets = np.take(readable, users, axis=1)
         via_others = np.empty_like(sets)
         via_others[:, 0] = everything
@@ -535,7 +577,6 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
         for m in range(gain - 2, -1, -1):
             via_others[:, m] &= after
             after &= sets[:, m]
-        odd = np.flatnonzero((users[1:] <= users[:-1]).any(axis=0))
         if len(odd):
             named, held = users[:, odd], sets[:, :, odd]
             for m in range(gain):
@@ -550,6 +591,43 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
                 f"{_points(via_others[:, m, row], v)}"
             )
         del users, direct, sets, via_others, after, wrong
+    return readable, strippable
+
+
+def _received(schedule: DeliverySchedule, words: int) -> np.ndarray:
+    """The points each user receives over the air, as (K, W) packed words:
+    one scatter of every term's own subfile into a (K, 64 W) bool, in row
+    chunks of at most ``WORK_BYTES`` of intp flat indices, packed once."""
+    got = np.zeros((schedule.scheme.n_users, 64 * words), dtype=bool)
+    flat = got.reshape(-1)
+    for rows in row_chunks(len(schedule.users), 8 * max(1, schedule.users.shape[1])):
+        at = schedule.users[rows].astype(np.intp)
+        at *= got.shape[1]
+        at += schedule.subfiles[rows]
+        at -= 1
+        flat[at] = True
+        del at
+    return np.packbits(got, axis=1).view(np.uint64)
+
+
+def _batch_counts(schedule: DeliverySchedule) -> np.ndarray:
+    """Each user's subfiles from its caches and from the air, as (2, K), by
+    ``_reach`` over batches of users through the participation index: it
+    raises ``MissingSideInformation`` or ``IncompleteRecovery`` for the
+    first user, in id order, that cannot strip a term of its rows or never
+    gets a point.  Users are checked in batches of at most ``WORK_BYTES`` of
+    term indices and point masks, read from one incidence of the caches."""
+    scheme = schedule.scheme
+    _, bounds = schedule.participation
+    v = scheme.res.design.v
+    incidence = _incidence(scheme.res.design.blocks, v)
+    per_user = int(np.diff(bounds).max()) * 24 * schedule.users.shape[1] + (scheme.z + 3) * v
+    counts = np.empty((2, scheme.n_users), dtype=np.intp)
+    for batch in row_chunks(scheme.n_users, per_user):
+        readable = incidence[scheme.users[batch]].any(axis=1)
+        got = _reach(batch.start, batch.stop, schedule, readable, schedule.demands[batch])[-1]
+        counts[:, batch] = readable.sum(axis=1), got.sum(axis=1)
+    return counts
 
 
 def verify_all(
@@ -562,26 +640,26 @@ def verify_all(
     caps: SizeCaps = DEFAULT_CAPS,
 ) -> SimulationReport:
     """End-to-end run: schedule and broadcast, then check what every user
-    can strip, from the caches' blocks, and every row's residual against
-    the store's term subfiles."""
+    can strip, inside the side-information pass over the transmissions,
+    and every row's residual against the store's term subfiles."""
     scheme = build_scheme(res, z, n_files, caps)
     schedule = build_delivery_schedule(scheme, demands)
-    _check_side_information_sets(schedule)
-    # the participation sort's scratch (a radix sort's T * 2^z index buffer)
-    # is freed before the subfiles and payloads exist
-    _, bounds = schedule.participation
+    readable, strippable = _side_information_pass(schedule)
     v = res.design.v
     n_users = scheme.n_users
-    # users are checked in batches of at most WORK_BYTES of term indices
-    # and point masks, read from one incidence of the caches
-    incidence = _incidence(res.design.blocks, v)
-    per_user = int(np.diff(bounds).max()) * 24 * schedule.users.shape[1] + (scheme.z + 3) * v
-    counts = np.empty((2, n_users), dtype=np.intp)  # subfiles from cache, from the air
-    for batch in row_chunks(n_users, per_user):
-        readable = incidence[scheme.users[batch]].any(axis=1)
-        got = _reach(batch.start, batch.stop, schedule, readable, schedule.demands[batch])[-1]
-        counts[:, batch] = readable.sum(axis=1), got.sum(axis=1)
-    del readable, got  # the last batch, before the subfiles and payloads exist
+    counts = None  # subfiles from cache, from the air
+    if strippable:
+        got = _received(schedule, len(readable))
+        everything = _packed(np.ones(v, dtype=bool))[:, None]
+        if ((readable | got.T) == everything).all():
+            counts = np.bitwise_count(readable).sum(axis=0), np.bitwise_count(got).sum(axis=1)
+        del got
+    del readable  # before the participation index, subfiles and payloads exist
+    if counts is None:
+        # only the batch path names a fault, and it may find none (a row whose
+        # users descend); its participation sort's scratch is freed before
+        # the subfiles and payloads exist
+        counts = _batch_counts(schedule)
     store = make_file_store(n_files, file_len, seed)
     payloads = encode_payloads(schedule, store)
     # a participant strips the other terms with the store's own bytes, so
@@ -592,7 +670,8 @@ def verify_all(
     _xor_gather(resid, *store.term_subfiles(schedule))
     wrong = np.zeros(n_users, dtype=bool)
     wrong[schedule.users[resid.any(axis=1)]] = True
-    columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), *counts.tolist())
+    cached, air = counts
+    columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), cached.tolist(), air.tolist())
     users = map(tuple.__new__, repeat(UserReport), columns)  # UserReport._make, minus a call per row
     return SimulationReport(
         z=z,

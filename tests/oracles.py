@@ -301,6 +301,29 @@ def scan_side_information_sets(schedule: DeliverySchedule) -> None:
                 )
 
 
+def scan_delivery_checks(schedule: DeliverySchedule) -> bool:
+    """Whether a schedule passes every check ``verify_all`` makes before any
+    payload byte, in frozensets: the side-information identity on every
+    transmission; every other term of each row a user takes part in must be
+    readable from that user's caches; every point of every user must be
+    cached or received."""
+    try:
+        scan_side_information_sets(schedule)
+    except InternalMuMismatch:
+        return False
+    scheme = schedule.scheme
+    res = scheme.res
+    readable = [frozenset(access_union(res, blocks)) for blocks in scheme.users]
+    got: list[set[int]] = [set() for _ in readable]
+    for uids, points in zip(schedule.users.tolist(), schedule.subfiles.tolist()):
+        for m, (uid, point) in enumerate(zip(uids, points)):
+            got[uid].add(point)
+            if any(other not in readable[uid] for c, other in enumerate(points) if c != m):
+                return False
+    everything = frozenset(range(1, res.design.v + 1))
+    return all(cached | air == everything for cached, air in zip(readable, got))
+
+
 class DigitField:
     """GF(p^e) by per-call digit lists and polynomial loops, with no tables."""
 

@@ -285,6 +285,23 @@ def test_build_memory_per_incidence(spec):
     assert peak <= 40 * incidences, peak / incidences
 
 
+def test_hadamard_build_drops_its_matrix_before_sorting_the_labels():
+    """hadamard:m=1023 (a Paley matrix of order 4092) at the budget as
+    shipped: the build peaks at the design it returns plus its bool label
+    matrix and at most twice the 4 MiB default; the int8 matrix, as large as
+    the labels, is gone before they are sorted."""
+    default = 1 << 22
+    tracemalloc.start()
+    try:
+        res = hadamard_crd(1023)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    v = res.design.v
+    output = res.design.blocks.nbytes + res.labels.nbytes
+    assert peak <= output + (v - 1) * v + 2 * default, (peak - output) / default
+
+
 class TestFromLabels:
     @pytest.mark.parametrize(
         "labels, message",

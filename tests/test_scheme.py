@@ -471,6 +471,23 @@ class TestSchedule:
             (c, tuple(map(tuple, p)), s_) for c, p, s_ in built
         ]
 
+    @pytest.mark.parametrize("budget", [1 << 17, 1 << 18])
+    def test_subset_blocks_stay_within_the_budget(self, monkeypatch, budget):
+        """hadamard:m=15 at z = 2 (1711 class subsets): building the schedule
+        peaks at its two columns plus at most twice the budget, where one
+        block of every subset would hold 1.5 MB of working arrays."""
+        scheme = build_scheme(hadamard_crd(15), 2, 1)
+        demands = [1] * scheme.n_users
+        monkeypatch.setattr(caps_module, "WORK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            schedule = build_delivery_schedule(scheme, demands)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = schedule.users.nbytes + schedule.subfiles.nbytes
+        assert peak <= columns + 2 * budget, (peak - columns) / budget
+
     def test_default_budget_bounds_the_term_keys(self):
         """affine:n=13 at z = 2 (2.2M terms) at the budget as shipped: keying
         every term peaks at the keys plus at most twice the 4 MiB default,

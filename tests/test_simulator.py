@@ -27,8 +27,10 @@ from crdcache.scheme import CodedTransmission, build_delivery_schedule, build_sc
 from crdcache.simulator import (
     CacheView,
     Payloads,
+    SimulationReport,
     UserReport,
     _check_side_information_sets,
+    _side_information_pass,
     build_caches,
     decode_user,
     encode_payloads,
@@ -41,6 +43,7 @@ from crdcache.simulator import (
 from oracles import (
     block_set,
     int_xor_payloads,
+    scan_delivery_checks,
     scan_participation,
     scan_side_information_sets,
     split_subfiles,
@@ -393,6 +396,164 @@ class TestAgainstOracles:
             assert _raised(_check_side_information_sets, broken) == expected
 
 
+def _capture(built, schedule=None):
+    """A stand-in for ``simulator.build_delivery_schedule`` that appends what
+    it returns to ``built``: the real schedule, or a fresh copy of a given one."""
+    build = simulator.build_delivery_schedule
+
+    def builder(scheme, demands=None):
+        out = build(scheme, demands) if schedule is None else replace(schedule)
+        built.append(out)
+        return out
+
+    return builder
+
+
+def _by_batches(schedule):
+    """``_side_information_pass`` that never vouches for the terms, so that
+    ``verify_all`` checks every user through the participation batches."""
+    readable, _ = _side_information_pass(schedule)
+    return readable, False
+
+
+def _verdict(run):
+    """run()'s report, or the type and message of the error it raises."""
+    try:
+        return run()
+    except errors.CrdCacheError as exc:
+        return type(exc), str(exc)
+
+
+# small designs at every admissible z, for schedules doctored term by term
+DOCTORED_POINTS = [
+    p.values
+    for p in _oracle_points()
+    if p.values[0] not in ("affine:n=5", "hadamard:m=4") and scheme_metrics(from_spec(p.values[0]), p.values[1]).users <= 200
+]
+
+
+class TestTransmissionPass:
+    """verify_all checks every user inside its side-information pass over the
+    transmissions and falls back to the participation batches, the only
+    reporter of a fault, on anything that pass cannot vouch for."""
+
+    @pytest.mark.parametrize(
+        "spec, z", [("affine:n=5", 2), ("example:9", 4), ("example:4", 1), ("example:8", 3), ("hadamard:m=3", 2)]
+    )
+    def test_fault_free_run_builds_no_participation(self, monkeypatch, spec, z):
+        res = from_spec(spec)
+        n_users = scheme_metrics(res, z).users
+        built = []
+        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture(built))
+        report = verify_all(res, z, n_users, 24, seed=5)
+        assert report.all_recovered and len(built) == 1
+        assert "participation" not in built[0].__dict__
+        monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
+        assert verify_all(res, z, n_users, 24, seed=5) == report
+        assert "participation" in built[1].__dict__
+
+    def test_descending_row_is_checked_by_batches(self, monkeypatch):
+        """A row listed backwards keeps every side-information set, so the
+        pass raises nothing, but only the batches may vouch for its terms:
+        the report is the undoctored one."""
+        res = catalog_example(3)
+        schedule = build_delivery_schedule(build_scheme(res, 2, 9))
+        users, subfiles = schedule.users.copy(), schedule.subfiles.copy()
+        users[0], subfiles[0] = users[0, ::-1], subfiles[0, ::-1]
+        backwards = replace(schedule, users=users, subfiles=subfiles)
+        assert _side_information_pass(backwards)[1] is False
+        expected = verify_all(res, 2, 9, 36, seed=4)
+        built = []
+        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture(built, backwards))
+        assert verify_all(res, 2, 9, 36, seed=4) == expected
+        assert "participation" in built[0].__dict__
+
+    def test_row_naming_one_user_twice_raises_what_the_batches_raise(self, monkeypatch):
+        """Row 1 of example:3 at z = 2 names users 1, 2, 4 and 5.  Naming user 1
+        in the second slot too, on user 1's own subfile, keeps every term's
+        subfile in its participant's side-information set, so the membership
+        bits alone would pass, although user 1 cannot read the subfile its
+        other copy receives.  verify_all raises what the batches raise."""
+        res = catalog_example(3)
+        schedule = build_delivery_schedule(build_scheme(res, 2, 9))
+        users, subfiles = schedule.users.copy(), schedule.subfiles.copy()
+        users[0, 1], subfiles[0, 1] = users[0, 0], subfiles[0, 0]
+        twice = replace(schedule, users=users, subfiles=subfiles)
+        row = twice.transmissions[0]
+        for uid, point in row.terms:
+            mine = twice.scheme.users[uid]
+            sides = [block_set(res, j if mine[c] == i else i) for c, (i, j) in enumerate(row.pairs)]
+            assert point in frozenset.intersection(*sides)
+        assert subfiles[0, 1] not in set().union(*(block_set(res, j) for j in twice.scheme.users[0]))
+        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], twice))
+        got = _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
+        monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
+        assert got == _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
+        assert got == (
+            errors.InternalMuMismatch,
+            "transmission 1: side-information set of user 1 is [5] but the others share [4, 5, 6]",
+        )
+
+    def test_swapped_subfiles_of_one_user_fail_only_the_membership_bits(self, monkeypatch):
+        """User 1's subfiles swapped between its first two rows leave every
+        side-information set and every point it receives as they were; only
+        a membership bit fails, and verify_all raises what the batches raise."""
+        res = catalog_example(3)
+        schedule = build_delivery_schedule(build_scheme(res, 2, 9))
+        subfiles = schedule.subfiles.copy()
+        first, second = np.flatnonzero(schedule.users == 0)[:2]
+        subfiles.flat[[first, second]] = subfiles.flat[[second, first]]
+        swapped = replace(schedule, subfiles=subfiles)
+        assert _side_information_pass(swapped)[1] is False
+        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], swapped))
+        got = _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
+        monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
+        assert got == _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
+        assert got == (errors.MissingSideInformation, "transmission 1: user 2 cannot strip subfile 6 of user 1's term")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_doctored_schedules_match_the_batches_and_the_scan(self, data):
+        """Schedules with users or subfiles overwritten, two subfiles of one
+        user swapped and rows dropped, built through the builder: verify_all's report, or its error's type and
+        message, equals the batch path's, at chunks of one row, a few rows or
+        the default; it passes exactly when the frozenset scan does."""
+        spec, z = data.draw(st.sampled_from(DOCTORED_POINTS), label="point")
+        res = from_spec(spec)
+        n_users, v = scheme_metrics(res, z).users, res.design.v
+        n_files = data.draw(st.integers(1, 3), label="files")
+        demands = data.draw(st.lists(st.integers(1, n_files), min_size=n_users, max_size=n_users))
+        schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
+        users, subfiles = schedule.users.copy(), schedule.subfiles.copy()
+        for _ in range(data.draw(st.integers(0, 3), label="edits") if len(users) else 0):
+            edit = data.draw(st.sampled_from(["users", "subfiles", "swap", "drop"]), label="edit")
+            row = data.draw(st.integers(0, len(users) - 1), label="row")
+            col = data.draw(st.integers(0, users.shape[1] - 1), label="col")
+            if edit == "users":
+                users[row, col] = data.draw(st.integers(0, n_users - 1), label="user")
+            elif edit == "subfiles":
+                subfiles[row, col] = data.draw(st.integers(1, v), label="point")
+            elif edit == "swap":  # two subfiles of one user: what it receives stays whole
+                mine = np.flatnonzero(users == users[row, col]).tolist()
+                if len(mine) > 1:
+                    at = data.draw(st.lists(st.sampled_from(mine), min_size=2, max_size=2, unique=True))
+                    subfiles.flat[at] = subfiles.flat[at[::-1]]
+            elif len(users) > 1:
+                users, subfiles = np.delete(users, row, axis=0), np.delete(subfiles, row, axis=0)
+        doctored = replace(schedule, users=users, subfiles=subfiles)
+        budget = data.draw(st.sampled_from([1, 64, caps_module.WORK_BYTES]), label="budget")
+        run = lambda: verify_all(res, z, n_files, 24, seed=3, demands=demands)  # noqa: E731
+        with mock.patch.object(caps_module, "WORK_BYTES", budget), mock.patch.object(
+            simulator, "build_delivery_schedule", _capture([], doctored)
+        ):
+            got = _verdict(run)
+            with mock.patch.object(simulator, "_side_information_pass", _by_batches):
+                assert got == _verdict(run)
+        assert isinstance(got, SimulationReport) == scan_delivery_checks(doctored)
+        if isinstance(got, SimulationReport):
+            assert got.all_recovered
+
+
 class TestIsolatedDecoder:
     def test_decode_user_reads_only_its_own_caches(self):
         class Sealed:
@@ -655,6 +816,27 @@ class TestEndToEnd:
         bound = len(payloads) * sub + simulator._GATHER_BYTES + 8 * schedule.users.size
         assert peak < bound, (peak, bound)
         assert np.shares_memory(store.term_subfiles(schedule)[0], store.library(res.design.v))
+
+    @pytest.mark.parametrize("gather", [1 << 18, 1 << 19])
+    def test_gather_chunk_bounds_the_encoder(self, monkeypatch, gather):
+        """With the library held, encode_payloads grows by the payloads, the
+        term index and one gathered chunk of at most ``_GATHER_BYTES``, where a
+        whole gathered column would be the size of the payloads."""
+        res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
+        sub = subfile_length(file_len, res.design.v)
+        schedule = build_delivery_schedule(build_scheme(res, z, n_files))
+        store = make_file_store(n_files, file_len, 1)
+        build_caches(store, res)
+        assert len(schedule.users) * sub > 2 * gather
+        monkeypatch.setattr(simulator, "_GATHER_BYTES", gather)
+        tracemalloc.start()
+        try:
+            payloads = encode_payloads(schedule, store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = len(payloads) * sub + 4 * schedule.users.size + gather
+        assert peak <= bound, (peak, bound)
 
     def test_distinct_needs_enough_files(self):
         with pytest.raises(errors.DemandOutOfRange):
