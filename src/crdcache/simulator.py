@@ -487,6 +487,10 @@ def _packed(sets: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=-1).view(np.uint64)
 
 
+# the packed word with only bit i set, for i = 0..63 (point i + 1 of a word)
+_WORD_BITS = _packed(np.eye(64, dtype=bool))[:, 0]
+
+
 def _points(bits: np.ndarray, v: int) -> list[int]:
     """The 1-based points of one packed bit row, ascending."""
     return (np.flatnonzero(np.unpackbits(np.ascontiguousarray(bits).view(np.uint8))[:v]) + 1).tolist()
@@ -535,9 +539,7 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
     for blocks in blocks_of[1:]:
         readable |= np.take(incidence, blocks, axis=1)
     everything = _packed(np.ones(v, dtype=bool))[:, None]
-    # point p's word and its bit in that word, at index p (1-based)
-    point_word = np.arange(-1, v) >> 6
-    point_bit = _packed(np.eye(64, dtype=bool))[np.arange(-1, v) & 63, 0]
+    point_bit = np.take(_WORD_BITS, np.arange(-1, v) & 63)  # point p's bit in its word, at index p
 
     n_rows, gain = schedule.users.shape
     words, z = incidence.shape[0], scheme.z
@@ -563,7 +565,7 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
             if words == 1:
                 held &= direct[0]
             else:
-                held &= np.take_along_axis(direct, np.take(point_word, points)[None], axis=0)[0]
+                held &= np.take_along_axis(direct, (points[None] - 1) >> 6, axis=0)[0]
             strippable = bool(held.all())
             del points, held
         else:

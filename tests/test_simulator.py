@@ -438,9 +438,11 @@ class TestTransmissionPass:
     reporter of a fault, on anything that pass cannot vouch for."""
 
     @pytest.mark.parametrize(
-        "spec, z", [("affine:n=5", 2), ("example:9", 4), ("example:4", 1), ("example:8", 3), ("hadamard:m=3", 2)]
+        "spec, z",
+        [("affine:n=5", 2), ("example:9", 4), ("example:4", 1), ("example:8", 3), ("hadamard:m=3", 2), ("affine:n=9", 2)],
     )
     def test_fault_free_run_builds_no_participation(self, monkeypatch, spec, z):
+        """Also past one word of points: affine:n=9 has v = 81."""
         res = from_spec(spec)
         n_users = scheme_metrics(res, z).users
         built = []
