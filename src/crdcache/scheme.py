@@ -320,10 +320,10 @@ class DeliverySchedule:
         schedule order, and position p sits in row ``p // 2^z``.  It is
         ``decode_user``'s index: a user's decoder visits only the mu_z
         (b_r-1)^z rows it is part of.  ``verify_all`` builds it only for a
-        schedule whose faults it must name.  The
-        ids are sorted in the narrowest unsigned dtype that holds K - 1, for
-        which numpy's stable sort is a radix sort up to K = 65536; the
-        positions are kept as int32 below 2^31 terms.
+        schedule whose faults it must name.  The ids are sorted in the
+        narrowest unsigned dtype that holds K - 1, for which numpy's stable
+        sort is a radix sort up to K = 65536; the positions are kept as
+        int32 below 2^31 terms.
         """
         flat = self.users.ravel()
         terms = np.argsort(flat.astype(np.min_scalar_type(self.scheme.n_users - 1)), kind="stable")
