@@ -547,8 +547,8 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
     # bytes a row holds at most at once: its users, mine and other indices
     # (8 bytes each), four (W, 2^z) word rows (direct, sets, via_others and
     # one np.take temporary) and after; a chunk's arrays are freed before the
-    # next chunk's, and the membership bits' temporaries live while mine,
-    # other, sets and via_others do not
+    # next chunk's, and the membership bits' temporaries live while sets and
+    # via_others do not
     per_row = 8 * (gain * (1 + 2 * z + 4 * words) + words)
     for chunk in row_chunks(n_rows, per_row):
         users = schedule.users[chunk].T.astype(np.intp, order="C")  # (2^z, rows)
@@ -557,19 +557,21 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
         direct = np.take(incidence, other[0], axis=1)  # (W, 2^z, rows)
         for c in range(1, z):
             direct &= np.take(incidence, other[c], axis=1)
-        del mine, other
         odd = np.flatnonzero((users[1:] <= users[:-1]).any(axis=0))
         if strippable and not len(odd):
             points = schedule.subfiles[chunk].T  # (2^z, rows)
             held = np.take(point_bit, points)
             if words == 1:
                 held &= direct[0]
-            else:
-                held &= np.take_along_axis(direct, (points[None] - 1) >> 6, axis=0)[0]
+            else:  # each point's word, read from the small incidence, not from direct
+                at = ((points - 1) >> 6) * incidence.shape[1]
+                for c in range(z):
+                    held &= np.take(incidence, at + other[c])
             strippable = bool(held.all())
             del points, held
         else:
             strippable = False
+        del mine, other
         sets = np.take(readable, users, axis=1)
         via_others = np.empty_like(sets)
         via_others[:, 0] = everything

@@ -492,22 +492,31 @@ class TestTransmissionPass:
             "transmission 1: side-information set of user 1 is [5] but the others share [4, 5, 6]",
         )
 
-    def test_swapped_subfiles_of_one_user_fail_only_the_membership_bits(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec, point",
+        [("example:3", 6), ("affine:n=9", 20)],  # one word of points, and two
+    )
+    def test_swapped_subfiles_of_one_user_fail_only_the_membership_bits(self, monkeypatch, spec, point):
         """User 1's subfiles swapped between its first two rows leave every
         side-information set and every point it receives as they were; only
         a membership bit fails, and verify_all raises what the batches raise."""
-        res = catalog_example(3)
-        schedule = build_delivery_schedule(build_scheme(res, 2, 9))
+        res = from_spec(spec)
+        n_users = scheme_metrics(res, 2).users
+        schedule = build_delivery_schedule(build_scheme(res, 2, n_users))
         subfiles = schedule.subfiles.copy()
         first, second = np.flatnonzero(schedule.users == 0)[:2]
         subfiles.flat[[first, second]] = subfiles.flat[[second, first]]
         swapped = replace(schedule, subfiles=subfiles)
         assert _side_information_pass(swapped)[1] is False
+        run = lambda: verify_all(res, 2, n_users, 36, seed=4)  # noqa: E731
         monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], swapped))
-        got = _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
+        got = _verdict(run)
         monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
-        assert got == _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
-        assert got == (errors.MissingSideInformation, "transmission 1: user 2 cannot strip subfile 6 of user 1's term")
+        assert got == _verdict(run)
+        assert got == (
+            errors.MissingSideInformation,
+            f"transmission 1: user 2 cannot strip subfile {point} of user 1's term",
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
