@@ -561,14 +561,11 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
         if strippable and not len(odd):
             points = schedule.subfiles[chunk].T  # (2^z, rows)
             held = np.take(point_bit, points)
-            if words == 1:
-                held &= direct[0]
-            else:  # each point's word, read from the small incidence, not from direct
-                at = ((points - 1) >> 6) * incidence.shape[1]
-                for c in range(z):
-                    held &= np.take(incidence, at + other[c])
+            at = ((points - 1) >> 6) * incidence.shape[1]  # each point's word, in the small incidence
+            for c in range(z):
+                held &= np.take(incidence, at + other[c])
             strippable = bool(held.all())
-            del points, held
+            del points, held, at
         else:
             strippable = False
         del mine, other
@@ -600,18 +597,20 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
 
 def _received(schedule: DeliverySchedule, words: int) -> np.ndarray:
     """The points each user receives over the air, as (K, W) packed words:
-    one scatter of every term's own subfile into a (K, 64 W) bool, in row
-    chunks of at most ``WORK_BYTES`` of intp flat indices, packed once."""
-    got = np.zeros((schedule.scheme.n_users, 64 * words), dtype=bool)
+    every term's own subfile ORed into its user's word, in row chunks of at
+    most ``WORK_BYTES`` of intp word indices, point offsets and bits."""
+    got = np.zeros((schedule.scheme.n_users, words), dtype=np.uint64)
     flat = got.reshape(-1)
-    for rows in row_chunks(len(schedule.users), 8 * max(1, schedule.users.shape[1])):
+    for rows in row_chunks(len(schedule.users), 24 * max(1, schedule.users.shape[1])):
+        offset = schedule.subfiles[rows].astype(np.intp)
+        offset -= 1
         at = schedule.users[rows].astype(np.intp)
-        at *= got.shape[1]
-        at += schedule.subfiles[rows]
-        at -= 1
-        flat[at] = True
-        del at
-    return np.packbits(got, axis=1).view(np.uint64)
+        at *= words
+        at += offset >> 6
+        offset &= 63
+        np.bitwise_or.at(flat, at, np.take(_WORD_BITS, offset))
+        del offset, at
+    return got
 
 
 def _batch_counts(schedule: DeliverySchedule) -> np.ndarray:

@@ -450,6 +450,31 @@ class TestTransmissionPass:
         assert verify_all(res, z, n_users, 24, seed=5) == report
         assert "participation" in built[1].__dict__
 
+    @pytest.mark.parametrize("budget", [1 << 16, 1 << 18])
+    def test_received_scatter_stays_within_its_budget(self, budget):
+        """affine:n=9 (v = 81, two words) at z = 2: the scatter of what each
+        user receives holds its (K, W) words plus one chunk of WORK_BYTES
+        (within a quarter for numpy's own temporaries), where one byte per
+        user and point would not fit, and it ORs exactly the terms' points."""
+        res = from_spec("affine:n=9")
+        schedule = build_delivery_schedule(build_scheme(res, 2, 1), [1] * scheme_metrics(res, 2).users)
+        words = -(-res.design.v // 64)
+        output = 8 * words * schedule.scheme.n_users
+        assert schedule.users.size * 8 > 4 * budget
+        assert 64 * words * schedule.scheme.n_users > 1.25 * budget + output
+        with mock.patch.object(caps_module, "WORK_BYTES", budget):
+            simulator._received(schedule, words)
+            tracemalloc.start()
+            try:
+                got = simulator._received(schedule, words)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.25 * budget + output, peak / budget
+        points = np.zeros((schedule.scheme.n_users, 64 * words), dtype=bool)
+        points[schedule.users, schedule.subfiles - 1] = True
+        assert (got == simulator._packed(points[:, : res.design.v])).all()
+
     def test_descending_row_is_checked_by_batches(self, monkeypatch):
         """A row listed backwards keeps every side-information set, so the
         pass raises nothing, but only the batches may vouch for its terms:
