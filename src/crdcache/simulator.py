@@ -38,10 +38,10 @@ words first so that every pass runs along the transmissions.  Given that
 identity, in a row of distinct users a term can be stripped by every
 other participant exactly when its subfile lies in its participant's
 side-information set: one bit per term.  Every point must then be cached
-or received, which one scatter of the terms' own subfiles shows.  A
+or received, which one sum of the terms' own subfile bits shows.  A
 schedule this pass cannot vouch for (a row whose users do not strictly
-ascend, a term outside its set, a point never obtained) is checked user
-by user instead, in array passes over batches of users found through the
+ascend, a term outside its set, a point never obtained or received
+twice) is checked user by user instead, in array passes over batches of users found through the
 participation index; only that path names a fault.
 """
 
@@ -539,10 +539,11 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
     for blocks in blocks_of[1:]:
         readable |= np.take(incidence, blocks, axis=1)
     everything = _packed(np.ones(v, dtype=bool))[:, None]
-    point_bit = np.take(_WORD_BITS, np.arange(-1, v) & 63)  # point p's bit in its word, at index p
-
     n_rows, gain = schedule.users.shape
     words, z = incidence.shape[0], scheme.z
+    # (W, v + 1): point p's bit in word w at [w, p], zero in every other word
+    point_bits = np.zeros((words, v + 1), dtype=np.uint64)
+    point_bits[np.arange(v) >> 6, np.arange(1, v + 1)] = np.take(_WORD_BITS, np.arange(v) & 63)
     strippable = True
     # bytes a row holds at most at once: its users, mine and other indices
     # (8 bytes each), four (W, 2^z) word rows (direct, sets, via_others and
@@ -560,12 +561,12 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
         odd = np.flatnonzero((users[1:] <= users[:-1]).any(axis=0))
         if strippable and not len(odd):
             points = schedule.subfiles[chunk].T  # (2^z, rows)
-            held = np.take(point_bit, points)
-            at = ((points - 1) >> 6) * incidence.shape[1]  # each point's word, in the small incidence
-            for c in range(z):
-                held &= np.take(incidence, at + other[c])
+            held = np.take(point_bits[0], points)
+            held &= direct[0]
+            for w in range(1, words):
+                held |= np.take(point_bits[w], points) & direct[w]
             strippable = bool(held.all())
-            del points, held, at
+            del points, held
         else:
             strippable = False
         del mine, other
@@ -597,18 +598,22 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
 
 def _received(schedule: DeliverySchedule, words: int) -> np.ndarray:
     """The points each user receives over the air, as (K, W) packed words:
-    every term's own subfile ORed into its user's word, in row chunks of at
-    most ``WORK_BYTES`` of intp word indices, point offsets and bits."""
+    the sum of every term's own subfile bit in its user's word, in row
+    chunks of at most ``WORK_BYTES`` of intp word indices, point offsets
+    and bits.  The sum is the union exactly when no user receives one point
+    twice, which is when its popcounts add up to the number of terms (a
+    bit added twice carries)."""
     got = np.zeros((schedule.scheme.n_users, words), dtype=np.uint64)
     flat = got.reshape(-1)
     for rows in row_chunks(len(schedule.users), 24 * max(1, schedule.users.shape[1])):
-        offset = schedule.subfiles[rows].astype(np.intp)
+        offset = schedule.subfiles[rows].reshape(-1).astype(np.intp)
         offset -= 1
-        at = schedule.users[rows].astype(np.intp)
+        at = schedule.users[rows].reshape(-1).astype(np.intp)
         at *= words
         at += offset >> 6
         offset &= 63
-        np.bitwise_or.at(flat, at, np.take(_WORD_BITS, offset))
+        # numpy's fast path of ufunc.at takes 1-D indices, for add but not bitwise_or
+        np.add.at(flat, at, np.take(_WORD_BITS, offset))
         del offset, at
     return got
 
@@ -653,9 +658,10 @@ def verify_all(
     counts = None  # subfiles from cache, from the air
     if strippable:
         got = _received(schedule, len(readable))
+        air = np.bitwise_count(got).sum(axis=1)
         everything = _packed(np.ones(v, dtype=bool))[:, None]
-        if ((readable | got.T) == everything).all():
-            counts = np.bitwise_count(readable).sum(axis=0), np.bitwise_count(got).sum(axis=1)
+        if air.sum() == schedule.users.size and ((readable | got.T) == everything).all():
+            counts = np.bitwise_count(readable).sum(axis=0), air
         del got
     del readable  # before the participation index, subfiles and payloads exist
     if counts is None:

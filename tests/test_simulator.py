@@ -475,6 +475,34 @@ class TestTransmissionPass:
         points[schedule.users, schedule.subfiles - 1] = True
         assert (got == simulator._packed(points[:, : res.design.v])).all()
 
+    def test_point_received_three_times_is_checked_by_batches(self, monkeypatch):
+        """Row 4 of example:4 at z = 2 sent twice more: each of its users
+        receives its point three times, and three times its bit sums to that
+        bit and the next bit up its word, a point that user reads from its
+        caches.  The sum then covers every point but is not the union, which
+        its popcounts show, so the batches count each point once."""
+        res = catalog_example(4)
+        n_users = scheme_metrics(res, 2).users
+        schedule = build_delivery_schedule(build_scheme(res, 2, n_users))
+        again = replace(
+            schedule,
+            users=np.vstack([schedule.users, schedule.users[[3, 3]]]),
+            subfiles=np.vstack([schedule.subfiles, schedule.subfiles[[3, 3]]]),
+        )
+        readable, strippable = _side_information_pass(again)
+        received = simulator._received(again, len(readable))
+        everything = simulator._packed(np.ones(res.design.v, dtype=bool))[:, None]
+        assert strippable and ((readable | received.T) == everything).all()
+        assert np.bitwise_count(received).sum() < again.users.size
+        run = lambda: verify_all(res, 2, n_users, 36, seed=4)  # noqa: E731
+        expected = run()
+        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], again))
+        report = run()
+        assert report.transmissions_sent == expected.transmissions_sent + 2
+        assert report.users == expected.users
+        monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
+        assert run() == report
+
     def test_descending_row_is_checked_by_batches(self, monkeypatch):
         """A row listed backwards keeps every side-information set, so the
         pass raises nothing, but only the batches may vouch for its terms:
@@ -518,18 +546,22 @@ class TestTransmissionPass:
         )
 
     @pytest.mark.parametrize(
-        "spec, point",
-        [("example:3", 6), ("affine:n=9", 20)],  # one word of points, and two
+        "spec, user, fault",
+        [
+            ("example:3", 0, "transmission 1: user 2 cannot strip subfile 6 of user 1's term"),
+            ("affine:n=9", 0, "transmission 1: user 2 cannot strip subfile 20 of user 1's term"),
+            ("affine:n=9", 243, "transmission 3889: user 245 cannot strip subfile 74 of user 244's term"),
+        ],  # one word of points; two words, in the first and in the second
     )
-    def test_swapped_subfiles_of_one_user_fail_only_the_membership_bits(self, monkeypatch, spec, point):
-        """User 1's subfiles swapped between its first two rows leave every
+    def test_swapped_subfiles_of_one_user_fail_only_the_membership_bits(self, monkeypatch, spec, user, fault):
+        """A user's subfiles swapped between its first two rows leave every
         side-information set and every point it receives as they were; only
         a membership bit fails, and verify_all raises what the batches raise."""
         res = from_spec(spec)
         n_users = scheme_metrics(res, 2).users
         schedule = build_delivery_schedule(build_scheme(res, 2, n_users))
         subfiles = schedule.subfiles.copy()
-        first, second = np.flatnonzero(schedule.users == 0)[:2]
+        first, second = np.flatnonzero(schedule.users == user)[:2]
         subfiles.flat[[first, second]] = subfiles.flat[[second, first]]
         swapped = replace(schedule, subfiles=subfiles)
         assert _side_information_pass(swapped)[1] is False
@@ -538,10 +570,7 @@ class TestTransmissionPass:
         got = _verdict(run)
         monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
         assert got == _verdict(run)
-        assert got == (
-            errors.MissingSideInformation,
-            f"transmission 1: user 2 cannot strip subfile {point} of user 1's term",
-        )
+        assert got == (errors.MissingSideInformation, fault)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
