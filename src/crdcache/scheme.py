@@ -318,9 +318,10 @@ class DeliverySchedule:
         ``terms`` is one stable argsort of ``users.ravel()``, so user u's
         terms are the flat positions ``terms[bounds[u]:bounds[u+1]]`` in
         schedule order, and position p sits in row ``p // 2^z``.  It is
-        ``decode_user``'s index: a user's decoder visits only the mu_z
-        (b_r-1)^z rows it is part of.  ``verify_all`` builds it only for a
-        schedule whose faults it must name.  The ids are sorted in the
+        built only to name a fault, and for ``decode_user``: a user's
+        decoder, and ``verify_all``'s check of a user its transmission pass
+        cannot vouch for, visit only the mu_z (b_r-1)^z rows it is part of.
+        The ids are sorted in the
         narrowest unsigned dtype that holds K - 1, for which numpy's stable
         sort is a radix sort up to K = 65536; the positions are kept as
         int32 below 2^31 terms.

@@ -38,11 +38,12 @@ words first so that every pass runs along the transmissions.  Given that
 identity, in a row of distinct users a term can be stripped by every
 other participant exactly when its subfile lies in its participant's
 side-information set: one bit per term.  Every point must then be cached
-or received, which one sum of the terms' own subfile bits shows.  A
-schedule this pass cannot vouch for (a row whose users do not strictly
-ascend, a term outside its set, a point never obtained or received
-twice) is checked user by user instead, in array passes over batches of users found through the
-participation index; only that path names a fault.
+or received, which the union of the terms' own subfile bits shows.  The
+pass marks every user it cannot vouch for: each participant of a row
+whose users do not strictly ascend or that holds a term outside its set,
+and each user missing a point.  Every user that can fail is marked, so
+checking the marked users one by one in id order, through the
+participation index as ``decode_user`` does, names the first fault.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import numpy as np
 from . import caps as _caps
 from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
 from .designs import Resolution
-from .errors import DemandOutOfRange, IncompleteRecovery, InternalMuMismatch, MissingSideInformation
+from .errors import DemandOutOfRange, IncompleteRecovery, IndexOutOfRange, InternalMuMismatch, MissingSideInformation
 from .scheme import (
     DeliverySchedule,
     build_delivery_schedule,
@@ -381,46 +382,44 @@ def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray | None, s
     return np.frombuffer(joined, dtype=np.uint8).reshape(-1, sub)
 
 
-def _reach(
-    first: int, stop: int, schedule: DeliverySchedule, readable: np.ndarray, demands: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Check, moving no payload byte, that users first..stop-1, who read the
-    points of ``readable`` (B, v), can strip every other term of their rows
-    and so get every point.  Returns their terms in the users', then schedule
-    order: (flat position, flat positions (2^z - 1, terms) of the row's other
-    terms, own 0-based point, got (B, v))."""
+def _reach(user: int, schedule: DeliverySchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check, moving no payload byte, that ``user`` can strip every other
+    term of its rows with what its caches hold, read from the design's
+    blocks, and so gets every point.  Raises ``MissingSideInformation`` for
+    its first unstrippable term in schedule order (then the first other
+    column), else ``IncompleteRecovery`` for its first missing point.
+    Returns its terms in schedule order: (flat positions, flat positions
+    (2^z - 1, terms) of the rows' other terms, own 0-based points,
+    readable (v,), got (v,))."""
+    scheme = schedule.scheme
     gain = schedule.users.shape[1]
     order, bounds = schedule.participation
-    terms = order[bounds[first] : bounds[stop]]
-    owner = schedule.users.ravel()[terms] - first
-    own_points = schedule.subfiles.ravel()[terms] - 1
+    terms = order[bounds[user] : bounds[user + 1]]
+    readable = np.zeros(scheme.res.design.v, dtype=bool)
+    readable[scheme.res.design.blocks[scheme.users[user]] - 1] = True
     # the other columns of each term's row, ascending (gain is a power of two);
     # terms run along the last axis, so no pass loops over 2^z - 1 items
     col = terms & (gain - 1)
     skip = np.arange(gain - 1)[:, None]
     others = terms - col + skip + (skip >= col)
     other_points = schedule.subfiles.ravel()[others] - 1
-    v = readable.shape[1]
-    strippable = readable.ravel()[owner * v + other_points]
-    got = np.zeros(readable.shape, dtype=bool)
-    got.ravel()[owner * v + own_points] = True
-    have = readable | got
-    # a user's unstrippable term is reported before its missing subfiles
+    strippable = readable[other_points]
     if not strippable.all():
         term, c = np.unravel_index(np.argmin(strippable.T), strippable.T.shape)
-        if have[: owner[term]].all():
-            raise MissingSideInformation(
-                f"transmission {terms[term] // gain + 1}: user {first + owner[term] + 1} cannot "
-                f"strip subfile {other_points[c, term] + 1} of user "
-                f"{schedule.users.flat[others[c, term]] + 1}'s term"
-            )
-    if not have.all():
-        short = np.argmin(have.all(axis=1))
-        raise IncompleteRecovery(
-            f"user {first + short + 1} never obtained subfile "
-            f"{np.argmin(have[short]) + 1} of file {demands[short]}"
+        raise MissingSideInformation(
+            f"transmission {terms[term] // gain + 1}: user {user + 1} cannot "
+            f"strip subfile {other_points[c, term] + 1} of user "
+            f"{schedule.users.flat[others[c, term]] + 1}'s term"
         )
-    return terms, others, own_points, got
+    own_points = schedule.subfiles.ravel()[terms] - 1
+    got = np.zeros_like(readable)
+    got[own_points] = True
+    have = readable | got
+    if not have.all():
+        raise IncompleteRecovery(
+            f"user {user + 1} never obtained subfile {np.argmin(have) + 1} of file {schedule.demands[user]}"
+        )
+    return terms, others, own_points, readable, got
 
 
 def decode_user(
@@ -433,23 +432,31 @@ def decode_user(
 ) -> tuple[bytes, int, int]:
     """Reconstruct the demanded file for one user.
 
-    Reads only the user's own z caches, which also give the library, plus
-    the broadcast payloads of the transmissions it takes part in (a sequence
-    of ``bytes`` rows, or their (T, sub) array), and strips every other term
-    of those rows; ``file_len`` is the true (pre-padding) length to strip
-    back to.  Returns (file bytes, subfiles from cache, subfiles from the air).
+    Reads only one of the user's own z caches, whose library gives every
+    subfile it strips with (what the z caches hold is read from the
+    design's blocks), plus the broadcast payloads of the transmissions it
+    takes part in (a sequence of ``bytes`` rows, or their (T, sub) array),
+    and strips every other term of those rows; ``file_len`` is the true
+    (pre-padding) length to strip back to.  Returns (file bytes, subfiles
+    from cache, subfiles from the air).  Raises ``IndexOutOfRange`` unless
+    0 <= ``user_idx`` < K and ``DemandOutOfRange`` unless ``demand`` is the
+    schedule's demand of that user.
     """
-    own = [caches[j] for j in schedule.scheme.users[user_idx].tolist()]
-    library = own[0].library
-    readable = np.zeros((1, library.shape[1]), dtype=bool)
-    readable[0, np.concatenate([cache.block for cache in own]) - 1] = True
-    terms, others, points, got = _reach(user_idx, user_idx + 1, schedule, readable, (demand,))
+    n_users = schedule.scheme.n_users
+    if not 0 <= user_idx < n_users:
+        raise IndexOutOfRange(f"user index {user_idx} outside 0..{n_users - 1}")
+    if demand != schedule.demands[user_idx]:
+        raise DemandOutOfRange(
+            f"user {user_idx + 1} demands file {schedule.demands[user_idx]} in the schedule, not {demand}"
+        )
+    library = caches[int(schedule.scheme.users[user_idx, 0])].library
+    terms, others, points, readable, got = _reach(user_idx, schedule)
     air = _air_rows(payloads, terms // schedule.users.shape[1], library.shape[2])
     _xor_gather(air, library.reshape(-1, library.shape[2]), schedule.term_keys(others).T)
     out = np.empty(library.shape[1:], dtype=np.uint8)
     out[points] = air
     # a readable subfile is taken from the caches, even if it also came over the air
-    out[readable[0]] = library[demand - 1, readable[0]]
+    out[readable] = library[demand - 1, readable]
     counts = int(np.count_nonzero(readable)), int(np.count_nonzero(got))
     return out.reshape(-1)[:file_len].tobytes(), *counts
 
@@ -507,17 +514,18 @@ def _check_side_information_sets(schedule: DeliverySchedule) -> None:
     _side_information_pass(schedule)
 
 
-def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool]:
+def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, np.ndarray]:
     """Check the side-information identity on every transmission (see
-    ``_check_side_information_sets``) and return ``(readable, strippable)``:
+    ``_check_side_information_sets``) and return ``(readable, unsure)``:
     the (W, K) packed words of the points each user reads from its caches,
-    and whether every row's users strictly ascend and every term's own
-    subfile lies in its participant's side-information set.
+    and a (K,) bool marking every participant of a row whose users do not
+    strictly ascend or one of whose terms has its subfile outside its
+    participant's side-information set.
 
     Given the identity, a term's subfile lies in that set exactly when every
     other participant reads it; in a row of distinct users that is exactly
-    "every other participant can strip this term".  A ``False`` says only
-    that this pass cannot vouch for every term, not that some term fails.
+    "every other participant can strip this term".  So an unmarked user
+    strips every term of its rows; a marked one may still strip them all.
 
     A participant's complementary block in each class is the pair's other
     block, and a row's first and last participants hold the two blocks of
@@ -544,7 +552,7 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
     # (W, v + 1): point p's bit in word w at [w, p], zero in every other word
     point_bits = np.zeros((words, v + 1), dtype=np.uint64)
     point_bits[np.arange(v) >> 6, np.arange(1, v + 1)] = np.take(_WORD_BITS, np.arange(v) & 63)
-    strippable = True
+    unsure = np.zeros(scheme.n_users, dtype=bool)
     # bytes a row holds at most at once: its users, mine and other indices
     # (8 bytes each), four (W, 2^z) word rows (direct, sets, via_others and
     # one np.take temporary) and after; a chunk's arrays are freed before the
@@ -559,17 +567,16 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
         for c in range(1, z):
             direct &= np.take(incidence, other[c], axis=1)
         odd = np.flatnonzero((users[1:] <= users[:-1]).any(axis=0))
-        if strippable and not len(odd):
-            points = schedule.subfiles[chunk].T  # (2^z, rows)
-            held = np.take(point_bits[0], points)
-            held &= direct[0]
-            for w in range(1, words):
-                held |= np.take(point_bits[w], points) & direct[w]
-            strippable = bool(held.all())
-            del points, held
-        else:
-            strippable = False
-        del mine, other
+        points = schedule.subfiles[chunk].T  # (2^z, rows)
+        held = np.take(point_bits[0], points)
+        held &= direct[0]
+        for w in range(1, words):
+            held |= np.take(point_bits[w], points) & direct[w]
+        if len(odd) or not held.all():
+            doubtful = ~held.all(axis=0)
+            doubtful[odd] = True
+            unsure[users[:, doubtful]] = True
+        del mine, other, points, held
         sets = np.take(readable, users, axis=1)
         via_others = np.empty_like(sets)
         via_others[:, 0] = everything
@@ -593,49 +600,33 @@ def _side_information_pass(schedule: DeliverySchedule) -> tuple[np.ndarray, bool
                 f"{_points(via_others[:, m, row], v)}"
             )
         del users, direct, sets, via_others, after, wrong
-    return readable, strippable
+    return readable, unsure
 
 
 def _received(schedule: DeliverySchedule, words: int) -> np.ndarray:
     """The points each user receives over the air, as (K, W) packed words:
-    the sum of every term's own subfile bit in its user's word, in row
+    every term's own subfile bit scattered into its user's word, in row
     chunks of at most ``WORK_BYTES`` of intp word indices, point offsets
-    and bits.  The sum is the union exactly when no user receives one point
-    twice, which is when its popcounts add up to the number of terms (a
-    bit added twice carries)."""
-    got = np.zeros((schedule.scheme.n_users, words), dtype=np.uint64)
+    and bits.  The sum (``np.add.at``, numpy's fast path for 1-D indices)
+    is the union exactly when no user receives one point twice, which is
+    when its popcounts add up to the number of terms (a bit added twice
+    carries); otherwise the scatter is redone with ``np.bitwise_or.at``."""
+    got = np.empty((schedule.scheme.n_users, words), dtype=np.uint64)
     flat = got.reshape(-1)
-    for rows in row_chunks(len(schedule.users), 24 * max(1, schedule.users.shape[1])):
-        offset = schedule.subfiles[rows].reshape(-1).astype(np.intp)
-        offset -= 1
-        at = schedule.users[rows].reshape(-1).astype(np.intp)
-        at *= words
-        at += offset >> 6
-        offset &= 63
-        # numpy's fast path of ufunc.at takes 1-D indices, for add but not bitwise_or
-        np.add.at(flat, at, np.take(_WORD_BITS, offset))
-        del offset, at
+    for scatter in np.add.at, np.bitwise_or.at:
+        flat[:] = 0
+        for rows in row_chunks(len(schedule.users), 24 * max(1, schedule.users.shape[1])):
+            offset = schedule.subfiles[rows].reshape(-1).astype(np.intp)
+            offset -= 1
+            at = schedule.users[rows].reshape(-1).astype(np.intp)
+            at *= words
+            at += offset >> 6
+            offset &= 63
+            scatter(flat, at, np.take(_WORD_BITS, offset))
+            del offset, at
+        if np.bitwise_count(got).sum() == schedule.users.size:
+            break
     return got
-
-
-def _batch_counts(schedule: DeliverySchedule) -> np.ndarray:
-    """Each user's subfiles from its caches and from the air, as (2, K), by
-    ``_reach`` over batches of users through the participation index: it
-    raises ``MissingSideInformation`` or ``IncompleteRecovery`` for the
-    first user, in id order, that cannot strip a term of its rows or never
-    gets a point.  Users are checked in batches of at most ``WORK_BYTES`` of
-    term indices and point masks, read from one incidence of the caches."""
-    scheme = schedule.scheme
-    _, bounds = schedule.participation
-    v = scheme.res.design.v
-    incidence = _incidence(scheme.res.design.blocks, v)
-    per_user = int(np.diff(bounds).max()) * 24 * schedule.users.shape[1] + (scheme.z + 3) * v
-    counts = np.empty((2, scheme.n_users), dtype=np.intp)
-    for batch in row_chunks(scheme.n_users, per_user):
-        readable = incidence[scheme.users[batch]].any(axis=1)
-        got = _reach(batch.start, batch.stop, schedule, readable, schedule.demands[batch])[-1]
-        counts[:, batch] = readable.sum(axis=1), got.sum(axis=1)
-    return counts
 
 
 def verify_all(
@@ -649,26 +640,22 @@ def verify_all(
 ) -> SimulationReport:
     """End-to-end run: schedule and broadcast, then check what every user
     can strip, inside the side-information pass over the transmissions,
-    and every row's residual against the store's term subfiles."""
+    and every row's residual against the store's term subfiles.  Of the
+    users that pass marks, or that miss a point, the first in id order that
+    cannot strip a term or never gets a point raises
+    ``MissingSideInformation`` or ``IncompleteRecovery``."""
     scheme = build_scheme(res, z, n_files, caps)
     schedule = build_delivery_schedule(scheme, demands)
-    readable, strippable = _side_information_pass(schedule)
+    readable, unsure = _side_information_pass(schedule)
     v = res.design.v
     n_users = scheme.n_users
-    counts = None  # subfiles from cache, from the air
-    if strippable:
-        got = _received(schedule, len(readable))
-        air = np.bitwise_count(got).sum(axis=1)
-        everything = _packed(np.ones(v, dtype=bool))[:, None]
-        if air.sum() == schedule.users.size and ((readable | got.T) == everything).all():
-            counts = np.bitwise_count(readable).sum(axis=0), air
-        del got
-    del readable  # before the participation index, subfiles and payloads exist
-    if counts is None:
-        # only the batch path names a fault, and it may find none (a row whose
-        # users descend); its participation sort's scratch is freed before
-        # the subfiles and payloads exist
-        counts = _batch_counts(schedule)
+    got = _received(schedule, len(readable))
+    everything = _packed(np.ones(v, dtype=bool))[:, None]
+    unsure |= ((readable | got.T) != everything).any(axis=0)
+    cached, air = np.bitwise_count(readable).sum(axis=0), np.bitwise_count(got).sum(axis=1)
+    del readable, got  # before the participation index, subfiles and payloads exist
+    for user in np.flatnonzero(unsure).tolist():
+        _reach(user, schedule)
     store = make_file_store(n_files, file_len, seed)
     payloads = encode_payloads(schedule, store)
     # a participant strips the other terms with the store's own bytes, so
@@ -679,7 +666,6 @@ def verify_all(
     _xor_gather(resid, *store.term_subfiles(schedule))
     wrong = np.zeros(n_users, dtype=bool)
     wrong[schedule.users[resid.any(axis=1)]] = True
-    cached, air = counts
     columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), cached.tolist(), air.tolist())
     users = map(tuple.__new__, repeat(UserReport), columns)  # UserReport._make, minus a call per row
     return SimulationReport(

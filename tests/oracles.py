@@ -18,7 +18,9 @@ from crdcache.designs import Resolution, joint_labels, validate_design, validate
 from crdcache.errors import (
     ClassNotPartitionOfPoints,
     EmptyBlock,
+    IncompleteRecovery,
     InternalMuMismatch,
+    MissingSideInformation,
     NonUniformBlockSize,
     NotAPartitionOfBlocks,
     PointOutOfRange,
@@ -301,27 +303,43 @@ def scan_side_information_sets(schedule: DeliverySchedule) -> None:
                 )
 
 
-def scan_delivery_checks(schedule: DeliverySchedule) -> bool:
-    """Whether a schedule passes every check ``verify_all`` makes before any
-    payload byte, in frozensets: the side-information identity on every
-    transmission; every other term of each row a user takes part in must be
-    readable from that user's caches; every point of every user must be
-    cached or received."""
+def scan_delivery_verdict(schedule: DeliverySchedule) -> tuple[type, str] | None:
+    """The first fault ``verify_all`` names before any payload byte, as
+    (error type, message), or None if there is none, in frozensets: the
+    side-information identity on every transmission; then, user by user in
+    id order, the first term of its rows in schedule order with another
+    term (first column first) whose subfile its caches do not hold, else
+    the first point it neither caches nor receives."""
     try:
         scan_side_information_sets(schedule)
-    except InternalMuMismatch:
-        return False
+    except InternalMuMismatch as exc:
+        return InternalMuMismatch, str(exc)
     scheme = schedule.scheme
     res = scheme.res
-    readable = [frozenset(access_union(res, blocks)) for blocks in scheme.users]
-    got: list[set[int]] = [set() for _ in readable]
-    for uids, points in zip(schedule.users.tolist(), schedule.subfiles.tolist()):
-        for m, (uid, point) in enumerate(zip(uids, points)):
-            got[uid].add(point)
-            if any(other not in readable[uid] for c, other in enumerate(points) if c != m):
-                return False
+    rows = list(zip(schedule.users.tolist(), schedule.subfiles.tolist()))
+    terms: list[list[tuple[int, int]]] = [[] for _ in range(scheme.n_users)]
+    for t_idx, (uids, _) in enumerate(rows):
+        for m, uid in enumerate(uids):
+            terms[uid].append((t_idx, m))
     everything = frozenset(range(1, res.design.v + 1))
-    return all(cached | air == everything for cached, air in zip(readable, got))
+    for uid, mine in enumerate(terms):
+        readable = frozenset(access_union(res, scheme.users[uid]))
+        got = set()
+        for t_idx, m in mine:
+            uids, points = rows[t_idx]
+            got.add(points[m])
+            for c, point in enumerate(points):
+                if c != m and point not in readable:
+                    return MissingSideInformation, (
+                        f"transmission {t_idx + 1}: user {uid + 1} cannot strip subfile "
+                        f"{point} of user {uids[c] + 1}'s term"
+                    )
+        missing = everything - readable - got
+        if missing:
+            return IncompleteRecovery, (
+                f"user {uid + 1} never obtained subfile {min(missing)} of file {schedule.demands[uid]}"
+            )
+    return None
 
 
 class DigitField:

@@ -43,7 +43,7 @@ from crdcache.simulator import (
 from oracles import (
     block_set,
     int_xor_payloads,
-    scan_delivery_checks,
+    scan_delivery_verdict,
     scan_participation,
     scan_side_information_sets,
     split_subfiles,
@@ -409,11 +409,11 @@ def _capture(built, schedule=None):
     return builder
 
 
-def _by_batches(schedule):
-    """``_side_information_pass`` that never vouches for the terms, so that
-    ``verify_all`` checks every user through the participation batches."""
-    readable, _ = _side_information_pass(schedule)
-    return readable, False
+def _all_unsure(schedule):
+    """``_side_information_pass`` that vouches for no user, so that
+    ``verify_all`` checks every user one by one."""
+    readable, unsure = _side_information_pass(schedule)
+    return readable, np.ones_like(unsure)
 
 
 def _verdict(run):
@@ -430,15 +430,18 @@ DOCTORED_POINTS = [p.values for p in _oracle_points() if scheme_metrics(from_spe
 
 class TestTransmissionPass:
     """verify_all checks every user inside its side-information pass over the
-    transmissions and falls back to the participation batches, the only
-    reporter of a fault, on anything that pass cannot vouch for."""
+    transmissions, which marks every user it cannot vouch for; only the
+    marked users are checked one by one, and the first to fail in id order
+    names the fault the frozenset scan names."""
 
     @pytest.mark.parametrize(
         "spec, z",
         [("affine:n=5", 2), ("example:9", 4), ("example:4", 1), ("example:8", 3), ("hadamard:m=3", 2), ("affine:n=9", 2)],
     )
     def test_fault_free_run_builds_no_participation(self, monkeypatch, spec, z):
-        """Also past one word of points: affine:n=9 has v = 81."""
+        """Also past one word of points: affine:n=9 has v = 81.  With every
+        user marked, each is checked one by one, raises nothing and the
+        report stays the same."""
         res = from_spec(spec)
         n_users = scheme_metrics(res, z).users
         built = []
@@ -446,7 +449,8 @@ class TestTransmissionPass:
         report = verify_all(res, z, n_users, 24, seed=5)
         assert report.all_recovered and len(built) == 1
         assert "participation" not in built[0].__dict__
-        monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
+        assert not _side_information_pass(built[0])[1].any()
+        monkeypatch.setattr(simulator, "_side_information_pass", _all_unsure)
         assert verify_all(res, z, n_users, 24, seed=5) == report
         assert "participation" in built[1].__dict__
 
@@ -475,12 +479,13 @@ class TestTransmissionPass:
         points[schedule.users, schedule.subfiles - 1] = True
         assert (got == simulator._packed(points[:, : res.design.v])).all()
 
-    def test_point_received_three_times_is_checked_by_batches(self, monkeypatch):
+    def test_point_received_three_times_is_counted_once(self, monkeypatch):
         """Row 4 of example:4 at z = 2 sent twice more: each of its users
         receives its point three times, and three times its bit sums to that
         bit and the next bit up its word, a point that user reads from its
         caches.  The sum then covers every point but is not the union, which
-        its popcounts show, so the batches count each point once."""
+        its popcounts show, so the scatter is redone as an OR: no user is
+        marked and each point counts once."""
         res = catalog_example(4)
         n_users = scheme_metrics(res, 2).users
         schedule = build_delivery_schedule(build_scheme(res, 2, n_users))
@@ -489,42 +494,46 @@ class TestTransmissionPass:
             users=np.vstack([schedule.users, schedule.users[[3, 3]]]),
             subfiles=np.vstack([schedule.subfiles, schedule.subfiles[[3, 3]]]),
         )
-        readable, strippable = _side_information_pass(again)
+        readable, unsure = _side_information_pass(again)
         received = simulator._received(again, len(readable))
-        everything = simulator._packed(np.ones(res.design.v, dtype=bool))[:, None]
-        assert strippable and ((readable | received.T) == everything).all()
+        points = np.zeros((n_users, 64 * len(readable)), dtype=bool)
+        points[again.users, again.subfiles - 1] = True
+        assert (received == simulator._packed(points[:, : res.design.v])).all()
         assert np.bitwise_count(received).sum() < again.users.size
+        assert not unsure.any()
         run = lambda: verify_all(res, 2, n_users, 36, seed=4)  # noqa: E731
         expected = run()
-        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], again))
+        built = []
+        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture(built, again))
         report = run()
         assert report.transmissions_sent == expected.transmissions_sent + 2
         assert report.users == expected.users
-        monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
-        assert run() == report
+        assert scan_delivery_verdict(again) is None
+        assert "participation" not in built[0].__dict__
 
-    def test_descending_row_is_checked_by_batches(self, monkeypatch):
+    def test_descending_row_is_checked_user_by_user(self, monkeypatch):
         """A row listed backwards keeps every side-information set, so the
-        pass raises nothing, but only the batches may vouch for its terms:
-        the report is the undoctored one."""
+        pass raises nothing, but it marks that row's users, and they are
+        checked one by one: the report is the undoctored one."""
         res = catalog_example(3)
         schedule = build_delivery_schedule(build_scheme(res, 2, 9))
         users, subfiles = schedule.users.copy(), schedule.subfiles.copy()
         users[0], subfiles[0] = users[0, ::-1], subfiles[0, ::-1]
         backwards = replace(schedule, users=users, subfiles=subfiles)
-        assert _side_information_pass(backwards)[1] is False
+        assert np.flatnonzero(_side_information_pass(backwards)[1]).tolist() == sorted(users[0].tolist())
+        assert scan_delivery_verdict(backwards) is None
         expected = verify_all(res, 2, 9, 36, seed=4)
         built = []
         monkeypatch.setattr(simulator, "build_delivery_schedule", _capture(built, backwards))
         assert verify_all(res, 2, 9, 36, seed=4) == expected
         assert "participation" in built[0].__dict__
 
-    def test_row_naming_one_user_twice_raises_what_the_batches_raise(self, monkeypatch):
+    def test_row_naming_one_user_twice_raises_what_the_scan_raises(self, monkeypatch):
         """Row 1 of example:3 at z = 2 names users 1, 2, 4 and 5.  Naming user 1
         in the second slot too, on user 1's own subfile, keeps every term's
         subfile in its participant's side-information set, so the membership
         bits alone would pass, although user 1 cannot read the subfile its
-        other copy receives.  verify_all raises what the batches raise."""
+        other copy receives.  verify_all raises what the frozenset scan names."""
         res = catalog_example(3)
         schedule = build_delivery_schedule(build_scheme(res, 2, 9))
         users, subfiles = schedule.users.copy(), schedule.subfiles.copy()
@@ -538,9 +547,7 @@ class TestTransmissionPass:
         assert subfiles[0, 1] not in set().union(*(block_set(res, j) for j in twice.scheme.users[0]))
         monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], twice))
         got = _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
-        monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
-        assert got == _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
-        assert got == (
+        assert got == scan_delivery_verdict(twice) == (
             errors.InternalMuMismatch,
             "transmission 1: side-information set of user 1 is [5] but the others share [4, 5, 6]",
         )
@@ -556,7 +563,8 @@ class TestTransmissionPass:
     def test_swapped_subfiles_of_one_user_fail_only_the_membership_bits(self, monkeypatch, spec, user, fault):
         """A user's subfiles swapped between its first two rows leave every
         side-information set and every point it receives as they were; only
-        a membership bit fails, and verify_all raises what the batches raise."""
+        a membership bit fails, which marks the rows' users, and verify_all
+        raises what the frozenset scan names."""
         res = from_spec(spec)
         n_users = scheme_metrics(res, 2).users
         schedule = build_delivery_schedule(build_scheme(res, 2, n_users))
@@ -564,21 +572,36 @@ class TestTransmissionPass:
         first, second = np.flatnonzero(schedule.users == user)[:2]
         subfiles.flat[[first, second]] = subfiles.flat[[second, first]]
         swapped = replace(schedule, subfiles=subfiles)
-        assert _side_information_pass(swapped)[1] is False
-        run = lambda: verify_all(res, 2, n_users, 36, seed=4)  # noqa: E731
+        rows = schedule.users[[first // 4, second // 4]]
+        assert np.flatnonzero(_side_information_pass(swapped)[1]).tolist() == np.unique(rows).tolist()
         monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], swapped))
-        got = _verdict(run)
-        monkeypatch.setattr(simulator, "_side_information_pass", _by_batches)
-        assert got == _verdict(run)
-        assert got == (errors.MissingSideInformation, fault)
+        got = _verdict(lambda: verify_all(res, 2, n_users, 36, seed=4))
+        assert got == scan_delivery_verdict(swapped) == (errors.MissingSideInformation, fault)
+
+    def test_dropped_row_marks_only_its_users_by_their_gaps(self, monkeypatch):
+        """Row 1 of example:3 at z = 2 dropped: every term left strips, so no
+        membership bit fails, but each of the row's users misses its point,
+        and the first of them in id order names the fault."""
+        res = catalog_example(3)
+        schedule = build_delivery_schedule(build_scheme(res, 2, 9))
+        dropped = replace(schedule, users=schedule.users[1:], subfiles=schedule.subfiles[1:])
+        assert not _side_information_pass(dropped)[1].any()
+        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], dropped))
+        got = _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
+        assert got == scan_delivery_verdict(dropped) == (
+            errors.IncompleteRecovery,
+            "user 1 never obtained subfile 5 of file 1",
+        )
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_doctored_schedules_match_the_batches_and_the_scan(self, data):
+    def test_doctored_schedules_match_the_scan(self, data):
         """Schedules with users or subfiles overwritten, two subfiles of one
-        user swapped and rows dropped, built through the builder: verify_all's report, or its error's type and
-        message, equals the batch path's, at chunks of one row, a few rows or
-        the default; it passes exactly when the frozenset scan does."""
+        user swapped, and rows dropped, reversed or repeated, built through
+        the builder: at chunks of one row, a few rows or the default,
+        verify_all's error type and message are the first fault the frozenset
+        scan names, and where it names none verify_all reports every user
+        recovered."""
         spec, z = data.draw(st.sampled_from(DOCTORED_POINTS), label="point")
         res = from_spec(spec)
         n_users, v = scheme_metrics(res, z).users, res.design.v
@@ -587,7 +610,7 @@ class TestTransmissionPass:
         schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
         users, subfiles = schedule.users.copy(), schedule.subfiles.copy()
         for _ in range(data.draw(st.integers(0, 3), label="edits") if len(users) else 0):
-            edit = data.draw(st.sampled_from(["users", "subfiles", "swap", "drop"]), label="edit")
+            edit = data.draw(st.sampled_from(["users", "subfiles", "swap", "drop", "reverse", "repeat"]), label="edit")
             row = data.draw(st.integers(0, len(users) - 1), label="row")
             col = data.draw(st.integers(0, users.shape[1] - 1), label="col")
             if edit == "users":
@@ -599,6 +622,10 @@ class TestTransmissionPass:
                 if len(mine) > 1:
                     at = data.draw(st.lists(st.sampled_from(mine), min_size=2, max_size=2, unique=True))
                     subfiles.flat[at] = subfiles.flat[at[::-1]]
+            elif edit == "reverse":  # every set kept, the users descend
+                users[row], subfiles[row] = users[row, ::-1].copy(), subfiles[row, ::-1].copy()
+            elif edit == "repeat":  # the row's users receive its points twice
+                users, subfiles = np.vstack([users, users[[row]]]), np.vstack([subfiles, subfiles[[row]]])
             elif len(users) > 1:
                 users, subfiles = np.delete(users, row, axis=0), np.delete(subfiles, row, axis=0)
         doctored = replace(schedule, users=users, subfiles=subfiles)
@@ -608,11 +635,11 @@ class TestTransmissionPass:
             simulator, "build_delivery_schedule", _capture([], doctored)
         ):
             got = _verdict(run)
-            with mock.patch.object(simulator, "_side_information_pass", _by_batches):
-                assert got == _verdict(run)
-        assert isinstance(got, SimulationReport) == scan_delivery_checks(doctored)
-        if isinstance(got, SimulationReport):
-            assert got.all_recovered
+        expected = scan_delivery_verdict(doctored)
+        if expected is None:
+            assert isinstance(got, SimulationReport) and got.all_recovered
+        else:
+            assert got == expected
 
 
 class TestIsolatedDecoder:
@@ -1023,6 +1050,24 @@ class TestDecoderFaults:
         assert participants
         assert {u.user for u in report.users if not u.byte_equal} == participants
         assert all(u.recovered for u in report.users) and not report.all_recovered
+
+    @pytest.mark.parametrize(
+        "user, demand, error",
+        [
+            (0, 2, errors.DemandOutOfRange),  # another file of the library
+            (0, 0, errors.DemandOutOfRange),
+            (0, 10, errors.DemandOutOfRange),
+            (9, 1, errors.IndexOutOfRange),
+            (-1, 1, errors.IndexOutOfRange),
+        ],
+    )
+    def test_decode_user_rejects_a_user_or_demand_the_schedule_lacks(self, user, demand, error):
+        """example:3 at z = 2 has 9 users, and user 1 demands file 1."""
+        res, schedule, store = self._schedule()
+        caches = build_caches(store, res)
+        payloads = encode_payloads(schedule, store)
+        with pytest.raises(error):
+            decode_user(user, payloads, schedule, caches, demand, 36)
 
     def test_foreign_side_information_raises(self):
         res, schedule, store = self._schedule()
