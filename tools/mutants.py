@@ -11,7 +11,6 @@ file, checked before anything runs, so the list keeps up with refactors.
 
     python tools/mutants.py                    # every entry
     python tools/mutants.py --only "odd rows unmarked"
-    python tools/mutants.py --list
 
 It needs only the standard library and the test suite's own dependencies.
 The exit code is 0 when every mutant is caught, 1 when one survives and 2
@@ -31,6 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # per pytest run; a mutant that hangs counts as caught
 
 
 class Mutant(NamedTuple):
@@ -122,12 +122,12 @@ def check_anchors(mutants: list[Mutant]) -> list[str]:
     return problems
 
 
-def run_tests(tree: Path, tests: tuple[str, ...], timeout: float) -> int | None:
+def run_tests(tree: Path, tests: tuple[str, ...]) -> int | None:
     """pytest's exit code on ``tests`` in ``tree``, or None on a timeout."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     try:
-        return subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=timeout).returncode
+        return subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S).returncode
     except subprocess.TimeoutExpired:
         return None
 
@@ -135,18 +135,12 @@ def run_tests(tree: Path, tests: tuple[str, ...], timeout: float) -> int | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", action="append", metavar="NAME", help="run only this entry (repeatable)")
-    parser.add_argument("--list", action="store_true", help="print the entries and exit")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds per pytest run")
     args = parser.parse_args(argv)
     mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
     unknown = set(args.only or ()) - {m.name for m in MUTANTS}
     if unknown:
         print(f"no entry named {sorted(unknown)}", file=sys.stderr)
         return 2
-    if args.list:
-        for m in mutants:
-            print(f"{m.name}: {m.file} -> {' '.join(m.tests)}")
-        return 0
     problems = check_anchors(mutants)
     if problems:
         print("\n".join(problems), file=sys.stderr)
@@ -158,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(ROOT / name, tree / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", tree)
         selection = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
-        if run_tests(tree, selection, args.timeout) != 0:
+        if run_tests(tree, selection) != 0:
             print(f"the unmutated tests do not pass: {' '.join(selection)}", file=sys.stderr)
             return 2
         survived = 0
@@ -168,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
             path.write_text(original.replace(m.old, m.new), encoding="utf-8")
             start = time.perf_counter()
             try:
-                code = run_tests(tree, m.tests, args.timeout)
+                code = run_tests(tree, m.tests)
             finally:
                 path.write_text(original, encoding="utf-8")
             verdict = "survived" if code == 0 else "caught"
