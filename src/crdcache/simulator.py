@@ -432,12 +432,14 @@ def decode_user(
 ) -> tuple[bytes, int, int]:
     """Reconstruct the demanded file for one user.
 
-    Reads only one of the user's own z caches, whose library gives every
-    subfile it strips with (what the z caches hold is read from the
-    design's blocks), plus the broadcast payloads of the transmissions it
-    takes part in (a sequence of ``bytes`` rows, or their (T, sub) array),
-    and strips every other term of those rows; ``file_len`` is the true
-    (pre-padding) length to strip back to.  Returns (file bytes, subfiles
+    ``caches`` supplies only the shared library: the ``library`` of one of
+    the user's own z caches gives every subfile it strips with, and which
+    subfiles the user may read is worked out from the schedule's design
+    blocks, not from the views passed in.  Reads that library and the
+    broadcast payloads of the transmissions the user takes part in (a
+    sequence of ``bytes`` rows, or their (T, sub) array), and strips every
+    other term of those rows; ``file_len`` is the true (pre-padding)
+    length to strip back to.  Returns (file bytes, subfiles
     from cache, subfiles from the air).  Raises ``IndexOutOfRange`` unless
     0 <= ``user_idx`` < K and ``DemandOutOfRange`` unless ``demand`` is the
     schedule's demand of that user.

@@ -9,8 +9,7 @@ file back.  A mutant is caught when its tests fail or time out, and
 survives when they pass.  Every anchor must occur exactly once in its
 file, checked before anything runs, so the list keeps up with refactors.
 
-    python tools/mutants.py                    # every entry
-    python tools/mutants.py --only "odd rows unmarked"
+    python tools/mutants.py
 
 It needs only the standard library and the test suite's own dependencies.
 The exit code is 0 when every mutant is caught, 1 when one survives and 2
@@ -19,7 +18,6 @@ when an anchor is missing or the unmutated tests fail.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -112,7 +110,7 @@ MUTANTS = (
 )
 
 
-def check_anchors(mutants: list[Mutant]) -> list[str]:
+def check_anchors(mutants: tuple[Mutant, ...]) -> list[str]:
     """One problem line per anchor that does not occur exactly once."""
     problems = []
     for m in mutants:
@@ -132,15 +130,8 @@ def run_tests(tree: Path, tests: tuple[str, ...]) -> int | None:
         return None
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", action="append", metavar="NAME", help="run only this entry (repeatable)")
-    args = parser.parse_args(argv)
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    unknown = set(args.only or ()) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"no entry named {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
+    mutants = MUTANTS
     problems = check_anchors(mutants)
     if problems:
         print("\n".join(problems), file=sys.stderr)
