@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf, lgamma, log
+from math import comb, inf, lgamma, log, log2
 from typing import Callable, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
@@ -55,7 +55,9 @@ class ManPoint:
 
     @property
     def per_user_rate(self) -> Fraction:
-        return self.rate / self.users
+        """(1 - M/N) / (1 + t)."""
+        m = self.m_over_n
+        return Fraction(m.denominator - m.numerator, m.denominator * self.gain)
 
 
 # C(K, t) is printed in full.  The cap is above C(8190, 4095), of 8184
@@ -66,21 +68,23 @@ _MAX_SUBPACKETIZATION_BITS = 1 << 13
 
 
 def _comb_bits(n: int, k: int) -> float:
-    """About log2 C(n, k), from lgamma; inf once n is past float range."""
+    """About log2 C(n, k) for 1 <= k <= n, from lgamma; inf once n is past float
+    range.  It is at least k log2(n / k), where lgamma cancels to 0.0 at huge n."""
     try:
-        return (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2)
+        bits = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2)
     except OverflowError:
         return inf
+    return max(bits, k * (log2(n) - log2(k)))
 
 
 def man_point(users: int, m_over_n: Fraction | int) -> ManPoint:
     m_over_n = Fraction(m_over_n)
-    t = users * m_over_n
-    if t.denominator != 1 or t < 1 or t > users:
+    a, b = m_over_n.numerator, m_over_n.denominator
+    t, rem = divmod(users * a, b)
+    if rem or t < 1 or t > users:
         raise NonIntegerCacheRedundancy(
-            f"K*M/N must be a positive integer <= K, got {t} for K={users}"
+            f"K*M/N must be a positive integer <= K, got {Fraction(users * a, b)} for K={users}"
         )
-    t = int(t)
     if _comb_bits(users, t) > _MAX_SUBPACKETIZATION_BITS:
         # K and t themselves may be too long to print
         raise SizeCapExceeded(
@@ -90,7 +94,7 @@ def man_point(users: int, m_over_n: Fraction | int) -> ManPoint:
     return ManPoint(
         users=users,
         m_over_n=m_over_n,
-        rate=Fraction(users) * (1 - m_over_n) / (1 + t),
+        rate=Fraction(users * (b - a), b * (1 + t)),
         gain=1 + t,
         subpacketization=comb(users, t),
     )

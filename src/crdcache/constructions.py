@@ -12,9 +12,11 @@ Three infinite families plus a small hand-built catalog:
 * ``hadamard_crd(m)`` - from a normalized Hadamard matrix of order 4m:
   after dropping the all-ones row, each row splits the columns into a +1
   block and a -1 block, giving 4m-1 classes of two complementary blocks
-  with mu_2 = m.  Sylvester matrices cover orders that are powers of two,
-  quadratic-residue (Paley type I) matrices cover orders q+1 with q a
-  prime power congruent to 3 mod 4.
+  with mu_2 = m.  At a power-of-two order the labels come straight from the
+  Sylvester matrix's closed form, entry (i, j) = (-1)^popcount(i & j): row i
+  marks the columns j where i & j has odd parity, a chunk of rows at a time.
+  Quadratic-residue (Paley type I) matrices cover orders q+1 with q a prime
+  power congruent to 3 mod 4.
 * ``catalog_example(1..9)`` - small worked designs used by the test suite
   and the comparison tables.  Examples 3, 4, 8 and 9 are the grid designs
   [3]^2, [2]^3, [3]^3 and [2]^4; the rest are kept verbatim.
@@ -158,12 +160,15 @@ def affine_plane(n: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
     return affine_geometry_bibd(n, 2, caps)
 
 
-def _sylvester(order: int) -> np.ndarray:
-    h = np.array([[1]], dtype=np.int8)
-    step = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    while h.shape[0] < order:
-        h = np.kron(h, step)
-    return h
+def _sylvester_labels(order: int) -> np.ndarray:
+    """The (order - 1, order) bool labels of the normalized Sylvester matrix."""
+    idx = np.arange(order, dtype=np.min_scalar_type(order - 1))
+    labels = np.empty((order - 1, order), dtype=bool)
+    # a chunk's i & j and its bit counts take at most 3 bytes an entry
+    for rows in row_chunks(order - 1, 3 * order):
+        both = idx[1 + rows.start : 1 + rows.stop, None] & idx
+        np.bitwise_and(np.bitwise_count(both), 1, out=labels[rows], casting="unsafe")
+    return labels
 
 
 def _paley_type1(order: int, caps: SizeCaps) -> np.ndarray:
@@ -194,16 +199,13 @@ def hadamard_crd(m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
     if order > caps.max_points:
         raise SizeCapExceeded(f"{order} points exceed the cap of {caps.max_points}")
     if order & (order - 1) == 0:
-        h = _sylvester(order)
-    else:
-        pe = prime_power(order - 1)
-        if pe is not None and (order - 1) % 4 == 3:
-            h = _paley_type1(order, caps)
-        else:
-            raise NoConstructionAvailable(
-                f"no Hadamard matrix construction for order {order} "
-                f"(need a power of two, or {order - 1} a prime power = 3 mod 4)"
-            )
+        return _from_labels(_sylvester_labels(order))
+    if prime_power(order - 1) is None or (order - 1) % 4 != 3:
+        raise NoConstructionAvailable(
+            f"no Hadamard matrix construction for order {order} "
+            f"(need a power of two, or {order - 1} a prime power = 3 mod 4)"
+        )
+    h = _paley_type1(order, caps)
     # normalize row 0 and column 0 to all ones, in place, then drop row 0;
     # the +1 block comes first, and h is gone before the labels are sorted
     np.negative(h, out=h, where=h[0] == -1)

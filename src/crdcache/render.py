@@ -32,13 +32,12 @@ def decimal_text(x: Fraction | int, digits: int = 12) -> str:
 
 
 def cell_text(x) -> str:
+    if type(x) is Fraction:  # most cells: no ABC instance check, no float(x) call
+        num, den = x.numerator, x.denominator
+        return f"{num}/{den} ({num / den:.12g})" if den != 1 else str(num)
     if x is None:
         return "n/a"
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x} ({decimal_text(x)})"
-    return str(x)
+    return cell_text(Fraction(x)) if isinstance(x, Fraction) else str(x)
 
 
 def table_text(table: ComparisonTable) -> str:

@@ -87,19 +87,24 @@ def user_memory_fraction(mu: Mapping[int, int], z: int, k: int, v: int) -> Fract
 
     Inclusion-exclusion over the z blocks: all t-wise intersections
     (t >= 2) have the same size mu_t, so the union has size
-    z*k + sum_{t=2..z} (-1)^(t+1) C(z,t) mu_t.
+    z*k + sum_{t=2..z} (-1)^(t+1) C(z,t) mu_t, summed as an integer.
     """
-    total = z * Fraction(k, v)
+    union = z * k
     for t in range(2, z + 1):
         if t not in mu:
             raise MuUndefinedForZ(f"mu_{t} required for z={z} but undefined")
-        total += (-1) ** (t + 1) * comb(z, t) * Fraction(mu[t], v)
-    return total
+        union += (-1) ** (t + 1) * comb(z, t) * mu[t]
+    return Fraction(union, v)
+
+
+def transmission_count(r: int, b_r: int, z: int, mu_z: int) -> int:
+    """Subfiles one run broadcasts: mu_z * C(b_r,2)^z * C(r,z)."""
+    return mu_z * comb(b_r, 2) ** z * comb(r, z)
 
 
 def delivery_rate(v: int, r: int, b_r: int, z: int, mu_z: int) -> Fraction:
     """Worst-case broadcast volume in file units (transmissions / v)."""
-    return Fraction(mu_z * comb(b_r, 2) ** z * comb(r, z), v)
+    return Fraction(transmission_count(r, b_r, z, mu_z), v)
 
 
 def coding_gain(z: int) -> int:
@@ -215,7 +220,7 @@ def scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> Sc
     design = res.design
     mu_z = design.k if z == 1 else mu[z]
     users = comb(res.r, z) * res.b_r**z
-    rate = delivery_rate(design.v, res.r, res.b_r, z, mu_z)
+    sent = transmission_count(res.r, res.b_r, z, mu_z)
     return SchemeMetrics(
         caches=design.b,
         z=z,
@@ -223,8 +228,8 @@ def scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> Sc
         subpacketization=design.v,
         m_over_n=Fraction(design.k, design.v),
         m_prime_over_n=user_memory_fraction(mu, z, design.k, design.v),
-        rate=rate,
-        per_user_rate=rate / users,
+        rate=Fraction(sent, design.v),
+        per_user_rate=Fraction(sent, design.v * users),
         gain=coding_gain(z),
     )
 

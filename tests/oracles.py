@@ -8,6 +8,7 @@ the library uses.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -15,19 +16,22 @@ import numpy as np
 
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
 from crdcache.designs import Resolution, joint_labels, validate_design, validate_resolution
+from crdcache.baselines import ManPoint
 from crdcache.errors import (
     ClassNotPartitionOfPoints,
     EmptyBlock,
     IncompleteRecovery,
     InternalMuMismatch,
     MissingSideInformation,
+    MuUndefinedForZ,
+    NonIntegerCacheRedundancy,
     NonUniformBlockSize,
     NotAPartitionOfBlocks,
     PointOutOfRange,
     SizeCapExceeded,
 )
 from crdcache.gf import _IRREDUCIBLE, prime_power
-from crdcache.scheme import DeliverySchedule, SchemeInstance, coding_gain
+from crdcache.scheme import DeliverySchedule, SchemeInstance, SchemeMetrics, admissible_mu, coding_gain
 from crdcache.simulator import FileStore, subfile_length
 
 
@@ -428,3 +432,65 @@ def double_loop_paley(order: int, caps: SizeCaps = DEFAULT_CAPS) -> np.ndarray:
         for b in range(q):
             s[a + 1, b + 1] = chi(field.add(b, field.neg(a)))
     return s + np.eye(order, dtype=int)
+
+
+def kron_sylvester(order: int) -> np.ndarray:
+    """The Sylvester Hadamard matrix of a power-of-two order, one Kronecker
+    product with [[1, 1], [1, -1]] per doubling."""
+    h = np.array([[1]], dtype=np.int8)
+    step = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    while h.shape[0] < order:
+        h = np.kron(h, step)
+    return h
+
+
+def chain_scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> SchemeMetrics:
+    """``scheme_metrics`` as a chain of ``Fraction`` operations: the union
+    summed in file units and the per-user rate divided out of the rate."""
+    mu = admissible_mu(res, z, caps)
+    design = res.design
+    mu_z = design.k if z == 1 else mu[z]
+    users = comb(res.r, z) * res.b_r**z
+    rate = Fraction(mu_z * comb(res.b_r, 2) ** z * comb(res.r, z), design.v)
+    union = z * Fraction(design.k, design.v)
+    for t in range(2, z + 1):
+        if t not in mu:
+            raise MuUndefinedForZ(f"mu_{t} required for z={z} but undefined")
+        union += (-1) ** (t + 1) * comb(z, t) * Fraction(mu[t], design.v)
+    return SchemeMetrics(
+        caches=design.b,
+        z=z,
+        users=users,
+        subpacketization=design.v,
+        m_over_n=Fraction(design.k, design.v),
+        m_prime_over_n=union,
+        rate=rate,
+        per_user_rate=rate / users,
+        gain=coding_gain(z),
+    )
+
+
+def chain_man_point(users: int, m_over_n: Fraction | int) -> tuple[ManPoint, Fraction]:
+    """``man_point`` as a chain of ``Fraction`` operations, and its per-user
+    rate divided out of the rate; it has no size cap, so callers keep K small."""
+    m_over_n = Fraction(m_over_n)
+    t = users * m_over_n
+    if t.denominator != 1 or t < 1 or t > users:
+        raise NonIntegerCacheRedundancy(
+            f"K*M/N must be a positive integer <= K, got {t} for K={users}"
+        )
+    t = int(t)
+    rate = Fraction(users) * (1 - m_over_n) / (1 + t)
+    point = ManPoint(users, m_over_n, rate, 1 + t, comb(users, t))
+    return point, rate / users
+
+
+def chain_cell_text(x) -> str:
+    """A table cell's text through ``str`` and ``float`` of the value."""
+    if x is None:
+        return "n/a"
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x} ({format(float(x), '.12g')})"
+    return str(x)

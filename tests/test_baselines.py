@@ -1,5 +1,6 @@
 """Baseline operating points, family formula tables, comparison tables, sweeps."""
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -63,6 +64,16 @@ class TestManPoint:
         for users, m_over_n in [(8200, Fraction(1, 2)), (3 * 10**14, Fraction(1, 3)), (10**400, Fraction(1, 2))]:
             with pytest.raises(errors.SizeCapExceeded):
                 man_point(users, m_over_n)
+
+    @pytest.mark.parametrize("exponent", [16, 18, 20, 30])
+    def test_huge_k_with_a_small_t_is_refused_at_once(self, exponent):
+        """At K = n(n+1), t = n+1 the lgamma difference cancels to 0.0; the
+        bound t log2(K / t) still refuses C(K, t) before it is computed."""
+        n = 10**exponent
+        start = time.perf_counter()
+        with pytest.raises(errors.SizeCapExceeded):
+            man_point(n * (n + 1), Fraction(1, n))
+        assert time.perf_counter() - start < 1
 
 
 class TestFamilyParameters:

@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crdcache
+from crdcache.baselines import FAMILY_TABLES
 from crdcache.cli import main
+from crdcache.constructions import FAMILIES
 from test_constructions import SPEC_ITEMS, SPECS
 
 AFFINE_SWEEP_GOLDEN = """\
@@ -267,6 +269,14 @@ class TestTable:
         assert code == 1 and len(err.splitlines()) == 1
         assert err == "error: the MaN subpacketization C(K, t) for a 49-bit K has more than 8192 bits\n"
 
+    @pytest.mark.parametrize("name", ["affine-man:n=10000000000000000", "ag-man:q=10000000000000000,m=2"])
+    def test_huge_order_is_refused_at_once(self, name):
+        start = time.perf_counter()
+        code, err = _run_quietly(["table", "--name", name])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and len(err.splitlines()) == 1
+        assert err == "error: the MaN subpacketization C(K, t) for a 107-bit K has more than 8192 bits\n"
+
     @pytest.mark.parametrize("m", [10_000_000, 100_000_000])
     def test_huge_ag_exponent_is_refused_before_q_to_the_m(self, m):
         start = time.perf_counter()
@@ -425,12 +435,45 @@ TABLE_NAMES = st.one_of(
 )
 
 
+# family parameters over the whole range the grammar takes; the small caps
+# keep any design they build small, while the formula tables see every value
+FAMILY_VALUES = st.one_of(st.integers(0, 70), st.integers(0, 10**30))
+SMALL_CAPS = ("--cap-points", "64", "--cap-intersections", "100000")
+TABLE_KEYS = {name: keys for name, (keys, *_) in FAMILY_TABLES.items()} | {
+    f"zsweep:{family}": keys for family, (keys, _) in FAMILIES.items()
+}
+
+
 class TestGrammarProperties:
     # the caps keep any design a name builds small: the property is about the grammar
     @settings(max_examples=150, deadline=None)
     @given(TABLE_NAMES)
     def test_table_names(self, name):
         argv = ["table", f"--name={name}", "--cap-points", "64", "--cap-intersections", "100000"]
+        assert _succeeds_or_reports_one_error(*_run_quietly(argv))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(sorted(TABLE_KEYS)),
+        st.lists(FAMILY_VALUES, min_size=2, max_size=2),
+        st.sampled_from(["text", "json", "csv"]),
+    )
+    def test_table_family_parameters(self, name, values, fmt):
+        params = ",".join(f"{key}={value}" for key, value in zip(TABLE_KEYS[name], values))
+        argv = ["table", "--name", f"{name}:{params}", "--format", fmt, *SMALL_CAPS]
+        assert _succeeds_or_reports_one_error(*_run_quietly(argv))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["affine", "ag", "hadamard"]),
+        st.lists(FAMILY_VALUES, min_size=1, max_size=4),
+        FAMILY_VALUES,
+        st.one_of(st.none(), FAMILY_VALUES),
+    )
+    def test_sweep_family_parameters(self, family, values, z, m):
+        argv = ["sweep", "--family", family, "--values", ",".join(map(str, values)), "--z", str(z), *SMALL_CAPS]
+        if m is not None:
+            argv += ["--m", str(m)]
         assert _succeeds_or_reports_one_error(*_run_quietly(argv))
 
     @settings(max_examples=150, deadline=None)

@@ -13,7 +13,7 @@ from crdcache import errors
 from crdcache.caps import SizeCaps
 from crdcache.constructions import (
     _from_labels,
-    _sylvester,
+    _sylvester_labels,
     affine_geometry_bibd,
     affine_geometry_params,
     affine_plane,
@@ -302,6 +302,22 @@ def test_hadamard_build_drops_its_matrix_before_sorting_the_labels():
     assert peak <= output + (v - 1) * v + 2 * default, (peak - output) / default
 
 
+def test_sylvester_build_peaks_within_its_labels_and_the_budget():
+    """hadamard:m=1024 at the budget as shipped: the parity labels are filled
+    in row chunks, so the build peaks at the design it returns plus its bool
+    label matrix and at most twice the 4 MiB default."""
+    default = 1 << 22
+    tracemalloc.start()
+    try:
+        res = hadamard_crd(1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    v = res.design.v
+    output = res.design.blocks.nbytes + res.labels.nbytes
+    assert peak <= output + (v - 1) * v + 2 * default, (peak - output) / default
+
+
 class TestFromLabels:
     @pytest.mark.parametrize(
         "labels, message",
@@ -338,7 +354,7 @@ class TestFromLabels:
         plus at most twice the 4 MiB default, where in one piece the intp
         offset labels alone are 134 MB."""
         default = 1 << 22
-        labels = _sylvester(4096)[1:] == -1
+        labels = _sylvester_labels(4096)
         tracemalloc.start()
         try:
             res = _from_labels(labels)

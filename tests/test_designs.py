@@ -15,7 +15,7 @@ from crdcache import baselines, cli, designs, errors, scheme, simulator
 from crdcache import caps as caps_module
 from crdcache.baselines import analyze_table, z_sweep_table
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
-from crdcache.constructions import _from_labels, _sylvester, catalog_example, from_spec
+from crdcache.constructions import _from_labels, _sylvester_labels, catalog_example, from_spec
 from crdcache.designs import (
     Resolution,
     crd_profile,
@@ -314,7 +314,7 @@ class TestGramSearch:
         peaks within four times its 4 MiB default, so a default raised far
         past it (1 GiB peaks at about 151 MB here) fails this test."""
         default = 1 << 22
-        labels = _sylvester(4096)[1:] == -1
+        labels = _sylvester_labels(4096)
         tracemalloc.start()
         try:
             assert designs._first_split_pair(labels, 1024, 1) == 1

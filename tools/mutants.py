@@ -40,8 +40,10 @@ class Mutant(NamedTuple):
 
 
 SIM = "src/crdcache/simulator.py"
+SCHEME = "src/crdcache/scheme.py"
 PASS = "tests/test_simulator.py::TestTransmissionPass"
 FAULTS = "tests/test_simulator.py::TestDecoderFaults"
+CLOSED = "tests/test_closed_forms.py"
 
 MUTANTS = (
     Mutant(
@@ -106,6 +108,48 @@ MUTANTS = (
         "    if demand != schedule.demands[user_idx]:\n",
         "    if False:\n",
         (FAULTS,),
+    ),
+    Mutant(
+        "Sylvester labels by popcount, not its parity",
+        "src/crdcache/constructions.py",
+        "np.bitwise_and(np.bitwise_count(both), 1, out=labels[rows], casting=\"unsafe\")",
+        "np.copyto(labels[rows], np.bitwise_count(both), casting=\"unsafe\")",
+        (f"{CLOSED}::test_parity_labels_equal_the_kronecker_matrix",),
+    ),
+    Mutant(
+        "inclusion-exclusion sign flipped",
+        SCHEME,
+        "        union += (-1) ** (t + 1) * comb(z, t) * mu[t]\n",
+        "        union += (-1) ** t * comb(z, t) * mu[t]\n",
+        ("tests/test_scheme.py::TestMemoryFraction", CLOSED),
+    ),
+    Mutant(
+        "MaN rate without its 1 + t",
+        "src/crdcache/baselines.py",
+        "        rate=Fraction(users * (b - a), b * (1 + t)),\n",
+        "        rate=Fraction(users * (b - a), b),\n",
+        ("tests/test_baselines.py::TestManPoint", CLOSED),
+    ),
+    Mutant(
+        "term keys one past the subfile",
+        SCHEME,
+        "        keys -= 1\n",
+        "",
+        ("tests/test_scheme.py::TestSchedule::test_term_keys_are_the_flat_subfile_keys",),
+    ),
+    Mutant(
+        "uneven label rows accepted",
+        "src/crdcache/constructions.py",
+        "        if uneven.any():\n",
+        "        if False:\n",
+        ("tests/test_constructions.py::TestFromLabels",),
+    ),
+    Mutant(
+        "schedule's intersection sizes unchecked",
+        SCHEME,
+        "        if (sizes != mu_z).any():\n",
+        "        if False:\n",
+        ("tests/test_scheme.py::TestSchedule",),
     ),
 )
 
