@@ -73,7 +73,16 @@ class TestManPoint:
         start = time.perf_counter()
         with pytest.raises(errors.SizeCapExceeded):
             man_point(n * (n + 1), Fraction(1, n))
+        with pytest.raises(errors.SizeCapExceeded):
+            man_point(n * (n + 1), 1 - Fraction(1, n))
         assert time.perf_counter() - start < 1
+
+    def test_t_near_k_is_bounded_by_k_minus_t(self):
+        """C(K, K - 5000) at K = 10^30 has about 438,000 bits; counted from t,
+        the lower bound would be 7,200 bits and admit it."""
+        with pytest.raises(errors.SizeCapExceeded):
+            man_point(10**30, Fraction(10**30 - 5000, 10**30))
+        assert man_point(10**30, Fraction(10**30 - 5, 10**30)).subpacketization == comb(10**30, 5)
 
 
 class TestFamilyParameters:
