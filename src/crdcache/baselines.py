@@ -70,12 +70,14 @@ _MAX_SUBPACKETIZATION_BITS = 1 << 13
 def _comb_bits(n: int, k: int) -> float:
     """About log2 C(n, k), from lgamma; inf once n is past float range.  It is
     at least j log2(n / j), j = min(k, n - k), where lgamma cancels at huge n."""
+    j = min(k, n - k)
+    if j == 0:
+        return 0.0
     try:
         bits = (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(2)
     except OverflowError:
         return inf
-    j = min(k, n - k)
-    return max(bits, j * (log2(n) - log2(j))) if j else bits
+    return max(bits, j * (log2(n) - log2(j)))
 
 
 def man_point(users: int, m_over_n: Fraction | int) -> ManPoint:

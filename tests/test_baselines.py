@@ -61,6 +61,7 @@ class TestManPoint:
         # the largest counterpart under the default point cap still computes
         assert man_point(8190, Fraction(1, 2)).subpacketization == comb(8190, 4095)
         assert man_point(2**400, Fraction(1)).subpacketization == 1
+        assert man_point(10**400, Fraction(1)).subpacketization == 1  # past float range, C(K, K) = 1
         for users, m_over_n in [(8200, Fraction(1, 2)), (3 * 10**14, Fraction(1, 3)), (10**400, Fraction(1, 2))]:
             with pytest.raises(errors.SizeCapExceeded):
                 man_point(users, m_over_n)
