@@ -435,8 +435,8 @@ TABLE_NAMES = st.one_of(
 )
 
 
-# family parameters over the whole range the grammar takes; the small caps
-# keep any design they build small, while the formula tables see every value
+# family parameters over the whole range the grammar takes; the formula
+# tables see every value, and SMALL_CAPS keeps any design they build small
 FAMILY_VALUES = st.one_of(st.integers(0, 70), st.integers(0, 10**30))
 SMALL_CAPS = ("--cap-points", "64", "--cap-intersections", "100000")
 TABLE_KEYS = {name: keys for name, (keys, *_) in FAMILY_TABLES.items()} | {
@@ -449,7 +449,7 @@ class TestGrammarProperties:
     @settings(max_examples=150, deadline=None)
     @given(TABLE_NAMES)
     def test_table_names(self, name):
-        argv = ["table", f"--name={name}", "--cap-points", "64", "--cap-intersections", "100000"]
+        argv = ["table", f"--name={name}", *SMALL_CAPS]
         assert _succeeds_or_reports_one_error(*_run_quietly(argv))
 
     @settings(max_examples=200, deadline=None)

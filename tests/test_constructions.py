@@ -285,31 +285,17 @@ def test_build_memory_per_incidence(spec):
     assert peak <= 40 * incidences, peak / incidences
 
 
-def test_hadamard_build_drops_its_matrix_before_sorting_the_labels():
-    """hadamard:m=1023 (a Paley matrix of order 4092) at the budget as
-    shipped: the build peaks at the design it returns plus its bool label
-    matrix and at most twice the 4 MiB default; the int8 matrix, as large as
-    the labels, is gone before they are sorted."""
+@pytest.mark.parametrize("m", [1023, 1024])
+def test_hadamard_build_drops_its_matrix_before_sorting_the_labels(m):
+    """hadamard:m=1023 (a Paley matrix of order 4092) and hadamard:m=1024
+    (Sylvester labels by parity) at the budget as shipped: the build peaks at
+    the design it returns plus its bool label matrix and at most twice the
+    4 MiB default.  The Paley int8 matrix, as large as the labels, is gone
+    before they are sorted, and the parity labels are filled in row chunks."""
     default = 1 << 22
     tracemalloc.start()
     try:
-        res = hadamard_crd(1023)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    v = res.design.v
-    output = res.design.blocks.nbytes + res.labels.nbytes
-    assert peak <= output + (v - 1) * v + 2 * default, (peak - output) / default
-
-
-def test_sylvester_build_peaks_within_its_labels_and_the_budget():
-    """hadamard:m=1024 at the budget as shipped: the parity labels are filled
-    in row chunks, so the build peaks at the design it returns plus its bool
-    label matrix and at most twice the 4 MiB default."""
-    default = 1 << 22
-    tracemalloc.start()
-    try:
-        res = hadamard_crd(1024)
+        res = hadamard_crd(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
