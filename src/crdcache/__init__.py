@@ -32,11 +32,8 @@ from .scheme import (
     build_scheme,
     coding_gain,
     delivery_rate,
-    enumerate_users,
-    per_user_rate_ratio,
     scheme_metrics,
     schedule_to_json,
-    subpacketization_from_counts,
     user_memory_fraction,
 )
 from .simulator import (
@@ -77,17 +74,14 @@ __all__ = [
     "delivery_rate",
     "design_to_json",
     "encode_payloads",
-    "enumerate_users",
     "from_spec",
     "hadamard_crd",
     "make_file_store",
     "man_point",
-    "per_user_rate_ratio",
     "resolution_from_json",
     "schedule_to_json",
     "scheme_metrics",
     "spe_structural",
-    "subpacketization_from_counts",
     "user_memory_fraction",
     "users_per_cache_subfile",
     "users_per_subfile",

@@ -28,7 +28,14 @@ from math import comb, inf, lgamma, log, log2
 from typing import Callable, Sequence
 
 from .caps import DEFAULT_CAPS, SizeCaps
-from .constructions import FAMILIES, catalog_example
+from .constructions import (
+    FAMILIES,
+    FamilyParams,
+    affine_geometry_params,
+    affine_plane_params,
+    catalog_example,
+    hadamard_params,
+)
 from .designs import Resolution, crd_profile
 from .errors import (
     BadFamilyParameter,
@@ -38,7 +45,7 @@ from .errors import (
     NonIntegerSubpacketization,
     SizeCapExceeded,
 )
-from .scheme import SchemeMetrics, scheme_metrics
+from .scheme import SchemeMetrics, closed_form_metrics, scheme_metrics
 
 SPE_GAIN_NOTE = "cyclic-overlap (SPE) rate and gain are not computed; the published gain lies between 3 and 4"
 
@@ -136,36 +143,36 @@ def man_counterpart(res: Resolution) -> ManPoint:
 
 # --- closed-form family tables -------------------------------------------------
 
+# each scheme's cells, keyed "man_<field>" and "crd_<field>"
+_FAMILY_KEYS = ("users", "subpacketization", "rate", "per_user_rate", "gain")
+
+
+def _family_cells(params: FamilyParams, z: int) -> dict[str, object]:
+    """Formula cells of one family member at z: the scheme's closed forms at
+    the member's predicted counts, beside the MaN point with the same caches
+    and cache fraction."""
+    man = man_point(params.b, Fraction(params.k, params.v))
+    crd = closed_form_metrics(params.v, params.b, params.r, params.k, {2: params.mu2}, z)
+    cells: dict[str, object] = {"caches": params.b, "m_over_n": crd.m_over_n}
+    for scheme, point in (("man", man), ("crd", crd)):
+        cells.update((f"{scheme}_{key}", getattr(point, key)) for key in _FAMILY_KEYS)
+    return cells
+
+
+def _affine_plane_member(n: int) -> FamilyParams:
+    if n < 2:
+        raise BadFamilyParameter(f"the affine-plane family needs n >= 2, got n={n}")
+    return affine_plane_params(n)
+
 
 def affine_family_table(n: int) -> dict[str, object]:
     """Formula cells for the affine-plane family at order n, z = 2."""
-    if n < 2:
-        raise BadFamilyParameter(f"the affine-plane family needs n >= 2, got n={n}")
-    man = man_point(n * (n + 1), Fraction(1, n))
-    return {
-        "caches": n * (n + 1),
-        "m_over_n": Fraction(1, n),
-        "man_users": man.users,
-        "crd_users": n**3 * (n + 1) // 2,
-        "man_subpacketization": man.subpacketization,
-        "crd_subpacketization": n * n,
-        "man_rate": Fraction((n + 1) * (n - 1), n + 2),
-        "crd_rate": Fraction(n * (n + 1) * (n - 1) ** 2, 8),
-        "man_per_user_rate": Fraction((n - 1) ** 2, n * (n * n + n - 2)),
-        "crd_per_user_rate": Fraction((n - 1) ** 2, 4 * n * n),
-        "man_gain": n + 2,
-        "crd_gain": 4,
-    }
+    return _family_cells(_affine_plane_member(n), 2)
 
 
 def affine_family_z1_table(n: int) -> dict[str, object]:
     """Formula cells for the affine-plane family at order n, z = 1."""
-    cells = affine_family_table(n)
-    cells["crd_users"] = n * (n + 1)
-    cells["crd_rate"] = Fraction((n + 1) * (n - 1), 2)
-    cells["crd_per_user_rate"] = Fraction((n - 1), 2 * n)
-    cells["crd_gain"] = 2
-    return cells
+    return _family_cells(_affine_plane_member(n), 1)
 
 
 def ag_family_table(q: int, m: int) -> dict[str, object]:
@@ -179,44 +186,14 @@ def ag_family_table(q: int, m: int) -> dict[str, object]:
             f"the MaN subpacketization C(K, t) for K > {q}**{m} "
             f"has more than {_MAX_SUBPACKETIZATION_BITS} bits"
         )
-    b = q * (q**m - 1) // (q - 1)
-    man = man_point(b, Fraction(1, q))
-    return {
-        "caches": b,
-        "m_over_n": Fraction(1, q),
-        "man_users": b,
-        "crd_users": q**3 * (q**m - 1) * (q ** (m - 1) - 1) // (2 * (q - 1) ** 2),
-        "man_subpacketization": man.subpacketization,
-        "crd_subpacketization": q**m,
-        "man_rate": Fraction((q**m - 1) * (q - 1), q**m + q - 2),
-        "crd_rate": Fraction(q * (q**m - 1) * (q ** (m - 1) - 1), 8),
-        "man_per_user_rate": Fraction((q - 1) ** 2, q * (q**m + q - 2)),
-        "crd_per_user_rate": Fraction((q - 1) ** 2, 4 * q * q),
-        "man_gain": (q**m - 1) // (q - 1) + 1,
-        "crd_gain": 4,
-    }
+    return _family_cells(affine_geometry_params(q, m), 2)
 
 
 def hadamard_family_table(m: int) -> dict[str, object]:
     """Formula cells for the Hadamard family at order parameter m, z = 2."""
     if m < 1:
         raise BadFamilyParameter(f"the Hadamard family needs m >= 1, got m={m}")
-    b = 2 * (4 * m - 1)
-    man = man_point(b, Fraction(1, 2))
-    return {
-        "caches": b,
-        "m_over_n": Fraction(1, 2),
-        "man_users": b,
-        "crd_users": 4 * (2 * m - 1) * (4 * m - 1),
-        "man_subpacketization": man.subpacketization,
-        "crd_subpacketization": 4 * m,
-        "man_rate": Fraction(4 * m - 1, 4 * m),
-        "crd_rate": Fraction((2 * m - 1) * (4 * m - 1), 4),
-        "man_per_user_rate": Fraction(1, 8 * m),
-        "crd_per_user_rate": Fraction(1, 16),
-        "man_gain": 4 * m,
-        "crd_gain": 4,
-    }
+    return _family_cells(hadamard_params(m), 2)
 
 
 # --- comparison tables ----------------------------------------------------------
@@ -357,34 +334,14 @@ def z_sweep_table(res: Resolution, label: str, caps: SizeCaps = DEFAULT_CAPS) ->
 
 
 def family_comparison(cells: dict[str, object], z: int, title: str) -> ComparisonTable:
-    """MaN and CRD columns of one family's formula cells."""
-    man_col = (
-        cells["caches"],
-        1,
-        cells["man_users"],
-        cells["man_subpacketization"],
-        cells["m_over_n"],
-        cells["m_over_n"],
-        cells["man_rate"],
-        cells["man_per_user_rate"],
-        cells["man_gain"],
-    )
-    crd_col = (
-        cells["caches"],
-        z,
-        cells["crd_users"],
-        cells["crd_subpacketization"],
-        cells["m_over_n"],
-        None,
-        cells["crd_rate"],
-        cells["crd_per_user_rate"],
-        cells["crd_gain"],
-    )
-    return ComparisonTable(
-        title=title,
-        row_labels=_ROW_LABELS,
-        columns=(("MaN", man_col), ("CRD", crd_col)),
-    )
+    """MaN and CRD columns of one family's formula cells; the CRD user
+    fraction M'/N is not among them."""
+    columns = []
+    for name, ways, user_fraction in (("MaN", 1, cells["m_over_n"]), ("CRD", z, None)):
+        users, sub, rate, per_user, gain = (cells[f"{name.lower()}_{key}"] for key in _FAMILY_KEYS)
+        column = (cells["caches"], ways, users, sub, cells["m_over_n"], user_fraction, rate, per_user, gain)
+        columns.append((name, column))
+    return ComparisonTable(title=title, row_labels=_ROW_LABELS, columns=tuple(columns))
 
 
 # table name -> (parameters, formula cells, z, title)
@@ -433,13 +390,16 @@ def sweep_family(
     caps: SizeCaps = DEFAULT_CAPS,
 ) -> list[SweepRow]:
     """Per-parameter operating points for plotting, sweeping the family's
-    first parameter (``m`` fixes the ag dimension); invalid values become
-    warning rows instead of aborting the sweep."""
+    first parameter (``m`` fixes the ag dimension, and a one-parameter
+    family refuses it); invalid values become warning rows instead of
+    aborting the sweep."""
     if family not in FAMILIES:
         raise BadSpec(f"unknown sweep family {family!r}")
     keys, build = FAMILIES[family]
     if len(keys) > 1 and m is None:
         raise BadSpec(f"the {family} sweep needs a fixed dimension {keys[1]}")
+    if len(keys) == 1 and m is not None:
+        raise BadSpec(f"the {family} sweep has no fixed dimension, got m={m}")
     fixed = (m,) * (len(keys) - 1)
     rows = []
     for value in values:

@@ -88,10 +88,6 @@ class InternalMuMismatch(CrdCacheError):
     """A delivery-time set invariant failed; the resolution is not a valid CRD."""
 
 
-class NonIntegerResult(CrdCacheError):
-    """Inputs to an exact integer identity are inconsistent."""
-
-
 # --- simulator ----------------------------------------------------------------
 
 class MissingSideInformation(CrdCacheError):

@@ -42,17 +42,6 @@ _IRREDUCIBLE: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, e) with q == p**e and p prime, or None if q is not one."""
     if q < 2:

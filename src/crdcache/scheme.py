@@ -22,7 +22,7 @@ row each: the 2^z users and the 2^z subfiles of the terms.  They are
 computed by index arithmetic on the label matrix, in a fixed number of
 array passes per block of class subsets and without one Python object per
 transmission: a user's id is its class subset's rank times b_r^z plus its
-mixed-radix block positions (``enumerate_users`` order), and f_m is a row
+mixed-radix block positions (the lexicographic order above), and f_m is a row
 of the class subset's points sorted by joint label.  The provenance (the
 classes, the block pairs and s) follows from the users and the row number,
 and only ``CodedTransmission`` objects, built when asked for, carry it.
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
-from math import comb, isqrt
+from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ from .errors import (
     IndexOutOfRange,
     InternalMuMismatch,
     MuUndefinedForZ,
-    NonIntegerResult,
 )
 
 
@@ -63,14 +62,6 @@ def admissible_mu(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> Map
     if z > 1 and z not in profile.mu:
         raise MuUndefinedForZ(f"mu_{(profile.crn or 1) + 1} does not exist; z={z} is not admissible")
     return profile.mu
-
-
-def enumerate_users(
-    res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS
-) -> tuple[tuple[int, ...], ...]:
-    """All K = C(r,z) * b_r^z users as z-tuples of 0-based block indices."""
-    admissible_mu(res, z, caps)
-    return tuple(map(tuple, _user_blocks(res, z).tolist()))
 
 
 def _user_blocks(res: Resolution, z: int) -> np.ndarray:
@@ -114,56 +105,15 @@ def coding_gain(z: int) -> int:
     return 2**z
 
 
-def _integer_root(n: int, z: int) -> int:
-    """floor(n ** (1/z)) for n >= 0 and z >= 1, exact at any size."""
-    if z == 1 or n < 2:
-        return n
-    if z == 2:
-        return isqrt(n)
-    # integer Newton from above: x starts at a power of two >= the root and
-    # decreases monotonically until it reaches floor(n ** (1/z))
-    x = 1 << -(-n.bit_length() // z)
-    while True:
-        y = ((z - 1) * x + n // x ** (z - 1)) // z
-        if y >= x:
-            return x
-        x = y
-
-
-def subpacketization_from_counts(k: int, big_k: int, r: int, z: int) -> int:
-    """Recover v from the user count: v = k * (K / C(r,z))^(1/z), exactly."""
-    if not 1 <= z <= r or big_k < 0:
-        raise IndexOutOfRange(f"need 1 <= z <= r and K >= 0, got z={z}, r={r}, K={big_k}")
-    per_subset, rem = divmod(big_k, comb(r, z))
-    if rem:
-        raise NonIntegerResult(f"K={big_k} is not a multiple of C({r},{z})")
-    b_r = _integer_root(per_subset, z)
-    if b_r**z == per_subset:
-        return k * b_r
-    raise NonIntegerResult(f"{per_subset} is not a perfect {z}-th power")
-
-
-def per_user_rate_ratio(v: int, k: int, z: int, mu2: int | None = None) -> Fraction:
-    """Ratio (R/K at z) / (R/K at z-1) for one design.
-
-    Equals (1/2)(1 - k/v) for z >= 3 and (mu_2 / 2k)(v/k - 1) for z = 2.
-    """
-    if z < 2:
-        raise IndexOutOfRange(f"ratio is defined for z >= 2, got {z}")
-    if z == 2:
-        if mu2 is None:
-            raise MuUndefinedForZ("mu_2 is required for the z=2 ratio")
-        return Fraction(mu2, 2 * k) * (Fraction(v, k) - 1)
-    return Fraction(1, 2) * (1 - Fraction(k, v))
-
-
 @dataclass(frozen=True)
 class SchemeInstance:
     """A resolution bound to a choice of z and a file count.
 
-    ``users`` is the read-only (K, z) int32 block matrix, one row per user in
-    ``enumerate_users`` order; it follows from the resolution and z, so
-    equality, hash and repr leave it out.
+    ``users`` is the read-only (K, z) int32 block matrix, one row per user:
+    class subsets in lexicographic order, and within a subset the users'
+    block positions in mixed radix b_r, the first class most significant.
+    It follows from the resolution and z, so equality, hash and repr leave
+    it out.
     """
 
     res: Resolution
@@ -192,6 +142,7 @@ class SchemeMetrics:
     caches: int
     z: int
     users: int
+    transmissions: int
     subpacketization: int
     m_over_n: Fraction
     m_prime_over_n: Fraction
@@ -215,23 +166,34 @@ def build_scheme(
     )
 
 
-def scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> SchemeMetrics:
-    mu = admissible_mu(res, z, caps)
-    design = res.design
-    mu_z = design.k if z == 1 else mu[z]
-    users = comb(res.r, z) * res.b_r**z
-    sent = transmission_count(res.r, res.b_r, z, mu_z)
+def closed_form_metrics(
+    v: int, b: int, r: int, k: int, mu: Mapping[int, int], z: int
+) -> SchemeMetrics:
+    """The closed forms of the scheme at z on a resolved design with these
+    counts and mu profile (mu_1 := k): K = C(r,z) * b_r^z users, T =
+    ``transmission_count`` subfiles sent, M/N = k/v, M'/N by inclusion-
+    exclusion, the rate T/v, the per-user rate T/(vK) and the gain 2^z."""
+    b_r = b // r
+    users = comb(r, z) * b_r**z
+    sent = transmission_count(r, b_r, z, k if z == 1 else mu[z])
     return SchemeMetrics(
-        caches=design.b,
+        caches=b,
         z=z,
         users=users,
-        subpacketization=design.v,
-        m_over_n=Fraction(design.k, design.v),
-        m_prime_over_n=user_memory_fraction(mu, z, design.k, design.v),
-        rate=Fraction(sent, design.v),
-        per_user_rate=Fraction(sent, design.v * users),
+        transmissions=sent,
+        subpacketization=v,
+        m_over_n=Fraction(k, v),
+        m_prime_over_n=user_memory_fraction(mu, z, k, v),
+        rate=Fraction(sent, v),
+        per_user_rate=Fraction(sent, v * users),
         gain=coding_gain(z),
     )
+
+
+def scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> SchemeMetrics:
+    mu = admissible_mu(res, z, caps)
+    d = res.design
+    return closed_form_metrics(d.v, d.b, res.r, d.k, mu, z)
 
 
 @dataclass(frozen=True)

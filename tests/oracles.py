@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from crdcache.designs import Resolution, joint_labels, validate_design, validate
 from crdcache.baselines import ManPoint
 from crdcache.errors import (
     ClassNotPartitionOfPoints,
+    CrdCacheError,
     EmptyBlock,
     IncompleteRecovery,
     InternalMuMismatch,
@@ -451,7 +452,8 @@ def chain_scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS)
     design = res.design
     mu_z = design.k if z == 1 else mu[z]
     users = comb(res.r, z) * res.b_r**z
-    rate = Fraction(mu_z * comb(res.b_r, 2) ** z * comb(res.r, z), design.v)
+    sent = mu_z * comb(res.b_r, 2) ** z * comb(res.r, z)
+    rate = Fraction(sent, design.v)
     union = z * Fraction(design.k, design.v)
     for t in range(2, z + 1):
         if t not in mu:
@@ -461,6 +463,7 @@ def chain_scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS)
         caches=design.b,
         z=z,
         users=users,
+        transmissions=sent,
         subpacketization=design.v,
         m_over_n=Fraction(design.k, design.v),
         m_prime_over_n=union,
@@ -494,3 +497,58 @@ def chain_cell_text(x) -> str:
             return str(x.numerator)
         return f"{x} ({format(float(x), '.12g')})"
     return str(x)
+
+
+def enumerate_users(
+    res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS
+) -> tuple[tuple[int, ...], ...]:
+    """All K = C(r,z) * b_r^z users as z-tuples of 0-based block indices, by
+    class subset and then by block, each in lexicographic order."""
+    admissible_mu(res, z, caps)
+    return tuple(
+        pick for subset in combinations(res.classes, z) for pick in product(*subset)
+    )
+
+
+class NonIntegerResult(CrdCacheError):
+    """Inputs to an exact integer identity are inconsistent."""
+
+
+def _integer_root(n: int, z: int) -> int:
+    """floor(n ** (1/z)) for n >= 0 and z >= 1, exact at any size."""
+    if z == 1 or n < 2:
+        return n
+    if z == 2:
+        return isqrt(n)
+    # integer Newton from above: x starts at a power of two >= the root and
+    # decreases monotonically until it reaches floor(n ** (1/z))
+    x = 1 << -(-n.bit_length() // z)
+    while True:
+        y = ((z - 1) * x + n // x ** (z - 1)) // z
+        if y >= x:
+            return x
+        x = y
+
+
+def subpacketization_from_counts(k: int, big_k: int, r: int, z: int) -> int:
+    """Recover v from the user count: v = k * (K / C(r,z))^(1/z), exactly."""
+    per_subset, rem = divmod(big_k, comb(r, z))
+    if rem:
+        raise NonIntegerResult(f"K={big_k} is not a multiple of C({r},{z})")
+    b_r = _integer_root(per_subset, z)
+    if b_r**z == per_subset:
+        return k * b_r
+    raise NonIntegerResult(f"{per_subset} is not a perfect {z}-th power")
+
+
+def per_user_rate_ratio(v: int, k: int, z: int, mu2: int | None = None) -> Fraction:
+    """Ratio (R/K at z) / (R/K at z-1) for one design, z >= 2: (mu_2 / 2k)(v/k - 1)
+    at z = 2 and (1/2)(1 - k/v) above."""
+    if z == 2:
+        return Fraction(mu2, 2 * k) * (Fraction(v, k) - 1)
+    return Fraction(1, 2) * (1 - Fraction(k, v))
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by every integer from 2 up to the square root."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))

@@ -28,17 +28,15 @@ from crdcache.constructions import (
     hadamard_crd,
 )
 from crdcache.designs import crd_profile, users_per_cache_subfile, users_per_subfile
-from crdcache.scheme import (
-    enumerate_users,
-    per_user_rate_ratio,
-    scheme_metrics,
-    subpacketization_from_counts,
-)
+from crdcache.scheme import scheme_metrics
 from crdcache.simulator import verify_all
 from oracles import (
     brute_cross_intersection,
     count_users_on_cache,
     count_users_seeing_point,
+    enumerate_users,
+    per_user_rate_ratio,
+    subpacketization_from_counts,
 )
 
 

@@ -22,6 +22,7 @@ from crdcache.baselines import (
     z_sweep_table,
 )
 from crdcache.constructions import (
+    FAMILIES,
     affine_geometry_bibd,
     affine_plane,
     catalog_example,
@@ -299,3 +300,12 @@ class TestSweep:
     def test_needs_dimension(self):
         with pytest.raises(errors.BadSpec):
             sweep_family("ag", [2, 3])
+
+    @pytest.mark.parametrize("family", ["affine", "hadamard", "example"])
+    def test_one_parameter_family_refuses_a_dimension_before_building(self, family, monkeypatch):
+        keys, _ = FAMILIES[family]
+        built = []
+        monkeypatch.setitem(FAMILIES, family, (keys, lambda *args: built.append(args)))
+        with pytest.raises(errors.BadSpec, match=f"the {family} sweep has no fixed dimension, got m=4"):
+            sweep_family(family, [2, 3], m=4)
+        assert built == []

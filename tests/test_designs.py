@@ -27,11 +27,12 @@ from crdcache.designs import (
     validate_design,
     validate_resolution,
 )
-from crdcache.scheme import build_delivery_schedule, build_scheme, enumerate_users, scheme_metrics
+from crdcache.scheme import build_delivery_schedule, build_scheme, scheme_metrics
 from oracles import (
     brute_cross_intersection,
     count_users_on_cache,
     count_users_seeing_point,
+    enumerate_users,
     scan_cross_intersection,
     set_validate_design,
     set_validate_resolution,
@@ -369,8 +370,6 @@ class TestCountingFormulas:
         assert users_per_subfile(2, 2, 3) == 5
 
     def test_fixed_point_count_matches_enumeration(self):
-        from crdcache.scheme import enumerate_users
-
         for example, z in [(3, 2), (4, 2), (4, 3), (9, 2), (9, 3), (9, 4), (6, 2)]:
             res = catalog_example(example)
             users = enumerate_users(res, z)
@@ -379,8 +378,6 @@ class TestCountingFormulas:
                 assert count_users_seeing_point(res, users, point) == expected
 
     def test_fixed_cache_count_matches_enumeration(self):
-        from crdcache.scheme import enumerate_users
-
         for example, z in [(3, 2), (4, 3), (9, 2), (9, 4)]:
             res = catalog_example(example)
             users = enumerate_users(res, z)

@@ -10,6 +10,12 @@ REMOVED = (
     ("baselines", "scheme_table_row"),
     ("render", "fraction_text"),
     ("simulator", "split_subfiles"),
+    ("scheme", "enumerate_users"),
+    ("scheme", "per_user_rate_ratio"),
+    ("scheme", "subpacketization_from_counts"),
+    ("scheme", "_integer_root"),
+    ("errors", "NonIntegerResult"),
+    ("gf", "is_prime"),
 )
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from crdcache import errors
-from crdcache.gf import GF, is_prime, prime_power
+from crdcache.gf import GF, prime_power
+from oracles import is_prime
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27]
 
@@ -79,3 +80,5 @@ def test_prime_power_factoring():
     assert prime_power(12) is None
     assert prime_power(1) is None
     assert is_prime(2) and is_prime(13) and not is_prime(12) and not is_prime(1)
+    for n in range(1000):
+        assert (prime_power(n) == (n, 1)) == is_prime(n), n

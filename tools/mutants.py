@@ -44,6 +44,7 @@ SCHEME = "src/crdcache/scheme.py"
 PASS = "tests/test_simulator.py::TestTransmissionPass"
 FAULTS = "tests/test_simulator.py::TestDecoderFaults"
 CLOSED = "tests/test_closed_forms.py"
+GOLDEN_TABLES = "tests/test_golden_tables.py"
 
 MUTANTS = (
     Mutant(
@@ -150,6 +151,38 @@ MUTANTS = (
         "        if (sizes != mu_z).any():\n",
         "        if False:\n",
         ("tests/test_scheme.py::TestSchedule",),
+    ),
+    Mutant(
+        "family cells read mu2 at z = 1",
+        SCHEME,
+        "transmission_count(r, b_r, z, k if z == 1 else mu[z])",
+        "transmission_count(r, b_r, z, mu[max(z, 2)])",
+        (GOLDEN_TABLES,),
+    ),
+    Mutant(
+        "transmission_count without C(r, z)",
+        SCHEME,
+        "    return mu_z * comb(b_r, 2) ** z * comb(r, z)\n",
+        "    return mu_z * comb(b_r, 2) ** z\n",
+        (GOLDEN_TABLES,),
+    ),
+    Mutant(
+        "every class subset in one schedule block",
+        SCHEME,
+        "    for rows in row_chunks(n_subsets if n_choices else 0, per_subset):\n",
+        "    for rows in [slice(0, n_subsets if n_choices else 0)]:\n",
+        ("tests/test_scheme.py::TestSchedule::test_subset_blocks_stay_within_the_budget",),
+    ),
+    Mutant(
+        "caps.WORK_BYTES set to 1 GiB",
+        "src/crdcache/caps.py",
+        "WORK_BYTES = 1 << 22\n",
+        "WORK_BYTES = 1 << 30\n",
+        (
+            "tests/test_designs.py::TestGramSearch::test_default_tile_bytes_bound_the_working_set",
+            "tests/test_constructions.py::TestFromLabels::test_default_budget_bounds_the_working_set",
+            "tests/test_scheme.py::TestSchedule::test_default_budget_bounds_the_term_keys",
+        ),
     ),
 )
 
