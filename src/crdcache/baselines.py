@@ -334,14 +334,34 @@ def z_sweep_table(res: Resolution, label: str, caps: SizeCaps = DEFAULT_CAPS) ->
 
 
 def family_comparison(cells: dict[str, object], z: int, title: str) -> ComparisonTable:
-    """MaN and CRD columns of one family's formula cells; the CRD user
-    fraction M'/N is not among them."""
-    columns = []
-    for name, ways, user_fraction in (("MaN", 1, cells["m_over_n"]), ("CRD", z, None)):
-        users, sub, rate, per_user, gain = (cells[f"{name.lower()}_{key}"] for key in _FAMILY_KEYS)
-        column = (cells["caches"], ways, users, sub, cells["m_over_n"], user_fraction, rate, per_user, gain)
-        columns.append((name, column))
-    return ComparisonTable(title=title, row_labels=_ROW_LABELS, columns=tuple(columns))
+    """MaN and CRD columns of one family's formula cells."""
+    man_col = (
+        cells["caches"],
+        1,
+        cells["man_users"],
+        cells["man_subpacketization"],
+        cells["m_over_n"],
+        cells["m_over_n"],
+        cells["man_rate"],
+        cells["man_per_user_rate"],
+        cells["man_gain"],
+    )
+    crd_col = (
+        cells["caches"],
+        z,
+        cells["crd_users"],
+        cells["crd_subpacketization"],
+        cells["m_over_n"],
+        None,
+        cells["crd_rate"],
+        cells["crd_per_user_rate"],
+        cells["crd_gain"],
+    )
+    return ComparisonTable(
+        title=title,
+        row_labels=_ROW_LABELS,
+        columns=(("MaN", man_col), ("CRD", crd_col)),
+    )
 
 
 # table name -> (parameters, formula cells, z, title)

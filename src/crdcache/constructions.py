@@ -117,7 +117,7 @@ def _from_labels(labels: np.ndarray) -> Resolution:
     labels.flags.writeable = False
     return Resolution(
         design=Design(v, blocks, v // b_r),
-        classes=tuple(map(tuple, np.arange(r * b_r).reshape(r, b_r).tolist())),
+        classes=tuple(tuple(range(c * b_r, (c + 1) * b_r)) for c in range(r)),
         b_r=b_r,
         labels=labels,
     )

@@ -35,22 +35,25 @@ def cell_text(x) -> str:
     if type(x) is Fraction:  # most cells: no ABC instance check, no float(x) call
         num, den = x.numerator, x.denominator
         return f"{num}/{den} ({num / den:.12g})" if den != 1 else str(num)
-    if type(x) is int:
-        return str(x)
     if x is None:
         return "n/a"
     return cell_text(Fraction(x)) if isinstance(x, Fraction) else str(x)
 
 
 def table_text(table: ComparisonTable) -> str:
-    columns = [["parameter", *table.row_labels]]
-    columns += [[name, *map(cell_text, cells)] for name, cells in table.columns]
-    widths = [max(map(len, column)) for column in columns]
-    row_format = "  ".join(f"{{:<{w}}}" for w in widths)
-    header, *rows = [row_format.format(*row).rstrip() for row in zip(*columns)]
-    lines = [table.title, "", header, "  ".join("-" * w for w in widths), *rows]
+    headers = ["parameter"] + [name for name, _ in table.columns]
+    grid = [headers]
+    for row_idx, label in enumerate(table.row_labels):
+        grid.append([label] + [cell_text(cells[row_idx]) for _, cells in table.columns])
+    widths = [max(len(row[i]) for row in grid) for i in range(len(headers))]
+    lines = [table.title, ""]
+    for row_idx, row in enumerate(grid):
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+        if row_idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
     for note in table.notes:
-        lines += ["", f"note: {note}"]
+        lines.append("")
+        lines.append(f"note: {note}")
     return "\n".join(lines) + "\n"
 
 

@@ -142,7 +142,6 @@ class SchemeMetrics:
     caches: int
     z: int
     users: int
-    transmissions: int
     subpacketization: int
     m_over_n: Fraction
     m_prime_over_n: Fraction
@@ -170,9 +169,9 @@ def closed_form_metrics(
     v: int, b: int, r: int, k: int, mu: Mapping[int, int], z: int
 ) -> SchemeMetrics:
     """The closed forms of the scheme at z on a resolved design with these
-    counts and mu profile (mu_1 := k): K = C(r,z) * b_r^z users, T =
-    ``transmission_count`` subfiles sent, M/N = k/v, M'/N by inclusion-
-    exclusion, the rate T/v, the per-user rate T/(vK) and the gain 2^z."""
+    counts and mu profile (mu_1 := k): K = C(r,z) * b_r^z users, M/N = k/v,
+    M'/N by inclusion-exclusion, the rate T/v and the per-user rate T/(vK)
+    with T subfiles sent (``transmission_count``), and the gain 2^z."""
     b_r = b // r
     users = comb(r, z) * b_r**z
     sent = transmission_count(r, b_r, z, k if z == 1 else mu[z])
@@ -180,7 +179,6 @@ def closed_form_metrics(
         caches=b,
         z=z,
         users=users,
-        transmissions=sent,
         subpacketization=v,
         m_over_n=Fraction(k, v),
         m_prime_over_n=user_memory_fraction(mu, z, k, v),

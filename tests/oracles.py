@@ -22,6 +22,7 @@ from crdcache.errors import (
     CrdCacheError,
     EmptyBlock,
     IncompleteRecovery,
+    IndexOutOfRange,
     InternalMuMismatch,
     MissingSideInformation,
     MuUndefinedForZ,
@@ -452,8 +453,7 @@ def chain_scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS)
     design = res.design
     mu_z = design.k if z == 1 else mu[z]
     users = comb(res.r, z) * res.b_r**z
-    sent = mu_z * comb(res.b_r, 2) ** z * comb(res.r, z)
-    rate = Fraction(sent, design.v)
+    rate = Fraction(mu_z * comb(res.b_r, 2) ** z * comb(res.r, z), design.v)
     union = z * Fraction(design.k, design.v)
     for t in range(2, z + 1):
         if t not in mu:
@@ -463,7 +463,6 @@ def chain_scheme_metrics(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS)
         caches=design.b,
         z=z,
         users=users,
-        transmissions=sent,
         subpacketization=design.v,
         m_over_n=Fraction(design.k, design.v),
         m_prime_over_n=union,
@@ -532,6 +531,8 @@ def _integer_root(n: int, z: int) -> int:
 
 def subpacketization_from_counts(k: int, big_k: int, r: int, z: int) -> int:
     """Recover v from the user count: v = k * (K / C(r,z))^(1/z), exactly."""
+    if not 1 <= z <= r or big_k < 0:
+        raise IndexOutOfRange(f"need 1 <= z <= r and K >= 0, got z={z}, r={r}, K={big_k}")
     per_subset, rem = divmod(big_k, comb(r, z))
     if rem:
         raise NonIntegerResult(f"K={big_k} is not a multiple of C({r},{z})")
@@ -544,7 +545,11 @@ def subpacketization_from_counts(k: int, big_k: int, r: int, z: int) -> int:
 def per_user_rate_ratio(v: int, k: int, z: int, mu2: int | None = None) -> Fraction:
     """Ratio (R/K at z) / (R/K at z-1) for one design, z >= 2: (mu_2 / 2k)(v/k - 1)
     at z = 2 and (1/2)(1 - k/v) above."""
+    if z < 2:
+        raise IndexOutOfRange(f"ratio is defined for z >= 2, got {z}")
     if z == 2:
+        if mu2 is None:
+            raise MuUndefinedForZ("mu_2 is required for the z=2 ratio")
         return Fraction(mu2, 2 * k) * (Fraction(v, k) - 1)
     return Fraction(1, 2) * (1 - Fraction(k, v))
 

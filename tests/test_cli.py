@@ -356,8 +356,6 @@ class TestBadInput:
             (["table", "--name", "affine-man:n=x"], {}, "parameter 'n' is not an integer: 'x'"),
             (["sweep", "--family", "affine", "--values", "2,x"], {}, "item 2 is not an integer: 'x'"),
             (["sweep", "--family", "ag", "--values", "2,3"], {}, "needs a fixed dimension m"),
-            (["sweep", "--family", "affine", "--values", "2,3", "--m", "4"], {}, "no fixed dimension, got m=4"),
-            (["sweep", "--family", "hadamard", "--values", "2,3", "--m", "4"], {}, "no fixed dimension, got m=4"),
             (
                 ["schedule", "--design", "example:3", "--z", "2", "--files", "9", "--demands", "1,x"],
                 {},
@@ -369,6 +367,8 @@ class TestBadInput:
                 {"CRD_CACHE_CAPS": "points=abc"},
                 "parameter 'points' is not an integer: 'abc'",
             ),
+            (["sweep", "--family", "affine", "--values", "2,3", "--m", "4"], {}, "no fixed dimension, got m=4"),
+            (["sweep", "--family", "hadamard", "--values", "2,3", "--m", "4"], {}, "no fixed dimension, got m=4"),
         ],
     )
     def test_is_reported_on_one_line_without_traceback(self, argv, env, token):

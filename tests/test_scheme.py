@@ -257,6 +257,11 @@ class TestSubpacketizationIdentity:
         with pytest.raises(NonIntegerResult):
             subpacketization_from_counts(3, comb(7, 3) * (b_r**3 - 1), 7, 3)
 
+    @pytest.mark.parametrize("big_k, r, z", [(-9, 3, 2), (9, 3, 0), (9, 3, 4)])
+    def test_out_of_range_arguments_are_typed_errors(self, big_k, r, z):
+        with pytest.raises(errors.IndexOutOfRange):
+            subpacketization_from_counts(3, big_k, r, z)
+
     @pytest.mark.parametrize("z", [1, 2, 3, 4, 5])
     def test_exact_roots_near_perfect_powers(self, z):
         # r = z makes C(r,z) = 1, so per-subset count and K coincide
@@ -291,6 +296,12 @@ class TestRateRatio:
                 current = scheme_metrics(res, z).per_user_rate
                 assert per_user_rate_ratio(v, k, z, mu.get(2)) == current / previous
                 previous = current
+
+    def test_preconditions(self):
+        with pytest.raises(errors.MuUndefinedForZ):
+            per_user_rate_ratio(9, 3, 2)
+        with pytest.raises(errors.IndexOutOfRange):
+            per_user_rate_ratio(9, 3, 1, 1)
 
 
 class TestSchedule:
