@@ -331,6 +331,28 @@ class DeliverySchedule:
         return np.array(self.demands, dtype=np.int32 if n_files * v < 2**31 else np.int64) - 1
 
 
+def demand_vector(scheme: SchemeInstance, demands: Sequence[int] | None = None) -> tuple[int, ...]:
+    """The demands as checked ints: ``None`` means the distinct worst case,
+    user i demands file i, which needs N >= K files."""
+    if demands is None:
+        if scheme.n_files < scheme.n_users:
+            raise DemandOutOfRange(
+                f"distinct demands need N >= K, got N={scheme.n_files}, K={scheme.n_users}"
+            )
+        demands = range(1, scheme.n_users + 1)
+    demands = tuple(map(int, demands))
+    if len(demands) != scheme.n_users:
+        raise BadDemandLength(
+            f"demand vector has {len(demands)} entries for {scheme.n_users} users"
+        )
+    # one pass of min and max in C, exact for ints of any size; only a bad
+    # vector is scanned for its first offender
+    if not 1 <= min(demands) <= max(demands) <= scheme.n_files:
+        pos, d = next((p, d) for p, d in enumerate(demands) if not 1 <= d <= scheme.n_files)
+        raise DemandOutOfRange(f"user {pos + 1} demands file {d} outside 1..{scheme.n_files}")
+    return demands
+
+
 def build_delivery_schedule(
     scheme: SchemeInstance, demands: Sequence[int] | None = None
 ) -> DeliverySchedule:
@@ -338,8 +360,7 @@ def build_delivery_schedule(
 
     The schedule itself does not depend on the demand values (no savings
     are attempted for repeated demands); the vector fixes which file each
-    term refers to and is validated here.  ``None`` means the distinct
-    worst case: user i demands file i, which needs N >= K files.
+    term refers to and is checked by ``demand_vector``.
 
     The two columns come from index arithmetic on the label matrix, in a
     fixed number of array passes per block of class subsets; a block holds as many
@@ -359,22 +380,7 @@ def build_delivery_schedule(
     The first subset, pair choice and participant whose side-information set
     does not hold mu_z points raises ``InternalMuMismatch``.
     """
-    if demands is None:
-        if scheme.n_files < scheme.n_users:
-            raise DemandOutOfRange(
-                f"distinct demands need N >= K, got N={scheme.n_files}, K={scheme.n_users}"
-            )
-        demands = range(1, scheme.n_users + 1)
-    demands = tuple(map(int, demands))
-    if len(demands) != scheme.n_users:
-        raise BadDemandLength(
-            f"demand vector has {len(demands)} entries for {scheme.n_users} users"
-        )
-    # one pass of min and max in C, exact for ints of any size; only a bad
-    # vector is scanned for its first offender
-    if not 1 <= min(demands) <= max(demands) <= scheme.n_files:
-        pos, d = next((p, d) for p, d in enumerate(demands) if not 1 <= d <= scheme.n_files)
-        raise DemandOutOfRange(f"user {pos + 1} demands file {d} outside 1..{scheme.n_files}")
+    demands = demand_vector(scheme, demands)
     res = scheme.res
     z, b_r, mu_z = scheme.z, res.b_r, scheme.mu_z
     cells = b_r**z

@@ -23,27 +23,29 @@ payloads are a sequence of ``bytes`` rows over one (T, sub) array.
 Only ``decode_user`` strips terms: for each row the user takes part in,
 found through the schedule's participation index, it XORs off the other
 terms with subfiles read from its own z caches, then stitches its file.
-``verify_all`` checks each row once instead.  Participant m recovers the
-payload XOR the other terms, which is its own subfile XOR the row's
-residual (the payload XOR all 2^z terms); every participant reads the same
-file bytes, so all of them decode correctly exactly when the residual
-is zero.  That is T * 2^z subfile reads, the size of the encoding, from
-the same store table the encoder read.  What each user can read is
-checked in one pass over the transmissions, the pass that also checks,
-on every transmission, that the side-information set of each participant
-(intersection of the complementary blocks) equals the intersection of
-what the other participants can read - the identity the delivery
-argument rests on - on packed bit rows scattered from the blocks, stored
-words first so that every pass runs along the transmissions.  Given that
-identity, in a row of distinct users a term can be stripped by every
+``verify_all`` checks each row once instead, in stages that its report's
+``stage_ns`` times.  ``scheme`` builds the users and checks the demands.
+``store`` makes the store first, so that a bad file length is refused
+before anything of size T exists, and later serves the term subfiles.
+After ``schedule``, ``side_info`` is one pass over the transmissions, on
+packed point rows stored words first: on every transmission it checks the
+identity the delivery argument rests on (each participant's
+side-information set, the intersection of its complementary blocks,
+equals the intersection of what the other participants can read).  Given
+that identity, in a row of distinct users a term can be stripped by every
 other participant exactly when its subfile lies in its participant's
-side-information set: one bit per term.  Every point must then be cached
-or received, which the union of the terms' own subfile bits shows.  The
-pass marks every user it cannot vouch for: each participant of a row
-whose users do not strictly ascend or that holds a term outside its set,
-and each user missing a point.  Every user that can fail is marked, so
-checking the marked users one by one in id order, through the
-participation index as ``decode_user`` does, names the first fault.
+side-information set: one bit per term.  The pass marks each participant
+of a row whose users do not strictly ascend or that holds a term outside
+its set.  ``decode_residual`` then marks each user missing a point, which
+the union of the terms' own subfile bits shows; every user that can fail
+is marked, so checking the marked users one by one in id order, through
+the participation index as ``decode_user`` does, names the first fault.
+After ``encode``, participant m of a row recovers the payload XOR the
+other terms, which is its own subfile XOR the row's residual (the payload
+XOR all 2^z terms); every participant reads the same file bytes, so all
+of them decode correctly exactly when the residual is zero.  That is
+T * 2^z subfile reads, the size of the encoding, from the same store
+table the encoder read; ``report_rest`` is the rest.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import repeat
+from time import perf_counter_ns
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -66,6 +70,7 @@ from .scheme import (
     build_delivery_schedule,
     build_scheme,
     delivery_rate,
+    demand_vector,
 )
 
 # A gathered chunk of one term column stays under these bytes, so that it
@@ -482,6 +487,7 @@ class SimulationReport:
     transmissions_sent: int
     measured_rate: Fraction
     theoretical_rate: Fraction
+    stage_ns: Mapping[str, int] = field(compare=False, repr=False)  # see verify_all; not in report_to_json
 
     @property
     def all_recovered(self) -> bool:
@@ -645,10 +651,27 @@ def verify_all(
     and every row's residual against the store's term subfiles.  Of the
     users that pass marks, or that miss a point, the first in id order that
     cannot strip a term or never gets a point raises
-    ``MissingSideInformation`` or ``IncompleteRecovery``."""
+    ``MissingSideInformation`` or ``IncompleteRecovery``.
+
+    The report's read-only ``stage_ns`` gives the nanoseconds of its stages
+    scheme, schedule, side_info, store, encode, decode_residual and
+    report_rest, in that order, as the module docstring describes them."""
+    stage_ns = dict.fromkeys(("scheme", "schedule", "side_info", "store", "encode", "decode_residual", "report_rest"), 0)
+    marks = [perf_counter_ns()]
+
+    def lap(stage: str) -> None:
+        marks.append(perf_counter_ns())
+        stage_ns[stage] += marks[-1] - marks[-2]
+
     scheme = build_scheme(res, z, n_files, caps)
+    demands = demand_vector(scheme, demands)
+    lap("scheme")
+    store = make_file_store(n_files, file_len, seed)
+    lap("store")
     schedule = build_delivery_schedule(scheme, demands)
+    lap("schedule")
     readable, unsure = _side_information_pass(schedule)
+    lap("side_info")
     v = res.design.v
     n_users = scheme.n_users
     got = _received(schedule, len(readable))
@@ -658,8 +681,11 @@ def verify_all(
     del readable, got  # before the participation index, subfiles and payloads exist
     for user in np.flatnonzero(unsure).tolist():
         _reach(user, schedule)
-    store = make_file_store(n_files, file_len, seed)
+    lap("decode_residual")
+    store.term_subfiles(schedule)  # memoized: the encoder and the residual read it
+    lap("store")
     payloads = encode_payloads(schedule, store)
+    lap("encode")
     # a participant strips the other terms with the store's own bytes, so
     # every participant decodes its subfile exactly when the row XORs to zero
     n_sent = len(payloads)
@@ -668,17 +694,21 @@ def verify_all(
     _xor_gather(resid, *store.term_subfiles(schedule))
     wrong = np.zeros(n_users, dtype=bool)
     wrong[schedule.users[resid.any(axis=1)]] = True
+    lap("decode_residual")
     columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), cached.tolist(), air.tolist())
     users = map(tuple.__new__, repeat(UserReport), columns)  # UserReport._make, minus a call per row
+    users, rate = tuple(users), delivery_rate(v, res.r, res.b_r, z, scheme.mu_z)
+    lap("report_rest")
     return SimulationReport(
         z=z,
         n_files=n_files,
         file_len=file_len,
         seed=seed,
-        users=tuple(users),
+        users=users,
         transmissions_sent=n_sent,
         measured_rate=Fraction(n_sent, v),
-        theoretical_rate=delivery_rate(v, res.r, res.b_r, z, scheme.mu_z),
+        theoretical_rate=rate,
+        stage_ns=MappingProxyType(stage_ns),
     )
 
 

@@ -1,6 +1,7 @@
 """The committed benchmark records: every run in a BENCH_*.json file passed
 its checks and reports every end-to-end metric the benchmark declares."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -57,10 +58,29 @@ def test_every_stage_row_names_its_case_and_totals(path):
     stages = json.loads(path.read_text(encoding="utf-8"))["verify_all_stages"]
     rows = [row for side in ("parent", "change") for row in stages[side]]
     assert rows
-    single_call = path.name == "BENCH_7.json"
     for row in rows:
-        assert {"spec", "z", "K", "T", "peak_rss_mb"} <= set(row), row
-        if single_call:
-            assert "verify_all_s" in row, row["spec"]
-        else:
-            assert "verify_all" in row["median_s"], row["spec"]
+        _check_stage_row(row, single_call=path.name == "BENCH_7.json")
+
+
+def _check_stage_row(row: dict, single_call: bool = False) -> None:
+    assert {"spec", "z", "K", "T", "peak_rss_mb"} <= set(row), row
+    if single_call:
+        assert "verify_all_s" in row, row["spec"]
+    else:
+        assert "verify_all" in row["median_s"], row["spec"]
+
+
+def test_stage_tool_writes_rows_in_that_schema(tmp_path):
+    """``tools/verify_stages.py`` reads verify_all's own stage record, so its
+    rows name exactly the report's stages and keep the schema above."""
+    spec = importlib.util.spec_from_file_location("verify_stages", ROOT / "tools" / "verify_stages.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    row = tool.measure("example:3", 2, 16, 2)
+    out = tmp_path / "BENCH_0.json"
+    tool.append_row(out, "change", row)
+    assert json.loads(out.read_text(encoding="utf-8"))["verify_all_stages"] == {"parent": [], "change": [row]}
+    _check_stage_row(row)
+    stages = ["scheme", "schedule", "side_info", "store", "encode", "decode_residual", "report_rest"]
+    assert list(row["median_s"]) == [*stages, "verify_all"]
+    assert (row["K"], row["T"], row["repeats"]) == (9, 9, 2)

@@ -369,6 +369,16 @@ class TestBadInput:
             ),
             (["sweep", "--family", "affine", "--values", "2,3", "--m", "4"], {}, "no fixed dimension, got m=4"),
             (["sweep", "--family", "hadamard", "--values", "2,3", "--m", "4"], {}, "no fixed dimension, got m=4"),
+            (
+                ["simulate", "--design", "example:3", "--z", "2", "--files", "9", "--len", "0"],
+                {},
+                "need n_files >= 1 and file_len >= 1, got 9, 0",
+            ),
+            (
+                ["simulate", "--design", "example:3", "--z", "2", "--files", "8", "--len", "0"],
+                {},
+                "distinct demands need N >= K, got N=8, K=9",
+            ),
         ],
     )
     def test_is_reported_on_one_line_without_traceback(self, argv, env, token):

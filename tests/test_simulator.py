@@ -4,6 +4,7 @@ import hashlib
 import json
 import pickle
 import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -963,6 +964,62 @@ class TestEndToEnd:
         assert [u.demand for u in report.users] == demands
         assert report.measured_rate == report.theoretical_rate == rate
         assert [u.subfiles_from_air for u in report.users] == [mu_z * (res.b_r - 1) ** z] * n_users
+
+
+STAGES = ("scheme", "schedule", "side_info", "store", "encode", "decode_residual", "report_rest")
+
+
+class TestStageRecord:
+    """verify_all times its own stages in ``report.stage_ns``, which neither
+    equality, repr nor ``report_to_json`` sees; it refuses a bad store
+    before it builds the schedule, and a bad demand vector before both."""
+
+    @pytest.mark.parametrize("all_marked", [False, True])
+    def test_stages_in_order_within_the_call(self, monkeypatch, all_marked):
+        """Also when every user is checked one by one, which builds the
+        participation index inside ``decode_residual``."""
+        if all_marked:
+            monkeypatch.setattr(simulator, "_side_information_pass", _all_unsure)
+        res = from_spec("affine:n=5")
+        start = time.perf_counter_ns()
+        report = verify_all(res, 2, 375, 32)
+        span = time.perf_counter_ns() - start
+        assert report.all_recovered
+        assert tuple(report.stage_ns) == STAGES
+        assert all(type(ns) is int and ns >= 0 for ns in report.stage_ns.values())
+        assert sum(report.stage_ns.values()) <= span
+        with pytest.raises(TypeError):
+            report.stage_ns["scheme"] = 0
+
+    def test_equal_runs_compare_equal_and_serialize_without_it(self):
+        res = catalog_example(4)
+        one, two = verify_all(res, 2, 12, 40, seed=11), verify_all(res, 2, 12, 40, seed=11)
+        assert one == two and repr(one) == repr(two)
+        assert "stage" not in repr(one)
+        obj = report_to_json(one)
+        assert not any("stage" in key for key in obj)
+        assert json.dumps(obj) == json.dumps(report_to_json(two))
+
+    def test_bad_file_length_is_refused_before_the_schedule(self, monkeypatch):
+        def never(scheme, demands=None):
+            raise AssertionError("the schedule was built")
+
+        monkeypatch.setattr(simulator, "build_delivery_schedule", never)
+        with pytest.raises(errors.DemandOutOfRange, match="file_len >= 1"):
+            verify_all(from_spec("affine:n=5"), 2, 375, 0)
+
+    @pytest.mark.parametrize(
+        "n_files, demands, error",
+        [
+            (8, None, errors.DemandOutOfRange),  # distinct demands need N >= K = 9
+            (9, [1] * 8, errors.BadDemandLength),
+            (9, [1] * 8 + [10], errors.DemandOutOfRange),
+        ],
+    )
+    def test_bad_demands_still_come_before_a_bad_file_length(self, n_files, demands, error):
+        with pytest.raises(error) as exc:
+            verify_all(catalog_example(3), 2, n_files, 0, demands=demands)
+        assert "file_len" not in str(exc.value)
 
 
 def _no_library(store, v):

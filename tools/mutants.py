@@ -174,6 +174,43 @@ MUTANTS = (
         ("tests/test_scheme.py::TestSchedule::test_subset_blocks_stay_within_the_budget",),
     ),
     Mutant(
+        "rows that do not ascend never recomputed",
+        SIM,
+        "        if len(odd):\n            named, held = users[:, odd], sets[:, :, odd]\n",
+        "        if False:\n            named, held = users[:, odd], sets[:, :, odd]\n",
+        (PASS,),
+    ),
+    Mutant(
+        "membership bit past the first word without the side-information AND",
+        SIM,
+        "            held |= np.take(point_bits[w], points) & direct[w]\n",
+        "            held |= np.take(point_bits[w], points)\n",
+        (PASS,),
+    ),
+    Mutant(
+        "hadamard_crd keeps h alive",
+        "src/crdcache/constructions.py",
+        "    labels = h[1:] == -1\n    del h\n",
+        "    labels = h[1:] == -1\n",
+        ("tests/test_constructions.py::test_hadamard_build_drops_its_matrix_before_sorting_the_labels",),
+    ),
+    Mutant(
+        "_xor_gather gathers a whole column",
+        SIM,
+        "    step = max(1, _GATHER_BYTES // max(1, table.shape[1]))\n",
+        "    step = max(1, len(acc))\n",
+        ("tests/test_simulator.py::TestEndToEnd::test_gather_chunk_bounds_the_encoder",),
+    ),
+    Mutant(
+        "store made after the schedule",
+        SIM,
+        '    store = make_file_store(n_files, file_len, seed)\n    lap("store")\n'
+        "    schedule = build_delivery_schedule(scheme, demands)\n",
+        "    schedule = build_delivery_schedule(scheme, demands)\n"
+        '    store = make_file_store(n_files, file_len, seed)\n    lap("store")\n',
+        ("tests/test_simulator.py::TestStageRecord",),
+    ),
+    Mutant(
         "caps.WORK_BYTES set to 1 GiB",
         "src/crdcache/caps.py",
         "WORK_BYTES = 1 << 22\n",
