@@ -332,14 +332,14 @@ class DeliverySchedule:
 
 
 def demand_vector(scheme: SchemeInstance, demands: Sequence[int] | None = None) -> tuple[int, ...]:
-    """The demands as checked ints: ``None`` means the distinct worst case,
-    user i demands file i, which needs N >= K files."""
+    """The demands as checked ints.  ``None`` means the distinct worst case,
+    user i demands file i, which needs N >= K files and no further check."""
     if demands is None:
         if scheme.n_files < scheme.n_users:
             raise DemandOutOfRange(
                 f"distinct demands need N >= K, got N={scheme.n_files}, K={scheme.n_users}"
             )
-        demands = range(1, scheme.n_users + 1)
+        return tuple(range(1, scheme.n_users + 1))
     demands = tuple(map(int, demands))
     if len(demands) != scheme.n_users:
         raise BadDemandLength(

@@ -664,7 +664,7 @@ def verify_all(
         stage_ns[stage] += marks[-1] - marks[-2]
 
     scheme = build_scheme(res, z, n_files, caps)
-    demands = demand_vector(scheme, demands)
+    demand_vector(scheme, demands)  # so a bad demand vector is named before a bad file length
     lap("scheme")
     store = make_file_store(n_files, file_len, seed)
     lap("store")
