@@ -646,16 +646,14 @@ def verify_all(
     demands: Sequence[int] | None = None,
     caps: SizeCaps = DEFAULT_CAPS,
 ) -> SimulationReport:
-    """End-to-end run: schedule and broadcast, then check what every user
-    can strip, inside the side-information pass over the transmissions,
-    and every row's residual against the store's term subfiles.  Of the
-    users that pass marks, or that miss a point, the first in id order that
-    cannot strip a term or never gets a point raises
-    ``MissingSideInformation`` or ``IncompleteRecovery``.
-
-    The report's read-only ``stage_ns`` gives the nanoseconds of its stages
-    scheme, schedule, side_info, store, encode, decode_residual and
-    report_rest, in that order, as the module docstring describes them."""
+    """End-to-end run in the stages the module docstring describes, whose
+    nanoseconds the report's read-only ``stage_ns`` gives in this order:
+    scheme, schedule, side_info (the pass that marks users), store (made
+    first, then the term subfiles), encode, decode_residual (the marked
+    users, then every row's residual) and report_rest.  Of the users that
+    pass marks, or that miss a point, the first in id order that cannot
+    strip a term or never gets a point raises ``MissingSideInformation``
+    or ``IncompleteRecovery``."""
     stage_ns = dict.fromkeys(("scheme", "schedule", "side_info", "store", "encode", "decode_residual", "report_rest"), 0)
     marks = [perf_counter_ns()]
 
