@@ -4,10 +4,11 @@ working-set budget of every chunked pass.
 The cross-intersection search and the field/point constructions are
 exhaustive by design; the caps below bound how much work a single call may
 do.  ``max_intersections`` counts b_r^i intersections per i-subset of classes
-the mu_i search reads, in ``combinations`` order, whether a bincount or (at
-i = b_r = 2) a Gram entry decides the subset.  The search stops at the first
-non-uniform subset within the cap, so a design whose profile dies quickly
-stays cheap even when C(r,i) b_r^i is huge; past the cap it raises.
+the mu_i search reads, in ``combinations`` order, whether a sorted row of a
+block or (at i = b_r = 2) a Gram entry decides the subset.  The search
+stops at the first non-uniform subset within the cap, so a design whose
+profile dies quickly stays cheap even when C(r,i) b_r^i is huge; past the
+cap it raises.
 
 ``WORK_BYTES`` is the one budget of every chunked pass, from the mu search
 to ``verify_all``'s transmission pass: a stage states what one row of its pass

@@ -11,7 +11,13 @@ the one search for these numbers; it is memoized on the resolution.  A
 resolution carries its label matrix: ``labels[c, x-1]`` is the position
 in class c of the block holding point x.  Blocks from i classes meet in the
 cells of the points' joint label over those classes, so mu_i exists exactly
-when every joint value marks v / b_r^i points.
+when every joint value marks v / b_r^i points.  The search reads the class
+i-subsets in ``combinations`` order, in blocks: the first holds the first
+(i-1)-prefix's subsets, so an order that fails there costs about one prefix,
+and each later block doubles while its joint labels fit in ``WORK_BYTES``.
+Each block's labels are sorted row by row, and a subset is uniform when its
+row reads each value v / b_r^i times.  At b_r = 2 the pairs go through one
+Gram product instead.
 
 A design stores its blocks once, as a read-only (b, k) point matrix:
 row j lists the points of block j ascending, in the smallest unsigned
@@ -38,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import caps as _caps
-from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
+from .caps import DEFAULT_CAPS, SizeCaps
 from .errors import (
     ClassNotPartitionOfPoints,
     EmptyBlock,
@@ -228,15 +234,6 @@ def _check_class(design: Design, blocks: np.ndarray, pos: int) -> None:
         raise ClassNotPartitionOfPoints(f"class {pos + 1} covers {len(points)} of {design.v} points")
 
 
-def joint_labels(res: Resolution, classes: Sequence[int]) -> np.ndarray:
-    """Each point's mixed-radix block position over ``classes``, the first most
-    significant: the points of one value are one block per class intersected."""
-    joint = np.zeros(res.design.v, dtype=np.intp)
-    for c in classes:
-        joint = joint * res.b_r + res.labels[c]
-    return joint
-
-
 def cross_intersection_number(
     res: Resolution, i: int, caps: SizeCaps = DEFAULT_CAPS
 ) -> int | None:
@@ -247,9 +244,10 @@ def cross_intersection_number(
     charged as b_r^i intersections against the cap: a non-uniform subset
     within the cap gives None, and a subset past it raises.  At i = 2 and
     b_r = 2 one Gram entry decides a pair (``_first_split_pair``); otherwise
-    subsets sharing their first i-1 classes are counted in one bincount per
-    chunk of later classes, each chunk's intp joint labels at most
-    ``WORK_BYTES`` (one class at least).
+    ``_all_uniform`` decides the subsets in blocks: the first (i-1)-prefix's
+    r - i + 1 subsets first, then blocks of twice as many subsets each, every
+    block's joint labels and their comparison at most ``WORK_BYTES`` (one
+    subset at least).
     """
     if i < 2 or i > res.r:
         raise IndexOutOfRange(f"intersection order must be in 2..{res.r}, got {i}")
@@ -257,30 +255,66 @@ def cross_intersection_number(
     mu, rem = divmod(res.design.v, cells)
     if rem:
         return None
-    room = budget = caps.max_intersections
+    subsets = comb(res.r, i)
+    # clamped: a negative cap admits no subset
+    admitted = min(subsets, max(0, caps.max_intersections // cells))
     if i == 2 and res.b_r == 2:
-        pairs = comb(res.r, 2)
-        admitted = min(pairs, max(0, budget // cells))
-        if _first_split_pair(res.labels, mu, admitted) < admitted:
-            return None
-        if admitted < pairs:
-            raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {budget} intersections")
-        return mu
-    for prefix in combinations(range(res.r - 1), i - 1):
-        later = res.labels[prefix[-1] + 1 :]
-        # clamped: a negative cap must not become a negative slice bound
-        take = min(len(later), max(0, room // cells))
-        room -= take * cells
-        head = joint_labels(res, prefix) * res.b_r
-        for rows in row_chunks(take, 8 * res.design.v):
-            joint = later[rows].astype(np.intp)
-            joint += head
-            joint += np.arange(len(joint))[:, None] * cells  # one block of values per subset
-            if (np.bincount(joint.ravel(), minlength=len(joint) * cells) != mu).any():
-                return None
-        if take < len(later):
-            raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {budget} intersections")
+        uniform = _first_split_pair(res.labels, mu, admitted) == admitted
+    else:
+        uniform = _all_uniform(res, i, mu, admitted)
+    if not uniform:
+        return None
+    if admitted < subsets:
+        raise SizeCapExceeded(f"mu_{i} search exceeded the cap of {caps.max_intersections} intersections")
     return mu
+
+
+def _all_uniform(res: Resolution, i: int, mu: int, count: int) -> bool:
+    """Whether each of the first ``count`` class i-subsets, in ``combinations``
+    order, has every joint label value on mu points.
+
+    The subsets are decided in blocks.  The first block holds the r - i + 1
+    subsets of the first (i-1)-prefix, so an order that fails there exits
+    after about one prefix of work; each later block doubles, while its
+    joint labels and their comparison fit in ``WORK_BYTES`` (one subset at
+    least).  A block is filled a run of one prefix's later classes at a
+    time, in the narrowest dtype that holds b_r^i - 1, and sorted row by
+    row (bytes by radix, which numpy's default quicksort does not use); a
+    subset is uniform exactly when its sorted row is each value repeated mu
+    times.
+    """
+    labels, b_r, r, v = res.labels, res.b_r, res.r, res.design.v
+    dtype = np.min_scalar_type(b_r**i - 1)
+    expected = np.repeat(np.arange(b_r**i, dtype=dtype), mu)
+    kind = "stable" if dtype.itemsize == 1 else None
+    most = max(1, _caps.WORK_BYTES // (v * (dtype.itemsize + 1)))
+    prefixes = combinations(range(r - 1), i - 1)
+    prefix = next(prefixes)
+    later, size = prefix[-1] + 1, r - i + 1
+    while count:
+        n = min(size, most, count)
+        joint = np.empty((n, v), dtype=dtype)
+        filled = 0
+        while filled < n:
+            # the prefix's joint label, one place up, plus each later class's label
+            take = min(n - filled, r - later)
+            head = labels[prefix[0]].astype(dtype)
+            for c in prefix[1:]:
+                head *= b_r
+                head += labels[c]
+            head *= b_r
+            np.add(head, labels[later : later + take], out=joint[filled : filled + take])
+            filled += take
+            later += take
+            if later == r:
+                prefix = next(prefixes, (r - 1,))  # past the last prefix, no class is left
+                later = prefix[-1] + 1
+        joint.sort(axis=1, kind=kind)
+        if (joint != expected).any():
+            return False
+        count -= n
+        size *= 2
+    return True
 
 
 def _gram_dtype(v: int) -> type[np.floating]:

@@ -4,14 +4,21 @@ A field is its two operation tables.  Elements are plain ints in
 ``range(q)``: the base-p digits of an element are its polynomial
 coefficients over GF(p), least significant digit first, so in GF(4) the int
 3 is x+1 and 2 is x.  ``add_table[a, b]`` and ``mul_table[a, b]`` are
-read-only q x q arrays, each computed once, on first use, from the digit
-vectors of all q elements; a prime field is the one-digit case.  Extension
-fields reduce modulo a fixed irreducible polynomial from a built-in table,
-which keeps the element numbering (and every point ordering built on it)
-identical across runs and platforms.  Every operation reads the tables.
-``squares`` and ``differences`` work on the same digits without forming a
-q x q table: the squares share the product routine with ``mul_table``, and
-the differences come a chunk of rows at a time.
+read-only q x q arrays, each computed once, on first use, in a number of
+array passes that grows with e, not e^2.  ``add_table`` adds the digit
+vectors of all q elements mod p, one pass per digit; at p = 2 it is a XOR.
+In a prime field ``mul_table`` is the digit product mod p.  In an extension
+field it is built a digit of b at a time: row b is sum_j b_j (a x^j), and
+the rows of the b < p^(j+1) are those of the b < p^j plus s (a x^j), one
+gather through ``add_table``, from a (p, q) table of scalar multiples and
+a "times x" map (a digit shift plus the fold of x^e by the modulus).
+Extension fields reduce modulo a fixed irreducible polynomial from a
+built-in table, which keeps the element numbering (and every point ordering
+built on it) identical across runs and platforms.  Every operation reads
+the tables.  ``squares`` and ``differences`` work on the digits without
+forming a q x q table: the squares by the polynomial product of each
+element's digits with themselves, and the differences a chunk of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -98,14 +105,50 @@ class GF:
 
     @cached_property
     def add_table(self) -> np.ndarray:
-        """``add_table[a, b]`` is a + b: digit-wise addition mod p."""
+        """``add_table[a, b]`` is a + b: digit-wise addition mod p, a XOR at p = 2."""
+        if self.p == 2:
+            elements = np.arange(self.q, dtype=np.min_scalar_type(self.q - 1))
+            table = elements[:, None] ^ elements
+            table.flags.writeable = False
+            return table
         return self._table([(d[:, None] + d) % self.p for d in self._coefficients(2 * self.p - 2)])
 
     @cached_property
     def mul_table(self) -> np.ndarray:
-        """``mul_table[a, b]`` is a * b: polynomial product reduced by the modulus."""
-        x = self._coefficients(self.p * self.p - 1)
-        return self._table(self._product([d[:, None] for d in x], x))
+        """``mul_table[a, b]`` is a * b; in an extension field, row b is built
+        digit by digit as sum_j b_j (a x^j) over the digits b_j of b.
+
+        The rows of the b < p are the scalar multiples s * a (s in GF(p)),
+        and the rows of the b < p^(j+1) add s (a x^j) to those of the b < p^j
+        in one gather through ``add_table`` (a XOR at p = 2).  A "times x"
+        map over the q elements, a digit shift plus the modulus fold, takes
+        each a x^j to a x^(j+1).
+        """
+        p, e, q = self.p, self.e, self.q
+        if e == 1:
+            d = self._coefficients(p * p - 1)[0]
+            return self._table([d[:, None] * d % p])
+        add = self.add_table
+        # scaled[s] is s * a for every a: a added to itself s times
+        table = scaled = np.zeros((p, q), dtype=add.dtype)
+        scaled[1] = np.arange(q)
+        for s in range(2, p):
+            scaled[s] = add[scaled[s - 1], scaled[1]]
+        # x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1}), the element with digits p - m_j
+        fold = sum((p - m) % p * p**j for j, m in enumerate(self.modulus[:e]))
+        times_x = add[scaled[1] % p ** (e - 1) * p, scaled[scaled[1] // p ** (e - 1), fold]]
+        power = scaled[1]  # a x^j for every a
+        for _ in range(e - 1):
+            power = times_x[power]
+            terms = scaled[:, None, power]  # (p, 1, q): s (a x^j)
+            if p == 2:
+                table = table ^ terms
+            else:
+                at = np.multiply(table, q, dtype=np.intp)
+                table = add.ravel().take(at + terms)
+            table = table.reshape(-1, q)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def squares(self) -> np.ndarray:
@@ -114,8 +157,8 @@ class GF:
         return self._table(self._product(x, x))
 
     def _product(self, x: list[np.ndarray], y: list[np.ndarray]) -> list[np.ndarray]:
-        """The digits of x * y from the broadcastable digits of x and y, each
-        in a dtype that holds p^2 - 1: polynomial product reduced by the modulus."""
+        """The digits of x * y from the digits of x and y, each in a dtype
+        that holds p^2 - 1: polynomial product reduced by the modulus."""
         p, e = self.p, self.e
         prod: list = [0] * (2 * e - 1)
         for i in range(e):

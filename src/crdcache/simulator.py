@@ -45,7 +45,9 @@ other terms, which is its own subfile XOR the row's residual (the payload
 XOR all 2^z terms); every participant reads the same file bytes, so all
 of them decode correctly exactly when the residual is zero.  That is
 T * 2^z subfile reads, the size of the encoding, from the same store
-table the encoder read; ``report_rest`` is the rest.
+table the encoder read, a gather chunk of rows at a time, so the residual
+never copies every payload; the store and its table are freed inside the
+stage.  ``report_rest`` is the rest, up to freeing the schedule.
 """
 
 from __future__ import annotations
@@ -376,13 +378,13 @@ def _incidence(blocks: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray | None, sub: int) -> np.ndarray:
-    """A writeable (len(rows), sub) copy of the payloads of ``rows`` (None: all)."""
+def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray | slice, sub: int) -> np.ndarray:
+    """A writeable (n, sub) copy of the payloads of ``rows``, an index array or a slice."""
     if isinstance(payloads, Payloads):
         payloads = payloads.rows
     if isinstance(payloads, np.ndarray):
-        return payloads.copy() if rows is None else payloads[rows]
-    picked = payloads if rows is None else [payloads[t] for t in rows.tolist()]
+        return payloads[rows].copy() if isinstance(rows, slice) else payloads[rows]
+    picked = payloads[rows] if isinstance(rows, slice) else [payloads[t] for t in rows.tolist()]
     joined = bytearray(b"".join(picked))
     return np.frombuffer(joined, dtype=np.uint8).reshape(-1, sub)
 
@@ -685,17 +687,24 @@ def verify_all(
     payloads = encode_payloads(schedule, store)
     lap("encode")
     # a participant strips the other terms with the store's own bytes, so
-    # every participant decodes its subfile exactly when the row XORs to zero
-    n_sent = len(payloads)
-    resid = _air_rows(payloads, None, subfile_length(file_len, v))
-    del payloads
-    _xor_gather(resid, *store.term_subfiles(schedule))
+    # every participant decodes its subfile exactly when the row XORs to zero;
+    # the rows are checked in the gather's row chunks, so no (T, sub) copy exists
+    n_sent, sub = len(payloads), subfile_length(file_len, v)
+    table, index = store.term_subfiles(schedule)
     wrong = np.zeros(n_users, dtype=bool)
-    wrong[schedule.users[resid.any(axis=1)]] = True
+    step = max(1, _GATHER_BYTES // max(1, sub))
+    for start in range(0, n_sent, step):
+        rows = slice(start, start + step)
+        resid = _air_rows(payloads, rows, sub)
+        _xor_gather(resid, table, index[rows])
+        wrong[schedule.users[rows][resid.any(axis=1)]] = True
+        del resid  # before the next chunk is copied
+    del payloads, store, table, index  # the term table goes before the last mark
     lap("decode_residual")
     columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), cached.tolist(), air.tolist())
     users = map(tuple.__new__, repeat(UserReport), columns)  # UserReport._make, minus a call per row
     users, rate = tuple(users), delivery_rate(v, res.r, res.b_r, z, scheme.mu_z)
+    del schedule, scheme, columns  # so the last mark follows their teardown
     lap("report_rest")
     return SimulationReport(
         z=z,

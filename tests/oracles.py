@@ -15,7 +15,7 @@ from math import comb, isqrt
 import numpy as np
 
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
-from crdcache.designs import Resolution, joint_labels, validate_design, validate_resolution
+from crdcache.designs import Resolution, validate_design, validate_resolution
 from crdcache.baselines import ManPoint
 from crdcache.errors import (
     ClassNotPartitionOfPoints,
@@ -139,6 +139,15 @@ def scan_cross_intersection(res: Resolution, i: int, caps: SizeCaps = DEFAULT_CA
             elif len(inter) != seen:
                 return None
     return seen
+
+
+def joint_labels(res: Resolution, classes) -> np.ndarray:
+    """Each point's mixed-radix block position over ``classes``, the first most
+    significant: the points of one value are one block per class intersected."""
+    joint = np.zeros(res.design.v, dtype=np.intp)
+    for c in classes:
+        joint = joint * res.b_r + res.labels[c]
+    return joint
 
 
 def subset_scan_cross_intersection(

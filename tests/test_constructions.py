@@ -209,8 +209,12 @@ class TestErrors:
             hadamard_crd(23)
 
     def test_point_cap(self):
-        with pytest.raises(errors.SizeCapExceeded):
+        with pytest.raises(errors.SizeCapExceeded, match="27 points exceed the cap of 26"):
             affine_geometry_bibd(3, 3, SizeCaps(max_points=26))
+        # a Sylvester order and an order with no construction: the cap comes first
+        for m in (32, 23):
+            with pytest.raises(errors.SizeCapExceeded, match=f"{4 * m} points exceed the cap of 64"):
+                hadamard_crd(m, SizeCaps(max_points=64))
 
     def test_huge_dimension_is_refused_before_forming_the_power(self):
         with pytest.raises(errors.SizeCapExceeded, match=r"2\^1000000000000 points"):

@@ -16,6 +16,7 @@ REMOVED = (
     ("scheme", "_integer_root"),
     ("errors", "NonIntegerResult"),
     ("gf", "is_prime"),
+    ("designs", "joint_labels"),
 )
 
 

@@ -24,7 +24,7 @@ from crdcache.designs import (
     validate_design,
     validate_resolution,
 )
-from oracles import block_set, scan_cross_intersection
+from oracles import block_set, scan_cross_intersection, subset_scan_cross_intersection
 from test_golden_designs import SPECS
 
 
@@ -60,6 +60,12 @@ def balanced_labels(draw):
     return np.array(rows)[:, points]
 
 
+# Four independent binary digits of 16 points, then the third digit again: at
+# i = 3 the first prefix's subsets (0, 1, c) are uniform, and the fifth
+# subset (0, 2, 4), in the second block, is the first that is not.
+THIRD_ORDER_FAILS_LATE = _grid(2, 4)[[0, 1, 2, 3, 2]]
+
+
 class TestLabelSearch:
     @pytest.mark.parametrize("spec", list(LADDER))
     def test_equals_the_scan_on_built_in_designs(self, spec):
@@ -75,21 +81,28 @@ class TestLabelSearch:
             assert cross_intersection_number(res, i) == scan_cross_intersection(res, i)
 
     @settings(max_examples=100, deadline=None)
-    @given(balanced_labels(), st.integers(0, 60), st.sampled_from([1, caps_module.WORK_BYTES]))
+    @given(balanced_labels(), st.integers(0, 60), st.sampled_from([1, 300, 1000, caps_module.WORK_BYTES]))
+    @example(labels=THIRD_ORDER_FAILS_LATE, cap=60, budget=1)
+    @example(labels=THIRD_ORDER_FAILS_LATE, cap=60, budget=caps_module.WORK_BYTES)
+    @example(labels=THIRD_ORDER_FAILS_LATE, cap=30, budget=caps_module.WORK_BYTES)
     def test_small_caps(self, labels, cap, budget):
-        """A value from the scan is the search's value; where the scan runs into
-        the cap, the search raises too, or returns None because b_r^i does not
-        divide v; where the scan finds a mismatch, the search returns None or
-        raises at the subset that straddles the cap.  A ``WORK_BYTES`` of one
-        label row, which checks one later class per chunk, gives the same
-        value or raise as the default."""
+        """The search's value or raise is the one-subset-at-a-time scan's
+        exactly, and stands to the frozenset scan as follows: a value from
+        the scan is the search's value; where the scan runs into the cap, the
+        search raises too, or returns None because b_r^i does not divide v;
+        where the scan finds a mismatch, the search returns None or raises at
+        the subset that straddles the cap.  ``WORK_BYTES`` budgets of one
+        subset, a few subsets and the default cut an order into blocks of
+        one, a few, and the first prefix then doubling blocks, and give the
+        same value or raise."""
         res = _from_labels(labels)
         caps = SizeCaps(max_intersections=cap)
 
         def search(i):
             try:
                 return cross_intersection_number(res, i, caps)
-            except errors.SizeCapExceeded:
+            except errors.SizeCapExceeded as exc:
+                assert str(exc) == f"mu_{i} search exceeded the cap of {cap} intersections"
                 return "cap"
 
         for i in range(2, res.r + 1):
@@ -97,9 +110,13 @@ class TestLabelSearch:
                 old = scan_cross_intersection(res, i, caps)
             except errors.SizeCapExceeded:
                 old = "cap"
+            try:
+                one_by_one = subset_scan_cross_intersection(res, i, caps)
+            except errors.SizeCapExceeded:
+                one_by_one = "cap"
             with mock.patch.object(caps_module, "WORK_BYTES", budget):
                 new = search(i)
-            assert new == search(i), (i, cap)
+            assert new == search(i) == one_by_one, (i, cap)
             if old == "cap":
                 assert new == "cap" or (new is None and res.design.v % res.b_r**i), (i, cap)
             elif old is None:

@@ -45,6 +45,10 @@ PASS = "tests/test_simulator.py::TestTransmissionPass"
 FAULTS = "tests/test_simulator.py::TestDecoderFaults"
 CLOSED = "tests/test_closed_forms.py"
 GOLDEN_TABLES = "tests/test_golden_tables.py"
+DESIGNS = "src/crdcache/designs.py"
+CONSTRUCTIONS = "src/crdcache/constructions.py"
+LABELS = "tests/test_labels.py::TestLabelSearch"
+POINT_CAP = "tests/test_constructions.py::TestErrors::test_point_cap"
 
 MUTANTS = (
     Mutant(
@@ -92,7 +96,7 @@ MUTANTS = (
     Mutant(
         "residual participants unmarked",
         SIM,
-        "    wrong[schedule.users[resid.any(axis=1)]] = True\n",
+        "        wrong[schedule.users[rows][resid.any(axis=1)]] = True\n",
         "",
         (FAULTS,),
     ),
@@ -112,7 +116,7 @@ MUTANTS = (
     ),
     Mutant(
         "Sylvester labels by popcount, not its parity",
-        "src/crdcache/constructions.py",
+        CONSTRUCTIONS,
         "np.bitwise_and(np.bitwise_count(both), 1, out=labels[rows], casting=\"unsafe\")",
         "np.copyto(labels[rows], np.bitwise_count(both), casting=\"unsafe\")",
         (f"{CLOSED}::test_parity_labels_equal_the_kronecker_matrix",),
@@ -140,7 +144,7 @@ MUTANTS = (
     ),
     Mutant(
         "uneven label rows accepted",
-        "src/crdcache/constructions.py",
+        CONSTRUCTIONS,
         "        if uneven.any():\n",
         "        if False:\n",
         ("tests/test_constructions.py::TestFromLabels",),
@@ -189,7 +193,7 @@ MUTANTS = (
     ),
     Mutant(
         "hadamard_crd keeps h alive",
-        "src/crdcache/constructions.py",
+        CONSTRUCTIONS,
         "    labels = h[1:] == -1\n    del h\n",
         "    labels = h[1:] == -1\n",
         ("tests/test_constructions.py::test_hadamard_build_drops_its_matrix_before_sorting_the_labels",),
@@ -209,6 +213,41 @@ MUTANTS = (
         "    schedule = build_delivery_schedule(scheme, demands)\n"
         '    store = make_file_store(n_files, file_len, seed)\n    lap("store")\n',
         ("tests/test_simulator.py::TestStageRecord",),
+    ),
+    Mutant(
+        "mu search does not raise when the cap cuts an order",
+        DESIGNS,
+        "    if admitted < subsets:\n",
+        "    if False:\n",
+        (f"{LABELS}::test_small_caps", f"{LABELS}::test_negative_cap_raises"),
+    ),
+    Mutant(
+        "mu search decides an order from its first block only",
+        DESIGNS,
+        "        count -= n\n",
+        "        count = 0\n",
+        (LABELS,),
+    ),
+    Mutant(
+        "times-x map without the modulus fold",
+        "src/crdcache/gf.py",
+        "        times_x = add[scaled[1] % p ** (e - 1) * p, scaled[scaled[1] // p ** (e - 1), fold]]\n",
+        "        times_x = scaled[1] % p ** (e - 1) * p\n",
+        ("tests/test_field_tables.py::test_tables_match_digit_arithmetic",),
+    ),
+    Mutant(
+        "affine_geometry_bibd without its point cap",
+        CONSTRUCTIONS,
+        '    if v > caps.max_points:\n        raise SizeCapExceeded(f"{v} points exceed the cap of {caps.max_points}")\n',
+        "",
+        (POINT_CAP,),
+    ),
+    Mutant(
+        "hadamard_crd without its point cap",
+        CONSTRUCTIONS,
+        '    if order > caps.max_points:\n        raise SizeCapExceeded(f"{order} points exceed the cap of {caps.max_points}")\n',
+        "",
+        (POINT_CAP,),
     ),
     Mutant(
         "caps.WORK_BYTES set to 1 GiB",
