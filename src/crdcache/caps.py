@@ -12,8 +12,10 @@ cap it raises.
 
 ``WORK_BYTES`` is the one budget of every chunked pass, from the mu search
 to ``verify_all``'s transmission pass: a stage states what one row of its pass
-costs, and ``row_chunks`` cuts its rows into runs that fit.  It is read at
-call time, so one patch of it reaches every stage.
+costs, and ``row_chunks`` cuts its rows into runs that fit.  ``CACHE_BYTES``
+further bounds the chunks that should stay in the cache while they are
+worked on: a gathered chunk of one term column, and a block of the mu
+search.  Both are read at call time, so one patch reaches every stage.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 WORK_BYTES = 1 << 22
+CACHE_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ cells of the points' joint label over those classes, so mu_i exists exactly
 when every joint value marks v / b_r^i points.  The search reads the class
 i-subsets in ``combinations`` order, in blocks: the first holds the first
 (i-1)-prefix's subsets, so an order that fails there costs about one prefix,
-and each later block doubles while its joint labels fit in ``WORK_BYTES``.
+and each later block doubles while its joint labels fit in ``CACHE_BYTES``.
 Each block's labels are sorted row by row, and a subset is uniform when its
 row reads each value v / b_r^i times.  At b_r = 2 the pairs go through one
 Gram product instead.
@@ -246,8 +246,8 @@ def cross_intersection_number(
     b_r = 2 one Gram entry decides a pair (``_first_split_pair``); otherwise
     ``_all_uniform`` decides the subsets in blocks: the first (i-1)-prefix's
     r - i + 1 subsets first, then blocks of twice as many subsets each, every
-    block's joint labels and their comparison at most ``WORK_BYTES`` (one
-    subset at least).
+    block's joint labels and their comparison at most ``CACHE_BYTES`` and
+    ``WORK_BYTES`` (one subset at least).
     """
     if i < 2 or i > res.r:
         raise IndexOutOfRange(f"intersection order must be in 2..{res.r}, got {i}")
@@ -276,8 +276,9 @@ def _all_uniform(res: Resolution, i: int, mu: int, count: int) -> bool:
     The subsets are decided in blocks.  The first block holds the r - i + 1
     subsets of the first (i-1)-prefix, so an order that fails there exits
     after about one prefix of work; each later block doubles, while its
-    joint labels and their comparison fit in ``WORK_BYTES`` (one subset at
-    least).  A block is filled a run of one prefix's later classes at a
+    joint labels and their comparison fit in ``CACHE_BYTES`` and
+    ``WORK_BYTES`` (one subset at least), so a block stays in the cache
+    while it is sorted and compared.  A block is filled a run of one prefix's later classes at a
     time, in the narrowest dtype that holds b_r^i - 1, and sorted row by
     row (bytes by radix, which numpy's default quicksort does not use); a
     subset is uniform exactly when its sorted row is each value repeated mu
@@ -287,7 +288,7 @@ def _all_uniform(res: Resolution, i: int, mu: int, count: int) -> bool:
     dtype = np.min_scalar_type(b_r**i - 1)
     expected = np.repeat(np.arange(b_r**i, dtype=dtype), mu)
     kind = "stable" if dtype.itemsize == 1 else None
-    most = max(1, _caps.WORK_BYTES // (v * (dtype.itemsize + 1)))
+    most = max(1, min(_caps.WORK_BYTES, _caps.CACHE_BYTES) // (v * (dtype.itemsize + 1)))
     prefixes = combinations(range(r - 1), i - 1)
     prefix = next(prefixes)
     later, size = prefix[-1] + 1, r - i + 1

@@ -75,11 +75,6 @@ from .scheme import (
     demand_vector,
 )
 
-# A gathered chunk of one term column stays under these bytes, so that it
-# stays in the cache; at one row per chunk the XOR reads the table row itself
-_GATHER_BYTES = 1 << 18
-
-
 @dataclass(frozen=True)
 class FileStore:
     """N files of identical length, reproducible from (n_files, file_len, seed).
@@ -359,9 +354,9 @@ def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> Payloads:
 def _xor_gather(acc: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
     """XOR ``table[index[:, c]]`` into ``acc`` for every column c of the flat
     row index ``index`` into the (n, sub) ``table``, over row chunks of at most
-    ``_GATHER_BYTES``: no gathered temporary outgrows the cache; a one-row
-    chunk XORs the table row."""
-    step = max(1, _GATHER_BYTES // max(1, table.shape[1]))
+    ``CACHE_BYTES``: no gathered temporary outgrows the cache; a one-row
+    chunk XORs the table row itself."""
+    step = max(1, _caps.CACHE_BYTES // max(1, table.shape[1]))
     for start in range(0, len(acc), step):
         block, rows = acc[start : start + step], index[start : start + step]
         for c in range(rows.shape[1]):
@@ -692,7 +687,7 @@ def verify_all(
     n_sent, sub = len(payloads), subfile_length(file_len, v)
     table, index = store.term_subfiles(schedule)
     wrong = np.zeros(n_users, dtype=bool)
-    step = max(1, _GATHER_BYTES // max(1, sub))
+    step = max(1, _caps.CACHE_BYTES // max(1, sub))
     for start in range(0, n_sent, step):
         rows = slice(start, start + step)
         resid = _air_rows(payloads, rows, sub)

@@ -741,11 +741,10 @@ class TestResidualAgainstDecoder:
             sent.append(payloads)
             return payloads
 
-        patches = {"encode_payloads": flip}
-        if tiny_chunks:  # one row (one user, one word) per chunk and one row per gather
-            patches.update(_GATHER_BYTES=1)
-        budget = mock.patch.object(caps_module, "WORK_BYTES", 1 if tiny_chunks else caps_module.WORK_BYTES)
-        with mock.patch.multiple(simulator, **patches), budget:
+        # with tiny chunks, one row (one user, one word) per chunk and one row per gather
+        budgets = (1, 1) if tiny_chunks else (caps_module.WORK_BYTES, caps_module.CACHE_BYTES)
+        budget = mock.patch.multiple(caps_module, WORK_BYTES=budgets[0], CACHE_BYTES=budgets[1])
+        with mock.patch.object(simulator, "encode_payloads", flip), budget:
             report = verify_all(res, z, n_files, file_len, seed, demands)
             store = make_file_store(n_files, file_len, seed)
             caches = build_caches(store, res)
@@ -847,7 +846,7 @@ class TestEndToEnd:
         finally:
             tracemalloc.stop()
         assert report.all_recovered
-        assert 2 * report.transmissions_sent * sub + simulator._GATHER_BYTES < caps_module.WORK_BYTES
+        assert 2 * report.transmissions_sent * sub + caps_module.CACHE_BYTES < caps_module.WORK_BYTES
         over = peak - n_files * res.design.v * sub
         assert over < 2 * caps_module.WORK_BYTES, over / caps_module.WORK_BYTES
 
@@ -902,14 +901,14 @@ class TestEndToEnd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = len(payloads) * sub + simulator._GATHER_BYTES + 8 * schedule.users.size
+        bound = len(payloads) * sub + caps_module.CACHE_BYTES + 8 * schedule.users.size
         assert peak < bound, (peak, bound)
         assert np.shares_memory(store.term_subfiles(schedule)[0], store.library(res.design.v))
 
     @pytest.mark.parametrize("gather", [1 << 18, 1 << 19])
     def test_gather_chunk_bounds_the_encoder(self, monkeypatch, gather):
         """With the library held, encode_payloads grows by the payloads, the
-        term index and one gathered chunk of at most ``_GATHER_BYTES``, where a
+        term index and one gathered chunk of at most ``CACHE_BYTES``, where a
         whole gathered column would be the size of the payloads."""
         res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
         sub = subfile_length(file_len, res.design.v)
@@ -917,7 +916,7 @@ class TestEndToEnd:
         store = make_file_store(n_files, file_len, 1)
         build_caches(store, res)
         assert len(schedule.users) * sub > 2 * gather
-        monkeypatch.setattr(simulator, "_GATHER_BYTES", gather)
+        monkeypatch.setattr(caps_module, "CACHE_BYTES", gather)
         tracemalloc.start()
         try:
             payloads = encode_payloads(schedule, store)
@@ -1091,7 +1090,7 @@ class TestDecoderFaults:
     ):
         if tiny_chunks:  # one row (one user, one word) per chunk and one row per gather
             monkeypatch.setattr(caps_module, "WORK_BYTES", 1)
-            monkeypatch.setattr(simulator, "_GATHER_BYTES", 1)
+            monkeypatch.setattr(caps_module, "CACHE_BYTES", 1)
         encode = simulator.encode_payloads
         participants = set()
 

@@ -201,7 +201,7 @@ MUTANTS = (
     Mutant(
         "_xor_gather gathers a whole column",
         SIM,
-        "    step = max(1, _GATHER_BYTES // max(1, table.shape[1]))\n",
+        "    step = max(1, _caps.CACHE_BYTES // max(1, table.shape[1]))\n",
         "    step = max(1, len(acc))\n",
         ("tests/test_simulator.py::TestEndToEnd::test_gather_chunk_bounds_the_encoder",),
     ),
