@@ -278,11 +278,11 @@ def _all_uniform(res: Resolution, i: int, mu: int, count: int) -> bool:
     after about one prefix of work; each later block doubles, while its
     joint labels and their comparison fit in ``CACHE_BYTES`` and
     ``WORK_BYTES`` (one subset at least), so a block stays in the cache
-    while it is sorted and compared.  A block is filled a run of one prefix's later classes at a
-    time, in the narrowest dtype that holds b_r^i - 1, and sorted row by
-    row (bytes by radix, which numpy's default quicksort does not use); a
-    subset is uniform exactly when its sorted row is each value repeated mu
-    times.
+    while it is sorted and compared.  A block is filled a run of one
+    prefix's later classes at a time, in the narrowest dtype that holds
+    b_r^i - 1, and sorted row by row (bytes by radix, which numpy's default
+    quicksort does not use); a subset is uniform exactly when its sorted row
+    is each value repeated mu times.
     """
     labels, b_r, r, v = res.labels, res.b_r, res.r, res.design.v
     dtype = np.min_scalar_type(b_r**i - 1)
