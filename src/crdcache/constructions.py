@@ -130,7 +130,17 @@ def _grid(b_r: int, r: int) -> np.ndarray:
 
 
 def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resolution:
-    """Hyperplane design of GF(q)^m, resolved by direction."""
+    """Hyperplane design of GF(q)^m, resolved by direction.
+
+    One class per normal vector whose first nonzero coordinate is 1; point x
+    lies in block c of the class of normal d exactly when d . x == c.  The
+    labels are filled a coordinate at a time: the dot products over the
+    first i coordinates fill q^i columns, and the next coordinate is one
+    ``take`` of the flat ``add_table`` at label * q + term, so the work is
+    about 2 r v lookups, not m r v.  The fill runs in row chunks of normals
+    within ``WORK_BYTES`` of intp index, so its peak is the (r, v) labels
+    and one chunk.
+    """
     if m < 2:
         raise NoConstructionAvailable(f"affine geometry needs dimension >= 2, got {m}")
     field = GF(q, caps)
@@ -140,18 +150,20 @@ def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resol
     v = q**m
     if v > caps.max_points:
         raise SizeCapExceeded(f"{v} points exceed the cap of {caps.max_points}")
-    # row idx holds the coordinates of point idx + 1, most significant first
-    points = np.arange(v)[:, None] // q ** np.arange(m - 1, -1, -1) % q
-    # one direction per normal vector whose first nonzero coordinate is 1
-    lead = points[np.arange(v), (points != 0).argmax(axis=1)]
-    normals = points[lead == 1]
-    # point x lies in block c of class d exactly when normal d . x == c; the
-    # dot products over the first i coordinates fill q^i columns, one more
-    # coordinate at a time, so the work is about 2 r v lookups, not m r v
-    labels = np.zeros((len(normals), 1), dtype=field.add_table.dtype)
-    for i in range(m):
-        terms = field.mul_table[normals[:, i]]
-        labels = field.add_table[labels[:, :, None], terms[:, None, :]].reshape(len(normals), -1)
+    # the normals with j coordinates after their leading 1 are the ints
+    # q^j .. 2 q^j - 1; their digits are the coordinates, most significant first
+    normals = np.concatenate([np.arange(q**j, 2 * q**j) for j in range(m)])
+    digits = normals[:, None] // q ** np.arange(m - 1, -1, -1) % q
+    add, mul = field.add_table.ravel(), field.mul_table
+    labels = np.empty((len(normals), v), dtype=add.dtype)
+    # at the last coordinate a row's intp index, the scaled labels it is
+    # summed from and the sums take at most 12 v bytes
+    for rows in row_chunks(len(normals), 12 * v):
+        part = mul[digits[rows, 0]]
+        for i in range(1, m):
+            at = np.multiply(part, q, dtype=np.intp)[:, :, None] + mul[digits[rows, i]][:, None, :]
+            part = add.take(at).reshape(len(at), -1)
+        labels[rows] = part
     return _from_labels(labels)
 
 

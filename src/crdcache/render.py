@@ -2,6 +2,13 @@
 
 Rationals are always shown in their exact p/q form; where a decimal is
 also wanted it carries 12 significant digits.
+
+``table_text`` lays a comparison table out a column at a time: each
+column's cells are formatted once and padded to the column's width in one
+pass, and the rows are the padded columns zipped and joined.  The last
+column is left unpadded, so no row ends in spaces as long as no text in it
+is empty or ends in a space, which holds for every table the package
+builds (cells are numbers, exact ratios or "n/a").
 """
 
 from __future__ import annotations
@@ -41,19 +48,16 @@ def cell_text(x) -> str:
 
 
 def table_text(table: ComparisonTable) -> str:
-    headers = ["parameter"] + [name for name, _ in table.columns]
-    grid = [headers]
-    for row_idx, label in enumerate(table.row_labels):
-        grid.append([label] + [cell_text(cells[row_idx]) for _, cells in table.columns])
-    widths = [max(len(row[i]) for row in grid) for i in range(len(headers))]
-    lines = [table.title, ""]
-    for row_idx, row in enumerate(grid):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-        if row_idx == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    """The table as aligned text: its title, a header row and a rule, one
+    row per row label, then each note after a blank line."""
+    columns = [["parameter", *table.row_labels]]
+    columns += [[name, *map(cell_text, cells)] for name, cells in table.columns]
+    widths = [max(map(len, column)) for column in columns]
+    padded = [[cell.ljust(width) for cell in column] for column, width in zip(columns[:-1], widths)]
+    header, *rows = map("  ".join, zip(*padded, columns[-1]))
+    lines = [table.title, "", header, "  ".join("-" * w for w in widths), *rows]
     for note in table.notes:
-        lines.append("")
-        lines.append(f"note: {note}")
+        lines += ["", f"note: {note}"]
     return "\n".join(lines) + "\n"
 
 

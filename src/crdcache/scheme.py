@@ -380,7 +380,12 @@ def build_delivery_schedule(
     The first subset, pair choice and participant whose side-information set
     does not hold mu_z points raises ``InternalMuMismatch``.
     """
-    demands = demand_vector(scheme, demands)
+    return _build_schedule(scheme, demand_vector(scheme, demands))
+
+
+def _build_schedule(scheme: SchemeInstance, demands: tuple[int, ...]) -> DeliverySchedule:
+    """``build_delivery_schedule`` of a demand vector that ``demand_vector``
+    has already checked, so a caller that checks it first checks it once."""
     res = scheme.res
     z, b_r, mu_z = scheme.z, res.b_r, scheme.mu_z
     cells = b_r**z

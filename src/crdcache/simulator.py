@@ -67,13 +67,7 @@ from . import caps as _caps
 from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
 from .designs import Resolution
 from .errors import DemandOutOfRange, IncompleteRecovery, IndexOutOfRange, InternalMuMismatch, MissingSideInformation
-from .scheme import (
-    DeliverySchedule,
-    build_delivery_schedule,
-    build_scheme,
-    delivery_rate,
-    demand_vector,
-)
+from .scheme import DeliverySchedule, _build_schedule, build_scheme, delivery_rate, demand_vector
 
 @dataclass(frozen=True)
 class FileStore:
@@ -659,11 +653,11 @@ def verify_all(
         stage_ns[stage] += marks[-1] - marks[-2]
 
     scheme = build_scheme(res, z, n_files, caps)
-    demand_vector(scheme, demands)  # so a bad demand vector is named before a bad file length
+    demands = demand_vector(scheme, demands)  # so a bad demand vector is named before a bad file length
     lap("scheme")
     store = make_file_store(n_files, file_len, seed)
     lap("store")
-    schedule = build_delivery_schedule(scheme, demands)
+    schedule = _build_schedule(scheme, demands)
     lap("schedule")
     readable, unsure = _side_information_pass(schedule)
     lap("side_info")

@@ -16,7 +16,7 @@ import numpy as np
 
 from crdcache.caps import DEFAULT_CAPS, SizeCaps
 from crdcache.designs import Resolution, validate_design, validate_resolution
-from crdcache.baselines import ManPoint
+from crdcache.baselines import ComparisonTable, ManPoint
 from crdcache.errors import (
     ClassNotPartitionOfPoints,
     CrdCacheError,
@@ -33,6 +33,7 @@ from crdcache.errors import (
     SizeCapExceeded,
 )
 from crdcache.gf import _IRREDUCIBLE, prime_power
+from crdcache.render import cell_text
 from crdcache.scheme import DeliverySchedule, SchemeInstance, SchemeMetrics, admissible_mu, coding_gain
 from crdcache.simulator import FileStore, subfile_length
 
@@ -425,6 +426,24 @@ def coset_affine_geometry(q: int, m: int) -> Resolution:
     return validate_resolution(validate_design(q**m, blocks), classes)
 
 
+def dot_product_labels(q: int, m: int) -> np.ndarray:
+    """The hyperplane labels of GF(q)^m: entry (d, x) is normal d . point x,
+    one dot product per point over DigitField tables.  The normals (first
+    nonzero coordinate 1) and the points are in ``product`` order."""
+    field = DigitField(q)
+    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+    points = list(product(range(q), repeat=m))
+    normals = np.array([h for h in points if next((c for c in h if c != 0), None) == 1])
+    labels = np.empty((len(normals), len(points)), dtype=np.intp)
+    for x, point in enumerate(points):
+        dot = np.zeros(len(normals), dtype=np.intp)
+        for i, coordinate in enumerate(point):
+            dot = add[dot, mul[normals[:, i], coordinate]]
+        labels[:, x] = dot
+    return labels
+
+
 def double_loop_paley(order: int, caps: SizeCaps = DEFAULT_CAPS) -> np.ndarray:
     """Paley type I matrix of order q + 1, one quadratic character per entry."""
     q = order - 1
@@ -505,6 +524,25 @@ def chain_cell_text(x) -> str:
             return str(x.numerator)
         return f"{x} ({format(float(x), '.12g')})"
     return str(x)
+
+
+def rowwise_table_text(table: ComparisonTable) -> str:
+    """``table_text`` a row at a time: every cell left-justified to its
+    column's width, the row joined and stripped of trailing spaces."""
+    headers = ["parameter"] + [name for name, _ in table.columns]
+    grid = [headers]
+    for row_idx, label in enumerate(table.row_labels):
+        grid.append([label] + [cell_text(cells[row_idx]) for _, cells in table.columns])
+    widths = [max(len(row[i]) for row in grid) for i in range(len(headers))]
+    lines = [table.title, ""]
+    for row_idx, row in enumerate(grid):
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+        if row_idx == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    for note in table.notes:
+        lines.append("")
+        lines.append(f"note: {note}")
+    return "\n".join(lines) + "\n"
 
 
 def enumerate_users(

@@ -72,7 +72,8 @@ def _check_stage_row(row: dict, single_call: bool = False) -> None:
 
 def test_stage_tool_writes_rows_in_that_schema(tmp_path):
     """``tools/verify_stages.py`` reads verify_all's own stage record, so its
-    rows name exactly the report's stages and keep the schema above."""
+    rows name exactly the report's stages and keep the schema above; each
+    row also carries the per-call gap between the span and the stage sum."""
     spec = importlib.util.spec_from_file_location("verify_stages", ROOT / "tools" / "verify_stages.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -84,3 +85,6 @@ def test_stage_tool_writes_rows_in_that_schema(tmp_path):
     stages = ["scheme", "schedule", "side_info", "store", "encode", "decode_residual", "report_rest"]
     assert list(row["median_s"]) == [*stages, "verify_all"]
     assert (row["K"], row["T"], row["repeats"]) == (9, 9, 2)
+    gap = row["gap_ms"]
+    assert list(gap) == ["median", "q1", "q3"] and gap["q1"] <= gap["median"] <= gap["q3"]
+    assert 0 <= gap["median"] < 1e3 * row["median_s"]["verify_all"]

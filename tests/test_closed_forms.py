@@ -1,5 +1,6 @@
-"""The integer closed forms, the table cell text and the parity-built
-Sylvester labels, each against the code it replaced, kept as an oracle."""
+"""The integer closed forms, the table cell text, the column-wise table
+text and the parity-built Sylvester labels, each against the code it
+replaced, kept as an oracle."""
 
 from dataclasses import astuple
 from fractions import Fraction
@@ -10,13 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crdcache import CrdCacheError
-from crdcache.baselines import man_counterpart, man_point
+from crdcache.baselines import (
+    ComparisonTable,
+    analyze_table,
+    man_counterpart,
+    man_example_table,
+    man_point,
+    spe_example_table,
+    z_sweep_table,
+)
 from crdcache.constructions import _from_labels, _grid, _sylvester_labels
 from crdcache.designs import crd_profile
 from crdcache.errors import NonIntegerCacheRedundancy, SizeCapExceeded
-from crdcache.render import cell_text
+from crdcache.constructions import from_spec
+from crdcache.render import cell_text, table_text
 from crdcache.scheme import scheme_metrics
-from oracles import chain_cell_text, chain_man_point, chain_scheme_metrics, kron_sylvester
+from oracles import chain_cell_text, chain_man_point, chain_scheme_metrics, kron_sylvester, rowwise_table_text
 from test_golden_designs import SPECS, _build
 
 
@@ -108,6 +118,31 @@ def test_cell_text_of_a_fraction_subclass():
 
     assert cell_text(Ratio(7, 3)) == chain_cell_text(Fraction(7, 3)) == "7/3 (2.33333333333)"
     assert cell_text(Ratio(6, 3)) == "2"
+
+
+ROWS = ("a", "a longer row label")
+SHAPED_TABLES = {
+    "last column widest": ComparisonTable("t", ROWS, (("x", (1, 2)), ("a wide last column", (Fraction(1, 3), 5)))),
+    "last column narrowest": ComparisonTable("t", ROWS, (("CRD", (Fraction(7, 3), 123456)), ("z", (1, 22)))),
+    "last column all None": ComparisonTable("t", ROWS, (("CRD", (1, Fraction(1, 7))), ("SPE baseline", (None, None)))),
+    "notes": ComparisonTable("t", ROWS, (("MaN", (3, 4)), ("CRD", (Fraction(5, 2), 1))), notes=("one", "two")),
+    "parameter column only": ComparisonTable("t", ROWS, ()),
+}
+
+
+@pytest.mark.parametrize("name", SHAPED_TABLES)
+def test_table_text_equals_the_rowwise_renderer(name):
+    table = SHAPED_TABLES[name]
+    assert table_text(table) == rowwise_table_text(table)
+
+
+def test_table_text_of_the_built_tables_equals_the_rowwise_renderer():
+    tables = [man_example_table(), spe_example_table()]
+    for spec in ("example:4", "affine:n=3", "hadamard:m=2", "ag:q=2,m=3"):
+        res = from_spec(spec)
+        tables += [analyze_table(res, z) for z in [1, *crd_profile(res).mu]]
+        tables.append(z_sweep_table(res, spec))
+    assert [table_text(t) for t in tables] == [rowwise_table_text(t) for t in tables]
 
 
 @pytest.mark.parametrize("order", [2**e for e in range(1, 13)])

@@ -217,6 +217,10 @@ class TestErrors:
                 hadamard_crd(m, SizeCaps(max_points=64))
 
     def test_huge_dimension_is_refused_before_forming_the_power(self):
+        # the first dimension at the cap's bit length is refused by the same
+        # check, which names q^m, not the value of q**m
+        with pytest.raises(errors.SizeCapExceeded, match=r"2\^13 points exceed the cap of 4096"):
+            affine_geometry_bibd(2, 13)
         with pytest.raises(errors.SizeCapExceeded, match=r"2\^1000000000000 points"):
             affine_geometry_bibd(2, 10**12)
 

@@ -1,14 +1,16 @@
 """Field tables and the field designs built from them, against per-call oracles."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from crdcache import caps as caps_module
 from crdcache import constructions
 from crdcache.constructions import affine_geometry_bibd, affine_plane, hadamard_crd
-from crdcache.gf import _IRREDUCIBLE, GF
-from oracles import DigitField, coset_affine_geometry, double_loop_paley
+from crdcache.gf import _IRREDUCIBLE, GF, prime_power
+from oracles import DigitField, coset_affine_geometry, dot_product_labels, double_loop_paley
 
 # every built-in extension modulus and the primes 2..13
 ORDERS = sorted({p**e for p, e in _IRREDUCIBLE} | {2, 3, 5, 7, 11, 13})
@@ -69,6 +71,42 @@ def test_affine_geometry_matches_coset_loop(family, q, m):
     assert res.design == ref.design
     assert res.classes == ref.classes
     assert res == ref
+
+
+# every (q, m) of a field with a built-in modulus and m >= 2 with q^m <= 729
+SMALL_GEOMETRIES = [
+    (q, m)
+    for q in range(2, 28)
+    if prime_power(q) and (prime_power(q)[1] == 1 or prime_power(q) in _IRREDUCIBLE)
+    for m in range(2, 10)
+    if q**m <= 729
+]
+
+
+@pytest.mark.parametrize("q, m", SMALL_GEOMETRIES)
+def test_label_fill_matches_per_point_dot_products(q, m):
+    """The fill takes the flat add table a chunk of normals at a time: a
+    budget of 1 byte makes every chunk one normal, 300 bytes a few."""
+    expected = dot_product_labels(q, m)
+    for budget in (1, 300, caps_module.WORK_BYTES):
+        with mock.patch.object(caps_module, "WORK_BYTES", budget):
+            assert affine_geometry_bibd(q, m).labels.tolist() == expected.tolist(), budget
+
+
+def test_label_fill_stays_within_the_default_budget(monkeypatch):
+    """ag:q=2,m=12 (4095 normals, 4096 points) at the budget as shipped: the
+    fill peaks at its (r, v) labels plus at most twice the 4 MiB default,
+    where one flat index over every normal would take 134 MB."""
+    default, r, v = 1 << 22, 4095, 4096
+    monkeypatch.setattr(constructions, "_from_labels", lambda labels: labels)
+    tracemalloc.start()
+    try:
+        labels = affine_geometry_bibd(2, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (r, v)
+    assert peak <= r * v + 2 * default, (peak - r * v) / default
 
 
 @pytest.mark.parametrize("m", [3, 5, 6, 7, 11, 12, 15, 20, 27, 48])

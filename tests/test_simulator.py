@@ -398,9 +398,9 @@ class TestAgainstOracles:
 
 
 def _capture(built, schedule=None):
-    """A stand-in for ``simulator.build_delivery_schedule`` that appends what
+    """A stand-in for ``simulator._build_schedule`` that appends what
     it returns to ``built``: the real schedule, or a fresh copy of a given one."""
-    build = simulator.build_delivery_schedule
+    build = simulator._build_schedule
 
     def builder(scheme, demands=None):
         out = build(scheme, demands) if schedule is None else replace(schedule)
@@ -446,7 +446,7 @@ class TestTransmissionPass:
         res = from_spec(spec)
         n_users = scheme_metrics(res, z).users
         built = []
-        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture(built))
+        monkeypatch.setattr(simulator, "_build_schedule", _capture(built))
         report = verify_all(res, z, n_users, 24, seed=5)
         assert report.all_recovered and len(built) == 1
         assert "participation" not in built[0].__dict__
@@ -505,7 +505,7 @@ class TestTransmissionPass:
         run = lambda: verify_all(res, 2, n_users, 36, seed=4)  # noqa: E731
         expected = run()
         built = []
-        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture(built, again))
+        monkeypatch.setattr(simulator, "_build_schedule", _capture(built, again))
         report = run()
         assert report.transmissions_sent == expected.transmissions_sent + 2
         assert report.users == expected.users
@@ -525,7 +525,7 @@ class TestTransmissionPass:
         assert scan_delivery_verdict(backwards) is None
         expected = verify_all(res, 2, 9, 36, seed=4)
         built = []
-        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture(built, backwards))
+        monkeypatch.setattr(simulator, "_build_schedule", _capture(built, backwards))
         assert verify_all(res, 2, 9, 36, seed=4) == expected
         assert "participation" in built[0].__dict__
 
@@ -546,7 +546,7 @@ class TestTransmissionPass:
             sides = [block_set(res, j if mine[c] == i else i) for c, (i, j) in enumerate(row.pairs)]
             assert point in frozenset.intersection(*sides)
         assert subfiles[0, 1] not in set().union(*(block_set(res, j) for j in twice.scheme.users[0]))
-        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], twice))
+        monkeypatch.setattr(simulator, "_build_schedule", _capture([], twice))
         got = _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
         assert got == scan_delivery_verdict(twice) == (
             errors.InternalMuMismatch,
@@ -575,7 +575,7 @@ class TestTransmissionPass:
         swapped = replace(schedule, subfiles=subfiles)
         rows = schedule.users[[first // 4, second // 4]]
         assert np.flatnonzero(_side_information_pass(swapped)[1]).tolist() == np.unique(rows).tolist()
-        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], swapped))
+        monkeypatch.setattr(simulator, "_build_schedule", _capture([], swapped))
         got = _verdict(lambda: verify_all(res, 2, n_users, 36, seed=4))
         assert got == scan_delivery_verdict(swapped) == (errors.MissingSideInformation, fault)
 
@@ -587,7 +587,7 @@ class TestTransmissionPass:
         schedule = build_delivery_schedule(build_scheme(res, 2, 9))
         dropped = replace(schedule, users=schedule.users[1:], subfiles=schedule.subfiles[1:])
         assert not _side_information_pass(dropped)[1].any()
-        monkeypatch.setattr(simulator, "build_delivery_schedule", _capture([], dropped))
+        monkeypatch.setattr(simulator, "_build_schedule", _capture([], dropped))
         got = _verdict(lambda: verify_all(res, 2, 9, 36, seed=4))
         assert got == scan_delivery_verdict(dropped) == (
             errors.IncompleteRecovery,
@@ -633,7 +633,7 @@ class TestTransmissionPass:
         budget = data.draw(st.sampled_from([1, 64, caps_module.WORK_BYTES]), label="budget")
         run = lambda: verify_all(res, z, n_files, 24, seed=3, demands=demands)  # noqa: E731
         with mock.patch.object(caps_module, "WORK_BYTES", budget), mock.patch.object(
-            simulator, "build_delivery_schedule", _capture([], doctored)
+            simulator, "_build_schedule", _capture([], doctored)
         ):
             got = _verdict(run)
         expected = scan_delivery_verdict(doctored)
@@ -1003,7 +1003,7 @@ class TestStageRecord:
         def never(scheme, demands=None):
             raise AssertionError("the schedule was built")
 
-        monkeypatch.setattr(simulator, "build_delivery_schedule", never)
+        monkeypatch.setattr(simulator, "_build_schedule", never)
         with pytest.raises(errors.DemandOutOfRange, match="file_len >= 1"):
             verify_all(from_spec("affine:n=5"), 2, 375, 0)
 
@@ -1019,6 +1019,21 @@ class TestStageRecord:
         with pytest.raises(error) as exc:
             verify_all(catalog_example(3), 2, n_files, 0, demands=demands)
         assert "file_len" not in str(exc.value)
+
+    def test_an_explicit_demand_vector_is_checked_once(self, monkeypatch):
+        """verify_all checks the vector before the store and builds the
+        schedule from the checked tuple, so no second check runs."""
+        check, checked = scheme_module.demand_vector, []
+
+        def counted(scheme, demands=None):
+            checked.append(demands)
+            return check(scheme, demands)
+
+        monkeypatch.setattr(simulator, "demand_vector", counted)
+        monkeypatch.setattr(scheme_module, "demand_vector", counted)
+        demands = [1] * 8 + [2]
+        assert verify_all(catalog_example(3), 2, 9, 24, demands=demands).all_recovered
+        assert checked == [demands]
 
 
 def _no_library(store, v):

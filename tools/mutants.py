@@ -209,8 +209,8 @@ MUTANTS = (
         "store made after the schedule",
         SIM,
         '    store = make_file_store(n_files, file_len, seed)\n    lap("store")\n'
-        "    schedule = build_delivery_schedule(scheme, demands)\n",
-        "    schedule = build_delivery_schedule(scheme, demands)\n"
+        "    schedule = _build_schedule(scheme, demands)\n",
+        "    schedule = _build_schedule(scheme, demands)\n"
         '    store = make_file_store(n_files, file_len, seed)\n    lap("store")\n',
         ("tests/test_simulator.py::TestStageRecord",),
     ),
@@ -250,6 +250,34 @@ MUTANTS = (
         (POINT_CAP,),
     ),
     Mutant(
+        "GF without its point cap",
+        "src/crdcache/gf.py",
+        '        if q > caps.max_points:\n            raise SizeCapExceeded(f"GF({q}) exceeds the point cap {caps.max_points}")\n',
+        "",
+        ("tests/test_gf.py",),
+    ),
+    Mutant(
+        "affine_geometry_bibd without its dimension check",
+        CONSTRUCTIONS,
+        "    if m >= caps.max_points.bit_length():\n",
+        "    if False:\n",
+        ("tests/test_constructions.py::TestErrors::test_huge_dimension_is_refused_before_forming_the_power",),
+    ),
+    Mutant(
+        "label fill writes every chunk at row 0",
+        CONSTRUCTIONS,
+        "        labels[rows] = part\n",
+        "        labels[: len(part)] = part\n",
+        ("tests/test_field_tables.py::test_label_fill_matches_per_point_dot_products",),
+    ),
+    Mutant(
+        "table text pads the last column",
+        "src/crdcache/render.py",
+        'zip(columns[:-1], widths)]\n    header, *rows = map("  ".join, zip(*padded, columns[-1]))\n',
+        'zip(columns, widths)]\n    header, *rows = map("  ".join, zip(*padded))\n',
+        ("tests/test_closed_forms.py::test_table_text_equals_the_rowwise_renderer",),
+    ),
+    Mutant(
         "caps.WORK_BYTES set to 1 GiB",
         "src/crdcache/caps.py",
         "WORK_BYTES = 1 << 22\n",
@@ -258,6 +286,7 @@ MUTANTS = (
             "tests/test_designs.py::TestGramSearch::test_default_tile_bytes_bound_the_working_set",
             "tests/test_constructions.py::TestFromLabels::test_default_budget_bounds_the_working_set",
             "tests/test_scheme.py::TestSchedule::test_default_budget_bounds_the_term_keys",
+            "tests/test_field_tables.py::test_label_fill_stays_within_the_default_budget",
         ),
     ),
 )

@@ -6,7 +6,11 @@ and report_rest, as the ``simulator`` module docstring describes them.
 The script reads that record and wraps nothing.  The case runs with
 distinct demands (N = K files), seed 0, one warm-up call and then
 ``--repeats`` timed calls; every figure is the median over them, and
-``verify_all`` is the wall time around each call.  ``column_mb`` is the
+``verify_all`` is the wall time around each call.  ``gap_ms`` is each
+call's wall time minus the sum of that same call's stages, the time the
+stages do not cover (such as teardown after the last mark), as its median
+and quartiles over the calls in ms; a median of stages over the median of
+calls cannot show it, since both move with the host.  ``column_mb`` is the
 size of the schedule's two int32 columns, 8 T 2^z bytes, and
 ``peak_rss_mb`` the process ``ru_maxrss`` after the calls.
 
@@ -38,6 +42,8 @@ import time
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
 from crdcache import simulator
 from crdcache.constructions import from_spec
 from crdcache.scheme import scheme_metrics
@@ -48,6 +54,7 @@ def measure(spec: str, z: int, file_len: int, repeats: int) -> dict:
     n_users = scheme_metrics(res, z).users
     n_sent = simulator.verify_all(res, z, n_users, file_len, 0).transmissions_sent  # warm-up
     per_call: dict[str, list[float]] = defaultdict(list)
+    gaps = []
     for _ in range(repeats):
         start = time.perf_counter_ns()
         report = simulator.verify_all(res, z, n_users, file_len, 0)
@@ -56,8 +63,10 @@ def measure(spec: str, z: int, file_len: int, repeats: int) -> dict:
             raise SystemExit(f"{spec} z={z}: verify_all reports a failed user")
         for stage, ns in [*report.stage_ns.items(), ("verify_all", whole)]:
             per_call[stage].append(ns / 1e9)
+        gaps.append((whole - sum(report.stage_ns.values())) / 1e6)
         del report  # freed outside the next call's span
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    q1, median, q3 = np.percentile(gaps, [25, 50, 75])
     return {
         "spec": spec,
         "z": z,
@@ -66,6 +75,7 @@ def measure(spec: str, z: int, file_len: int, repeats: int) -> dict:
         "T": n_sent,
         "repeats": repeats,
         "median_s": {stage: round(statistics.median(times), 6) for stage, times in per_call.items()},
+        "gap_ms": {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)},
         "column_mb": round(8 * n_sent * 2**z / 1e6, 3),
         "peak_rss_mb": round(peak_rss_mb, 1),
     }
