@@ -42,6 +42,8 @@ def cell_text(x) -> str:
     if type(x) is Fraction:  # most cells: no ABC instance check, no float(x) call
         num, den = x.numerator, x.denominator
         return f"{num}/{den} ({num / den:.12g})" if den != 1 else str(num)
+    if type(x) is int:  # the count cells: str(x) without the ABC check below
+        return str(x)
     if x is None:
         return "n/a"
     return cell_text(Fraction(x)) if isinstance(x, Fraction) else str(x)
