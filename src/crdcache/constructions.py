@@ -39,6 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import caps as _caps
 from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
 from .designs import Design, Resolution, validate_design, validate_resolution
 from .errors import (
@@ -138,8 +139,9 @@ def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resol
     first i coordinates fill q^i columns, and the next coordinate is one
     ``take`` of the flat ``add_table`` at label * q + term, so the work is
     about 2 r v lookups, not m r v.  The fill runs in row chunks of normals
-    within ``WORK_BYTES`` of intp index, so its peak is the (r, v) labels
-    and one chunk.
+    whose intp index fits in ``CACHE_BYTES`` (and ``WORK_BYTES``), so it
+    peaks at the (r, v) labels and one small chunk, below the chunks of
+    ``_from_labels`` that follow.
     """
     if m < 2:
         raise NoConstructionAvailable(f"affine geometry needs dimension >= 2, got {m}")
@@ -158,11 +160,14 @@ def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resol
     labels = np.empty((len(normals), v), dtype=add.dtype)
     # at the last coordinate a row's intp index, the scaled labels it is
     # summed from and the sums take at most 12 v bytes
-    for rows in row_chunks(len(normals), 12 * v):
+    step = max(1, min(_caps.WORK_BYTES, _caps.CACHE_BYTES) // (12 * v))
+    for start in range(0, len(normals), step):
+        rows = slice(start, start + step)
         part = mul[digits[rows, 0]]
         for i in range(1, m):
             at = np.multiply(part, q, dtype=np.intp)[:, :, None] + mul[digits[rows, i]][:, None, :]
             part = add.take(at).reshape(len(at), -1)
+            del at  # before the next index, and before _from_labels
         labels[rows] = part
     return _from_labels(labels)
 

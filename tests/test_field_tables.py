@@ -93,11 +93,12 @@ def test_label_fill_matches_per_point_dot_products(q, m):
             assert affine_geometry_bibd(q, m).labels.tolist() == expected.tolist(), budget
 
 
-def test_label_fill_stays_within_the_default_budget(monkeypatch):
-    """ag:q=2,m=12 (4095 normals, 4096 points) at the budget as shipped: the
-    fill peaks at its (r, v) labels plus at most twice the 4 MiB default,
-    where one flat index over every normal would take 134 MB."""
-    default, r, v = 1 << 22, 4095, 4096
+def test_label_fill_stays_within_the_cache_budget(monkeypatch):
+    """ag:q=2,m=12 (4095 normals, 4096 points) at the budgets as shipped:
+    the fill peaks at its (r, v) labels plus at most 1 MiB, four times the
+    256 KiB CACHE_BYTES that bounds a chunk's index, where one flat index
+    over every normal would take 134 MB and a 4 MiB chunk more than 1 MiB."""
+    cache, r, v = 1 << 18, 4095, 4096
     monkeypatch.setattr(constructions, "_from_labels", lambda labels: labels)
     tracemalloc.start()
     try:
@@ -106,7 +107,7 @@ def test_label_fill_stays_within_the_default_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert labels.shape == (r, v)
-    assert peak <= r * v + 2 * default, (peak - r * v) / default
+    assert peak <= r * v + 4 * cache, (peak - r * v) / cache
 
 
 @pytest.mark.parametrize("m", [3, 5, 6, 7, 11, 12, 15, 20, 27, 48])

@@ -271,6 +271,13 @@ MUTANTS = (
         ("tests/test_field_tables.py::test_label_fill_matches_per_point_dot_products",),
     ),
     Mutant(
+        "label fill chunks bounded by WORK_BYTES alone",
+        CONSTRUCTIONS,
+        "    step = max(1, min(_caps.WORK_BYTES, _caps.CACHE_BYTES) // (12 * v))\n",
+        "    step = max(1, _caps.WORK_BYTES // (12 * v))\n",
+        ("tests/test_field_tables.py::test_label_fill_stays_within_the_cache_budget",),
+    ),
+    Mutant(
         "table text pads the last column",
         "src/crdcache/render.py",
         'zip(columns[:-1], widths)]\n    header, *rows = map("  ".join, zip(*padded, columns[-1]))\n',
@@ -286,7 +293,6 @@ MUTANTS = (
             "tests/test_designs.py::TestGramSearch::test_default_tile_bytes_bound_the_working_set",
             "tests/test_constructions.py::TestFromLabels::test_default_budget_bounds_the_working_set",
             "tests/test_scheme.py::TestSchedule::test_default_budget_bounds_the_term_keys",
-            "tests/test_field_tables.py::test_label_fill_stays_within_the_default_budget",
         ),
     ),
 )
