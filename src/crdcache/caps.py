@@ -14,8 +14,9 @@ cap it raises.
 to ``verify_all``'s transmission pass: a stage states what one row of its pass
 costs, and ``row_chunks`` cuts its rows into runs that fit.  ``CACHE_BYTES``
 further bounds the chunks that should stay in the cache while they are
-worked on: a gathered chunk of one term column, and a block of the mu
-search.  Both are read at call time, so one patch reaches every stage.
+worked on: a gathered chunk of one term column, a block of the mu
+search, and a chunk of the affine geometry's label fill.  Both are read at
+call time, so one patch reaches every stage.
 """
 
 from __future__ import annotations

@@ -140,8 +140,7 @@ def affine_geometry_bibd(q: int, m: int, caps: SizeCaps = DEFAULT_CAPS) -> Resol
     ``take`` of the flat ``add_table`` at label * q + term, so the work is
     about 2 r v lookups, not m r v.  The fill runs in row chunks of normals
     whose intp index fits in ``CACHE_BYTES`` (and ``WORK_BYTES``), so it
-    peaks at the (r, v) labels and one small chunk, below the chunks of
-    ``_from_labels`` that follow.
+    holds the (r, v) labels and one small chunk at a time.
     """
     if m < 2:
         raise NoConstructionAvailable(f"affine geometry needs dimension >= 2, got {m}")

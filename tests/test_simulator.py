@@ -402,7 +402,7 @@ def _capture(built, schedule=None):
     it returns to ``built``: the real schedule, or a fresh copy of a given one."""
     build = simulator._build_schedule
 
-    def builder(scheme, demands=None):
+    def builder(scheme, demands):
         out = build(scheme, demands) if schedule is None else replace(schedule)
         built.append(out)
         return out
@@ -1000,7 +1000,7 @@ class TestStageRecord:
         assert json.dumps(obj) == json.dumps(report_to_json(two))
 
     def test_bad_file_length_is_refused_before_the_schedule(self, monkeypatch):
-        def never(scheme, demands=None):
+        def never(scheme, demands):
             raise AssertionError("the schedule was built")
 
         monkeypatch.setattr(simulator, "_build_schedule", never)
