@@ -4,21 +4,22 @@ The server holds N equal-length pseudo-random files, file i being the i-th
 ``random.Random(seed).randbytes(file_len)``, generated by numpy's MT19937
 started in that generator's state, at most ``WORK_BYTES`` at a time.  A
 schedule names each term's subfile by one flat key (``DeliverySchedule.term_keys``)
-and the store alone decides where those bytes sit: ``FileStore.term_subfiles``
-serves the terms as a table of subfile rows plus a row index per term.  If
-the library is held, or fits in one generator chunk, the table is its rows,
-indexed by the keys; otherwise it is only the keyed subfiles, at most
-mu_z (b_r-1)^z per user, streamed from the generator into one compact
-(count, sub) array that the encoder and ``verify_all`` share, so neither
-builds an (N, v, sub) array.
+and the store alone decides where those bytes sit.  Every coded
+transmission is the bytewise XOR of its subfiles, and
+``FileStore.coded_rows`` builds the T rows once, reading each term subfile
+once: gathered one term column at a time in cache-sized row chunks from
+the library, if it is held or fits in one generator chunk; else from the
+files up to the last one a term reads, streamed, through a compact table
+of the keyed subfiles (at most mu_z (b_r-1)^z per user) if each file fits
+in one chunk, or XORed straight into the rows as the stream yields them if
+files span several, so no (N, v, sub) array and no table of the term
+subfiles exists.  The payloads are a sequence of ``bytes`` rows over those
+read-only rows, copied on the first write.
 ``build_caches``, ``decode_user`` and ``files`` read the whole library, one
 read-only zero-padded ``uint8`` array of shape (N, v, sub), generated for
 each subpacketization v asked for; the first one's rows are the ``files``.
 A cache is a read-only view over the library restricted to the points of
-its block, so filling b caches copies no further bytes.  Every coded
-transmission is the bytewise XOR of its subfiles, gathered one term column
-at a time in cache-sized row chunks through the store's index; the
-payloads are a sequence of ``bytes`` rows over one (T, sub) array.
+its block, so filling b caches copies no further bytes.
 
 Only ``decode_user`` strips terms: for each row the user takes part in,
 found through the schedule's participation index, it XORs off the other
@@ -26,7 +27,7 @@ terms with subfiles read from its own z caches, then stitches its file.
 ``verify_all`` checks each row once instead, in stages that its report's
 ``stage_ns`` times.  ``scheme`` builds the users and checks the demands.
 ``store`` makes the store first, so that a bad file length is refused
-before anything of size T exists, and later serves the term subfiles.
+before anything of size T exists, and later builds the coded rows.
 After ``schedule``, ``side_info`` is one pass over the transmissions, on
 packed point rows stored words first: on every transmission it checks the
 identity the delivery argument rests on (each participant's
@@ -43,11 +44,12 @@ the participation index as ``decode_user`` does, names the first fault.
 After ``encode``, participant m of a row recovers the payload XOR the
 other terms, which is its own subfile XOR the row's residual (the payload
 XOR all 2^z terms); every participant reads the same file bytes, so all
-of them decode correctly exactly when the residual is zero.  That is
-T * 2^z subfile reads, the size of the encoding, from the same store
-table the encoder read, a gather chunk of rows at a time, so the residual
-never copies every payload; the store and its table are freed inside the
-stage.  ``report_rest`` is the rest, up to freeing the schedule.
+of them decode correctly exactly when the residual is zero, that is when
+the payload equals the store's coded row.  So the residual compares each
+payload with its row, in chunks of ``CACHE_BYTES``, and reads no term
+subfile again: ``verify_all`` reads T * 2^z subfiles in all, the size of
+the encoding.  The store and its rows are freed inside the stage.
+``report_rest`` is the rest, up to freeing the schedule.
 """
 
 from __future__ import annotations
@@ -73,11 +75,11 @@ from .scheme import DeliverySchedule, _build_schedule, build_scheme, delivery_ra
 class FileStore:
     """N files of identical length, reproducible from (n_files, file_len, seed).
 
-    Holds no bytes until a library, ``files`` or some term subfiles are first
+    Holds no bytes until a library, ``files`` or some coded rows are first
     asked for; equality, pickling and copying go by the three numbers alone.
-    ``term_subfiles`` serves a schedule's terms, which is all
-    ``encode_payloads`` and ``verify_all`` read; ``library`` and ``files``
-    (and so ``build_caches`` and ``decode_user``) hold every file.
+    ``coded_rows`` XORs a schedule's terms, which is all ``encode_payloads``
+    and ``verify_all`` read; ``library`` and ``files`` (and so
+    ``build_caches`` and ``decode_user``) hold every file.
     """
 
     n_files: int
@@ -86,7 +88,7 @@ class FileStore:
     _libraries: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _coded: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __reduce__(self):
         return FileStore, (self.n_files, self.file_len, self.seed)
@@ -106,46 +108,57 @@ class FileStore:
             self._libraries[v] = lib
         return lib
 
-    def term_subfiles(self, schedule: DeliverySchedule) -> tuple[np.ndarray, np.ndarray]:
-        """The schedule's term subfiles as ``(table, index)``, both read-only:
-        term (t, m) reads row ``index[t, m]`` of the (n, sub) uint8 ``table``.
+    def coded_rows(self, schedule: DeliverySchedule) -> np.ndarray:
+        """The schedule's coded transmissions, a read-only (T, sub) uint8
+        array: row t is the XOR of transmission t's term subfiles, each read
+        once.  The last schedule asked for is memoized.
 
         If ``library(v)`` is held, or is built because it fits in one stream
-        chunk (``WORK_BYTES``), the table is its rows and the index is the
-        schedule's ``term_keys``: nothing is copied.  Otherwise one scatter
-        marks the keyed subfiles in an (N, v) mask, one cumsum numbers them
-        row-major, one pass of the files' stream keeps only them and each key
-        becomes its number; the keys are marked and numbered in row chunks of
-        at most ``WORK_BYTES`` of the intp copies numpy makes of int32
-        index arrays.  The last schedule asked for is memoized.
+        chunk (``WORK_BYTES``), the rows are gathered from it through the
+        schedule's ``term_keys``.  Otherwise only the files up to the last
+        one a term reads are streamed.  If each file fits in one chunk, one
+        scatter marks the keyed subfiles in a (files, v) mask, one cumsum
+        numbers them row-major, the stream keeps only them in a compact
+        table, each key becomes its number and the rows are gathered from
+        that table, which is freed before returning; the keys are marked and
+        numbered in row chunks of at most ``WORK_BYTES`` of the intp copies
+        numpy makes of int32 index arrays.  If a file spans several chunks,
+        no table exists: ``_stream_xor`` XORs each needed subfile's bytes
+        into the rows of its terms as the stream yields them.
         """
-        if self._terms and self._terms[0] is schedule:
-            return self._terms[1], self._terms[2]
+        if self._coded and self._coded[0] is schedule:
+            return self._coded[1]
         n_files, v = schedule.scheme.n_files, schedule.scheme.res.design.v
         if n_files > self.n_files:
             raise DemandOutOfRange(f"the schedule is for {n_files} files but the store holds {self.n_files}")
-        index = schedule.term_keys()
-        lib = self._libraries.get(v)
-        if lib is None and self.n_files * v * subfile_length(self.file_len, v) <= _caps.WORK_BYTES:
-            lib = self.library(v)  # one stream chunk: cheaper whole than sifted
-        if lib is not None:
-            table = lib.reshape(-1, lib.shape[2])
-        else:
-            # the schedule's N files, the store's first ones, bound the keys and their dtype
-            needed = np.zeros(n_files * v, dtype=bool)
-            chunks = list(row_chunks(len(index), 8 * max(1, index.shape[1])))
-            for rows in chunks:
-                needed[index[rows]] = True
-            ranks = np.cumsum(needed, dtype=index.dtype)
+        sub = subfile_length(self.file_len, v)
+        keys = schedule.term_keys()
+        table = self._libraries.get(v)
+        if table is None and self.n_files * v * sub <= _caps.WORK_BYTES:
+            table = self.library(v)  # one stream chunk: cheaper whole than sifted
+        if table is not None:
+            table = table.reshape(-1, sub)
+        elif keys.size and 8 * -(-self.file_len // 4) <= _caps.WORK_BYTES:
+            # the stream stops at the last file a term reads
+            needed = np.zeros((int(keys.max()) // v + 1) * v, dtype=bool)
+            chunks = list(row_chunks(len(keys), 8 * keys.shape[1]))
+            for part in chunks:
+                needed[keys[part]] = True
+            ranks = np.cumsum(needed, dtype=keys.dtype)
             ranks -= 1
-            for rows in chunks:
-                index[rows] = np.take(ranks, index[rows])
+            for part in chunks:
+                keys[part] = np.take(ranks, keys[part])
             del ranks
-            table = _stream_subfiles(needed.reshape(n_files, v), self.file_len, self.seed)
-            table.flags.writeable = False
-        index.flags.writeable = False
-        self._terms[:] = schedule, table, index
-        return table, index
+            table = _stream_subfiles(needed.reshape(-1, v), self.file_len, self.seed)
+            del needed  # before the rows exist
+        rows = np.zeros((len(keys), sub), dtype=np.uint8)
+        if table is not None:
+            _xor_gather(rows, table, keys)
+        elif keys.size:
+            _stream_xor(rows, keys, v, self.file_len, self.seed)
+        rows.flags.writeable = False
+        self._coded[:] = schedule, rows
+        return rows
 
     @cached_property
     def files(self) -> tuple[memoryview, ...]:
@@ -157,15 +170,18 @@ class FileStore:
         return tuple(memoryview(row[: self.file_len]) for row in rows)
 
 
-def _random_words(n_files: int, file_len: int, seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
+def _random_words(
+    n_files: int, file_len: int, seed: int, budget: int | None = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """The files' MT19937 outputs, in stream order, as ``(first file, first
     word, words)`` pieces: ``words`` is an (n, span) ``uint64`` array of the
     outputs first..first+span-1 of files first..first+n-1.
 
     ``randbytes(L)`` is ceil(L/4) MT19937 outputs, so the N files are one
     consecutive output stream.  It is drawn from numpy's MT19937 loaded with
-    the state of ``random.Random(seed)``, at most ``WORK_BYTES`` of
-    outputs at a time: several whole files, or part of one.
+    the state of ``random.Random(seed)``, at most ``budget`` bytes
+    (``WORK_BYTES`` by default) of outputs at a time: several whole files,
+    or part of one.
     """
     from numpy.random import MT19937  # kept out of the package import
 
@@ -175,11 +191,13 @@ def _random_words(n_files: int, file_len: int, seed: int) -> Iterator[tuple[int,
     gen = MT19937(_unseeded())
     gen.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
     words = -(-file_len // 4)
-    for files in row_chunks(n_files, 8 * words):
-        n = files.stop - files.start
-        for span in row_chunks(words, 8):
+    step = max(1, (_caps.WORK_BYTES if budget is None else budget) // 8)  # outputs per piece
+    per = max(1, step // words)  # files per piece
+    for first in range(0, n_files, per):
+        n = min(per, n_files - first)
+        for start in range(0, words, step):
             # no local keeps a piece alive once the caller lets go of it
-            yield files.start, span.start, gen.random_raw(n * (span.stop - span.start)).reshape(n, -1)
+            yield first, start, gen.random_raw(n * min(step, words - start)).reshape(n, -1)
 
 
 def _put_words(out: np.ndarray, raw: np.ndarray, start: int, file_len: int) -> int:
@@ -210,43 +228,77 @@ def _write_random_files(rows: np.ndarray, file_len: int, seed: int) -> None:
 
 def _stream_subfiles(needed: np.ndarray, file_len: int, seed: int) -> np.ndarray:
     """The (file, point) subfiles ``needed`` marks, zero-padded, in row-major
-    order, from one pass of ``_random_words``.
-
-    A piece of whole files is written into a buffer of padded rows sized to
-    that piece, whose masked subfiles are copied out; a piece of one file
-    copies its bytes straight into the needed subfiles it overlaps.
-    """
+    order, from one pass of ``_random_words`` over files that each fit in
+    one piece: a piece of whole files is written into a buffer of padded
+    rows sized to that piece, whose marked subfiles are copied out."""
     n_files, v = needed.shape
     sub = subfile_length(file_len, v)
-    words = -(-file_len // 4)
     out = np.zeros((np.count_nonzero(needed), sub), dtype=np.uint8)
-    done = 0  # rows of ``out`` written or claimed so far
+    done = 0  # rows of ``out`` written so far
     buffer = None
-    for first, start, raw in _random_words(n_files, file_len, seed):
-        n, span = raw.shape
-        if span == words:  # whole files first..first+n-1
-            if buffer is None:  # its padding columns stay zero
-                buffer = np.zeros((n, v * sub), dtype=np.uint8)
-            _put_words(buffer[:n], raw, 0, file_len)
-            kept = np.flatnonzero(needed[first : first + n])
-            rows = out[done : done + len(kept)]
-            np.take(buffer.reshape(-1, sub), kept, axis=0, out=rows, mode="clip")
-            done += len(kept)
-        else:  # bytes lo..hi-1 of file `first`; only needed words are written
-            if buffer is None:
-                buffer = np.empty((1, 4 * span), dtype=np.uint8)
-            if start == 0:  # the file's needed subfiles take the next rows
-                rows = np.cumsum(needed[first]) - 1 + done
-                done = int(rows[-1]) + 1
-            lo, hi = 4 * start, min(4 * (start + span), file_len)
-            overlap = np.flatnonzero(needed[first, lo // sub : (hi - 1) // sub + 1]) + lo // sub
-            for p in overlap.tolist():
-                a, b = max(lo, p * sub), min(hi, (p + 1) * sub)
-                word = a // 4
-                _put_words(buffer, raw[:, word - start : -(-b // 4) - start], word, file_len)
-                out[rows[p], a - p * sub : b - p * sub] = buffer[0, a - 4 * word : b - 4 * word]
+    for first, _, raw in _random_words(n_files, file_len, seed):
+        n = len(raw)
+        if buffer is None:  # its padding columns stay zero
+            buffer = np.zeros((n, v * sub), dtype=np.uint8)
+        _put_words(buffer[:n], raw, 0, file_len)
+        kept = np.flatnonzero(needed[first : first + n])
+        np.take(buffer.reshape(-1, sub), kept, axis=0, out=out[done : done + len(kept)], mode="clip")
+        done += len(kept)
         del raw  # before the next chunk is drawn
     return out
+
+
+def _stream_xor(out: np.ndarray, keys: np.ndarray, v: int, file_len: int, seed: int) -> None:
+    """XOR into row t of ``out`` the subfiles that ``keys[t]`` names, for
+    files that span several pieces of the stream, with no subfile table.
+
+    One stable argsort of the keys groups the terms by subfile, rows
+    ascending.  A row that names one subfile twice XORs it twice, so only
+    the parity of each (subfile, row) pair is kept; then no row repeats
+    within a group, and a fancy-indexed ``^=`` is exact.  The stream runs
+    in pieces of at most ``min(WORK_BYTES, CACHE_BYTES)`` bytes of outputs
+    and stops after the last needed subfile; the needed words of each piece
+    are XORed into the rows of the subfiles they belong to.
+    """
+    order = np.argsort(keys.ravel(), kind="stable")
+    flat, rows = keys.ravel()[order], order // keys.shape[1]
+    del order
+    repeat = (np.diff(flat) == 0) & (np.diff(rows) == 0)
+    if repeat.any():
+        runs = np.flatnonzero(np.r_[True, ~repeat])
+        odd = runs[np.diff(runs, append=len(flat)) % 2 == 1]
+        flat, rows = flat[odd], rows[odd]
+    sub = out.shape[1]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    files, points = np.divmod(flat[starts].astype(np.int64), v)
+    begin = points * sub
+    end = np.minimum(begin + sub, file_len)
+    bounds = np.append(starts, len(flat)).tolist()
+    # (file, first byte, end byte, rows) of each needed subfile that holds file bytes
+    needed = [
+        (f, a, e, rows[bounds[g] : bounds[g + 1]])
+        for g, (f, a, e) in enumerate(zip(files.tolist(), begin.tolist(), end.tolist()))
+        if a < e
+    ]
+    if not needed:
+        return
+    budget = min(_caps.WORK_BYTES, _caps.CACHE_BYTES)
+    buffer = np.empty((1, 4 * max(1, budget // 8)), dtype=np.uint8)
+    g = 0
+    for f, start, raw in _random_words(needed[-1][0] + 1, file_len, seed, budget):
+        lo, hi = 4 * start, min(4 * (start + raw.shape[1]), file_len)
+        while g < len(needed) and needed[g][0] == f and needed[g][1] < hi:
+            _, a, e, terms = needed[g]
+            s, t = max(a, lo), min(e, hi)
+            word = s // 4
+            _put_words(buffer, raw[:, word - start : -(-t // 4) - start], word, file_len)
+            out[terms, s - a : t - a] ^= buffer[0, s - 4 * word : t - 4 * word]
+            if e > hi:  # the subfile goes on in the next piece
+                break
+            g += 1
+        if g == len(needed):  # the last needed byte is read
+            return
+        del raw  # before the next piece is drawn
 
 
 @cache
@@ -313,7 +365,9 @@ def build_caches(store: FileStore, res: Resolution) -> list[CacheView]:
 class Payloads(Sequence[bytes]):
     """The coded transmissions as rows of one (T, sub) uint8 array: a row reads
     as ``bytes``, a slice as ``Payloads``, and assigning ``bytes`` to a row
-    writes it; equal to any sequence of the same ``bytes`` rows."""
+    writes it; equal to any sequence of the same ``bytes`` rows.  Rows that
+    are read-only, such as the store's, are copied on the first write, so a
+    write never reaches them."""
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
@@ -327,6 +381,8 @@ class Payloads(Sequence[bytes]):
         return self.rows[index].tobytes()
 
     def __setitem__(self, index: int, payload: bytes) -> None:
+        if not self.rows.flags.writeable:
+            self.rows = self.rows.copy()
         self.rows[index] = np.frombuffer(payload, dtype=np.uint8)
 
     def __eq__(self, other: object) -> bool:
@@ -336,13 +392,9 @@ class Payloads(Sequence[bytes]):
 
 
 def encode_payloads(schedule: DeliverySchedule, store: FileStore) -> Payloads:
-    """One XOR payload per coded transmission, in schedule order: every row
-    is XORed into one (T, sub) array by ``_xor_gather`` from the table and
-    index of the store's ``term_subfiles``."""
-    table, index = store.term_subfiles(schedule)
-    air = np.zeros((len(index), table.shape[1]), dtype=np.uint8)
-    _xor_gather(air, table, index)
-    return Payloads(air)
+    """One XOR payload per coded transmission, in schedule order: the
+    store's ``coded_rows``, not copied."""
+    return Payloads(store.coded_rows(schedule))
 
 
 def _xor_gather(acc: np.ndarray, table: np.ndarray, index: np.ndarray) -> None:
@@ -368,11 +420,12 @@ def _incidence(blocks: np.ndarray, v: int) -> np.ndarray:
 
 
 def _air_rows(payloads: Sequence[bytes] | np.ndarray, rows: np.ndarray | slice, sub: int) -> np.ndarray:
-    """A writeable (n, sub) copy of the payloads of ``rows``, an index array or a slice."""
+    """The payloads of ``rows``, an index array or a slice, as an (n, sub)
+    array: a writeable copy, but a view for a slice of an array."""
     if isinstance(payloads, Payloads):
         payloads = payloads.rows
     if isinstance(payloads, np.ndarray):
-        return payloads[rows].copy() if isinstance(rows, slice) else payloads[rows]
+        return payloads[rows]
     picked = payloads[rows] if isinstance(rows, slice) else [payloads[t] for t in rows.tolist()]
     joined = bytearray(b"".join(picked))
     return np.frombuffer(joined, dtype=np.uint8).reshape(-1, sub)
@@ -671,24 +724,22 @@ def verify_all(
     for user in np.flatnonzero(unsure).tolist():
         _reach(user, schedule)
     lap("decode_residual")
-    store.term_subfiles(schedule)  # memoized: the encoder and the residual read it
+    coded = store.coded_rows(schedule)  # memoized: the encoder returns these rows
     lap("store")
     payloads = encode_payloads(schedule, store)
     lap("encode")
     # a participant strips the other terms with the store's own bytes, so
-    # every participant decodes its subfile exactly when the row XORs to zero;
-    # the rows are checked in the gather's row chunks, so no (T, sub) copy exists
-    n_sent, sub = len(payloads), subfile_length(file_len, v)
-    table, index = store.term_subfiles(schedule)
+    # every participant decodes its subfile exactly when its row's payload
+    # equals the XOR of the row's terms, the store's row; the rows are
+    # compared in chunks of CACHE_BYTES, so no (T, sub) temporary exists
+    n_sent, sub = len(payloads), coded.shape[1]
     wrong = np.zeros(n_users, dtype=bool)
     step = max(1, _caps.CACHE_BYTES // max(1, sub))
     for start in range(0, n_sent, step):
         rows = slice(start, start + step)
-        resid = _air_rows(payloads, rows, sub)
-        _xor_gather(resid, table, index[rows])
-        wrong[schedule.users[rows][resid.any(axis=1)]] = True
-        del resid  # before the next chunk is copied
-    del payloads, store, table, index  # the term table goes before the last mark
+        unequal = (_air_rows(payloads, rows, sub) != coded[rows]).any(axis=1)
+        wrong[schedule.users[rows][unequal]] = True
+    del payloads, store, coded  # the coded rows go before the last mark
     lap("decode_residual")
     columns = zip(range(n_users), schedule.demands, repeat(True), (~wrong).tolist(), cached.tolist(), air.tolist())
     users = map(tuple.__new__, repeat(UserReport), columns)  # UserReport._make, minus a call per row

@@ -73,7 +73,8 @@ def _check_stage_row(row: dict, single_call: bool = False) -> None:
 def test_stage_tool_writes_rows_in_that_schema(tmp_path):
     """``tools/verify_stages.py`` reads verify_all's own stage record, so its
     rows name exactly the report's stages and keep the schema above; each
-    row also carries the per-call gap between the span and the stage sum."""
+    row also carries the per-call gap between the span and the stage sum
+    and the traced peak of one more call, both outside ``median_s``."""
     spec = importlib.util.spec_from_file_location("verify_stages", ROOT / "tools" / "verify_stages.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -88,3 +89,39 @@ def test_stage_tool_writes_rows_in_that_schema(tmp_path):
     gap = row["gap_ms"]
     assert list(gap) == ["median", "q1", "q3"] and gap["q1"] <= gap["median"] <= gap["q3"]
     assert 0 <= gap["median"] < 1e3 * row["median_s"]["verify_all"]
+    assert 0 < row["traced_peak_mb"] < row["peak_rss_mb"]
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_output_grid_is_fixed_and_its_digests_repeat(tmp_path):
+    """``tools/outputs.py`` builds the 3,055-command grid over the golden
+    ladder, digests a command the same way twice, and ``--compare`` names
+    exactly the commands whose digests differ or that one side lacks."""
+    tool = _tool("outputs")
+    golden = json.loads((ROOT / "tests" / "golden_designs.json").read_text(encoding="utf-8"))
+    assert sorted(tool.SPECS) == list(golden["designs"])
+    grid = tool.commands()
+    kinds = {"construct": 486, "analyze": 1296, "table": 211, "sweep": 96, "schedule": 276, "simulate": 690}
+    assert len(grid) == 3055 and {k: sum(a[0] == k for a in grid) for k in kinds} == kinds
+    assert len({" ".join(argv) for argv in grid}) == len(grid)
+    picked = [next(a for a in grid if a[0] == kind) for kind in kinds if kind != "simulate"]
+    picked += [a for a in grid if a[:5] == ["simulate", "--design", "example:3", "--z", "2"]]
+    one, two = tool.digests(picked), tool.digests(picked)
+    assert one == two and one["commands"] == len(picked)
+    assert one["exit_codes"]["simulate 0"] == 6 and one["exit_codes"]["simulate 1"] == 4
+    paths = tmp_path / "a.json", tmp_path / "b.json"
+    other = {**two, "digests": {**two["digests"]}}
+    changed = " ".join(picked[1])
+    other["digests"][changed] = "0" * 64
+    del other["digests"][" ".join(picked[0])]
+    paths[0].write_text(json.dumps(one), encoding="utf-8")
+    paths[1].write_text(json.dumps(other), encoding="utf-8")
+    assert tool.differing(one, other) == [" ".join(picked[0]), changed]
+    assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
+    assert tool.main(["--compare", *map(str, paths)]) == 1

@@ -154,14 +154,17 @@ class TestFileStore:
         library_first=st.booleans(),
         data=st.data(),
     )
-    def test_term_subfiles_are_the_randbytes_subfiles(self, seed, file_len, chunk_bytes, library_first, data):
-        """``table[index]`` holds each term's subfile of the randbytes oracle, for
-        random schedules with distinct and repeated demands (terms sharing a
-        key), for every chunk size of the generator (8 bytes is one word per
-        chunk, so pieces end inside subfiles and inside files), and whether
-        the library is built first.  If it is, or if it fits in one chunk, the
-        table is the library's rows in place and the index is the keys; else
-        the table holds only the term subfiles, streamed."""
+    def test_coded_rows_xor_the_randbytes_subfiles(self, seed, file_len, chunk_bytes, library_first, data):
+        """Row t of ``coded_rows`` is the XOR of transmission t's subfiles of
+        the randbytes oracle, for random schedules with distinct and repeated
+        demands (terms sharing a key) and rows that name one subfile two or
+        more times, for every chunk size of the generator (8 bytes is one word
+        per chunk, so pieces end inside subfiles and inside files), and
+        whether the library is built first.  If it is, or if it fits in one
+        chunk, the rows are gathered from it; else only the files up to the
+        last one a term reads are streamed, into a table of the term
+        subfiles if each file fits in one chunk and straight into the rows
+        if not."""
         res = from_spec(data.draw(st.sampled_from(ORACLE_SPECS), label="spec"))
         z = data.draw(st.sampled_from([1] + sorted(crd_profile(res).mu)), label="z")
         n_users = scheme_metrics(res, z).users
@@ -171,33 +174,46 @@ class TestFileStore:
         else:
             demands = data.draw(st.lists(st.integers(1, n_files), min_size=n_users, max_size=n_users))
         schedule = build_delivery_schedule(build_scheme(res, z, n_files), demands)
+        if len(schedule.users) and data.draw(st.booleans(), label="repeat"):
+            # copy term 0 of one row over some of its other terms: same key
+            row = data.draw(st.integers(0, len(schedule.users) - 1), label="row")
+            cols = data.draw(st.sets(st.integers(1, 2**z - 1), min_size=1), label="cols")
+            users, subfiles = schedule.users.copy(), schedule.subfiles.copy()
+            users[row, sorted(cols)], subfiles[row, sorted(cols)] = users[row, 0], subfiles[row, 0]
+            schedule = replace(schedule, users=users, subfiles=subfiles)
         v = res.design.v
         rng = random.Random(seed)
         subs = [split_subfiles(rng.randbytes(file_len), v) for _ in range(n_files)]
-        expected = [
-            [subs[schedule.demands[u] - 1][p - 1] for u, p in zip(users, points)]
-            for users, points in zip(schedule.users.tolist(), schedule.subfiles.tolist())
-        ]
+        expected = []
+        for users, points in zip(schedule.users.tolist(), schedule.subfiles.tolist()):
+            acc = 0
+            for u, p in zip(users, points):
+                acc ^= int.from_bytes(subs[schedule.demands[u] - 1][p - 1], "big")
+            expected.append(acc.to_bytes(subfile_length(file_len, v), "big"))
         store = make_file_store(n_files, file_len, seed)
-        with mock.patch.object(caps_module, "WORK_BYTES", chunk_bytes):
+        drawn = []
+        words = simulator._random_words
+
+        def counted(n, *args):
+            drawn.append(n)
+            return words(n, *args)
+
+        with mock.patch.object(caps_module, "WORK_BYTES", chunk_bytes), mock.patch.object(
+            simulator, "_random_words", counted
+        ):
             if library_first:
                 store.library(v)
-            table, index = store.term_subfiles(schedule)
-        assert table.dtype == np.uint8 and table.shape[1] == subfile_length(file_len, v)
-        assert index.dtype == np.int32 and index.shape == schedule.users.shape
-        assert not table.flags.writeable and not index.flags.writeable
-        assert [[row.tobytes() for row in rows] for rows in table[index]] == expected
-        again = store.term_subfiles(schedule)  # memoized for the last schedule
-        assert again[0] is table and again[1] is index
+            rows = store.coded_rows(schedule)
+        assert rows.dtype == np.uint8 and rows.shape == (len(schedule.users), subfile_length(file_len, v))
+        assert not rows.flags.writeable
+        assert [row.tobytes() for row in rows] == expected
+        assert store.coded_rows(schedule) is rows  # memoized for the last schedule
         whole = n_files * v * subfile_length(file_len, v) <= chunk_bytes
-        if library_first or whole:
-            assert np.shares_memory(table, store.library(v))
-            assert np.array_equal(index, schedule.term_keys())
-        else:
+        if not (library_first or whole):
             assert store._libraries == {}
-            assert len(table) == len(np.unique(schedule.term_keys()))
+            assert all(n <= max(schedule.demands) for n in drawn)
 
-    def test_term_subfiles_stream_crosses_the_default_chunk(self):
+    def test_coded_rows_stream_crosses_the_default_chunk(self):
         # each file's stream spans two generation chunks of the real size; file
         # 1 is read only by user 1, whose air subfiles skip some points and
         # include the one straddling the boundary between the chunks
@@ -211,13 +227,36 @@ class TestFileStore:
         schedule = build_delivery_schedule(scheme, [1] + [2] * (scheme.n_users - 1))
         keys = schedule.term_keys()
         assert straddling in keys and len(np.unique(keys[keys < v])) < v
-        table, index = make_file_store(2, file_len, 5).term_subfiles(schedule)
-        rng = random.Random(5)
-        subs = [split_subfiles(rng.randbytes(file_len), v) for _ in range(2)]
-        flat = [piece for pieces in subs for piece in pieces]
-        assert all(table[i].tobytes() == flat[k] for i, k in zip(index.ravel(), keys.ravel()))
+        store = make_file_store(2, file_len, 5)
+        rows = [row.tobytes() for row in store.coded_rows(schedule)]
+        assert store._libraries == {}
+        assert rows == int_xor_payloads(schedule, store)
 
-    def test_term_subfiles_refuse_a_schedule_for_more_files(self):
+    @pytest.mark.parametrize("copies", [2, 3, 4])
+    def test_spanning_rows_keep_the_parity_of_a_repeated_subfile(self, monkeypatch, copies):
+        """A row whose first ``copies`` terms name one subfile XORs it that
+        many times, also when the files span several stream pieces (64-byte
+        chunks): two or four copies cancel, three leave the subfile."""
+        res, file_len = catalog_example(3), 200
+        v = res.design.v
+        schedule = build_delivery_schedule(build_scheme(res, 2, 9))
+        users, subfiles = schedule.users.copy(), schedule.subfiles.copy()
+        users[0, :copies], subfiles[0, :copies] = users[0, 0], subfiles[0, 0]
+        schedule = replace(schedule, users=users, subfiles=subfiles)
+        rng = random.Random(3)
+        subs = [split_subfiles(rng.randbytes(file_len), v) for _ in range(9)]
+        expected = []
+        for row_users, points in zip(users.tolist(), subfiles.tolist()):
+            acc = 0
+            for u, p in zip(row_users, points):
+                acc ^= int.from_bytes(subs[schedule.demands[u] - 1][p - 1], "big")
+            expected.append(acc.to_bytes(subfile_length(file_len, v), "big"))
+        monkeypatch.setattr(caps_module, "WORK_BYTES", 64)
+        store = make_file_store(9, file_len, 3)
+        assert [row.tobytes() for row in store.coded_rows(schedule)] == expected
+        assert store._libraries == {}
+
+    def test_store_refuses_a_schedule_for_more_files(self):
         schedule = build_delivery_schedule(build_scheme(catalog_example(3), 2, 9))
         with pytest.raises(errors.DemandOutOfRange, match="for 9 files but the store holds 2"):
             encode_payloads(schedule, make_file_store(2, 18, 0))
@@ -301,6 +340,35 @@ class TestPayloads:
         assert payloads.rows[0, 0] == expected[0][0] ^ 0xFF
         assert payloads[0][1:] == expected[0][1:] and payloads != expected
         assert clipped == expected[1:-1]
+
+    def test_a_write_copies_the_rows_and_fails_only_that_row(self, monkeypatch):
+        """The payloads are the store's read-only coded rows until a row is
+        written, which copies them first: the store's rows, a second
+        encode_payloads and an earlier slice keep the XOR of the terms, and
+        verify_all fails exactly the participants of the written row."""
+        res = catalog_example(9)
+        schedule = build_delivery_schedule(build_scheme(res, 3, 32))
+        store = make_file_store(32, 50, 2)
+        expected = int_xor_payloads(schedule, store)
+        payloads = encode_payloads(schedule, store)
+        rows, clipped = store.coded_rows(schedule), payloads[1:]
+        assert payloads.rows is rows and not rows.flags.writeable
+        flipped = bytes([expected[2][0] ^ 0x81]) + expected[2][1:]
+        payloads[2] = flipped
+        assert not np.shares_memory(payloads.rows, rows)
+        assert payloads[2] == flipped and payloads[3:] == expected[3:] and payloads[:2] == expected[:2]
+        assert [row.tobytes() for row in rows] == expected
+        assert clipped == expected[1:] and encode_payloads(schedule, store) == expected
+        encode = simulator.encode_payloads
+
+        def write(schedule, store):
+            payloads = encode(schedule, store)
+            payloads[2] = bytes([payloads[2][0] ^ 0x81]) + payloads[2][1:]
+            return payloads
+
+        monkeypatch.setattr(simulator, "encode_payloads", write)
+        report = verify_all(res, 3, 32, 50, seed=2)
+        assert {u.user for u in report.users if not u.byte_equal} == set(schedule.users[2].tolist())
 
     def test_hex_dump(self):
         res = catalog_example(3)
@@ -664,9 +732,10 @@ class TestIsolatedDecoder:
             # a plain list of bytes rows decodes the same
             assert decode_user(uid, list(payloads), schedule, isolated, uid + 1, 64) == (data, n_cache, n_air)
 
-    def test_verify_all_xors_each_term_once_beyond_the_encoding(self, monkeypatch):
-        """verify_all's byte work is the encoding plus one residual pass over
-        the same T rows: 2 * T * 2^z subfile XORs, whatever K is."""
+    def test_verify_all_xors_each_term_once(self, monkeypatch):
+        """verify_all XORs each term subfile once, into the store's coded rows,
+        which the encoder returns and the residual compares with the
+        payloads: T * 2^z subfile XORs, whatever K is."""
         xored = []
         gather = simulator._xor_gather
 
@@ -679,7 +748,7 @@ class TestIsolatedDecoder:
             xored.clear()
             report = verify_all(from_spec(spec), z, scheme_metrics(from_spec(spec), z).users, 30, seed=4)
             assert report.all_recovered
-            assert sum(xored) == 2 * report.transmissions_sent * 2**z
+            assert sum(xored) == report.transmissions_sent * 2**z
 
     def test_user_reports_are_named_tuples_of_python_scalars(self):
         assert UserReport._fields == (
@@ -868,42 +937,65 @@ class TestEndToEnd:
         assert report.all_recovered
         assert peak < bound, (peak, bound)
 
-    def test_default_budget_bounds_the_streamed_term_subfiles(self):
-        """example:8 at z = 3 with 4 MiB files at the budget as shipped: the
-        store streams the term subfiles and peaks at them and the term index
-        plus at most twice the 4 MiB default, not at the 113 MB library."""
-        default = 1 << 22
+    def test_default_budget_bounds_the_streamed_coded_rows(self):
+        """example:8 at z = 3 with 4 MiB files at the budget as shipped: each
+        file spans several stream chunks, so the store XORs the term
+        subfiles straight into the coded rows and peaks at the rows plus
+        three ``CACHE_BYTES``: a piece of outputs, its bytes and one XOR
+        temporary (half a piece each), the term keys and their grouping;
+        not at the 33.6 MB of term subfiles or the 113 MB library."""
         res, z, n_files, file_len = catalog_example(8), 3, 27, 4 << 20
         schedule = build_delivery_schedule(build_scheme(res, z, n_files))
-        keys = schedule.term_keys()
-        output = len(np.unique(keys)) * subfile_length(file_len, res.design.v) + keys.nbytes
+        assert 8 * -(-file_len // 4) > caps_module.WORK_BYTES
+        output = len(schedule.users) * subfile_length(file_len, res.design.v)
         store = make_file_store(n_files, file_len, 1)
         tracemalloc.start()
         try:
-            store.term_subfiles(schedule)
+            store.coded_rows(schedule)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= output + 2 * default, (peak - output) / default
+        assert store._libraries == {}
+        assert peak <= output + 3 * caps_module.CACHE_BYTES, (peak - output) / caps_module.CACHE_BYTES
+
+    def test_verify_all_on_spanning_files_holds_no_term_table(self):
+        """verify_all at the sim-bytes case (``example:8`` z = 3, 4 MiB files,
+        each spanning several stream chunks) peaks below two copies of the
+        coded rows plus two ``WORK_BYTES``, where a table of the 216 term
+        subfiles alone is 33.6 MB."""
+        res, z, n_files, file_len = catalog_example(8), 3, 27, 4 << 20
+        sub = subfile_length(file_len, res.design.v)
+        tracemalloc.start()
+        try:
+            report = verify_all(res, z, n_files, file_len, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_recovered
+        bound = 2 * report.transmissions_sent * sub + 2 * caps_module.WORK_BYTES
+        assert bound < 216 * sub
+        assert peak < bound, (peak, bound)
 
     def test_encode_after_build_caches_reads_the_library_in_place(self):
-        """Once build_caches holds the library, encode_payloads gathers from it
-        in place: under tracemalloc it grows by the payloads, the term index
-        and one gather chunk, not by a copy of the term subfiles."""
+        """Once build_caches holds the library, the store gathers the coded
+        rows from it in place and draws no stream: under tracemalloc,
+        encode_payloads grows by the rows, the term keys and one gather
+        chunk, not by a copy of the term subfiles."""
         res, z, n_files, file_len = catalog_example(8), 3, 27, 1 << 20
         sub = subfile_length(file_len, res.design.v)
         schedule = build_delivery_schedule(build_scheme(res, z, n_files))
         store = make_file_store(n_files, file_len, 1)
         build_caches(store, res)
-        tracemalloc.start()
-        try:
-            payloads = encode_payloads(schedule, store)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with mock.patch.object(simulator, "_random_words", side_effect=AssertionError("streamed")):
+            tracemalloc.start()
+            try:
+                payloads = encode_payloads(schedule, store)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         bound = len(payloads) * sub + caps_module.CACHE_BYTES + 8 * schedule.users.size
         assert peak < bound, (peak, bound)
-        assert np.shares_memory(store.term_subfiles(schedule)[0], store.library(res.design.v))
+        assert payloads.rows is store.coded_rows(schedule)
 
     @pytest.mark.parametrize("gather", [1 << 18, 1 << 19])
     def test_gather_chunk_bounds_the_encoder(self, monkeypatch, gather):
@@ -1073,6 +1165,67 @@ class TestStreamedStore:
         assert participants
         assert {u.user for u in report.users if not u.byte_equal} == participants
         assert all(u.recovered for u in report.users)
+
+
+class TestStreamStops:
+    """The store streams no file past the last one a term reads, and no
+    output past the last needed subfile of spanning files."""
+
+    def test_a_huge_library_streams_only_the_demanded_files(self, monkeypatch):
+        """``simulate --design affine:n=5 --z 2 --files 100000000 --len 1``:
+        the K = 375 users demand files 1..375, so the store marks and streams
+        those files only and verify_all stays under a 1 MB traced peak, where
+        a mask over all N files would be 2.5 GB.  10^6 files run first, so a
+        store sized by N fails there, at about 125 MB."""
+        res = from_spec("affine:n=5")
+        streamed, words = [], simulator._random_words
+
+        def counted(n_files, *args):
+            streamed.append(n_files)
+            return words(n_files, *args)
+
+        monkeypatch.setattr(simulator, "_random_words", counted)
+        for n_files in (10**6, 10**8):
+            streamed.clear()
+            tracemalloc.start()
+            try:
+                report = verify_all(res, 2, n_files, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.all_recovered and len(report.users) == 375
+            assert peak < 1 << 20, (n_files, peak)
+            assert streamed == [375]
+
+    def test_spanning_files_stop_after_the_last_needed_subfile(self, monkeypatch):
+        """Files that span several pieces (64-byte chunks): of 10 files, only
+        files 1 and 3 are demanded, file 3 by one user whose subfiles end
+        before the file does, so the stream draws no output of files 4..10
+        and none of file 3 past the piece holding its last needed byte."""
+        res, file_len = catalog_example(3), 400
+        sub, words = subfile_length(file_len, res.design.v), -(-file_len // 4)
+        scheme = build_scheme(res, 2, 10)
+        schedule = build_delivery_schedule(scheme, [1] * scheme.n_users)
+        last = [int(schedule.subfiles[schedule.users == u].max()) for u in range(scheme.n_users)]
+        user = int(np.argmin(last))
+        assert last[user] * sub < file_len - 32  # 32 bytes: one 64-byte chunk of outputs
+        demands = [1] * scheme.n_users
+        demands[user] = 3
+        schedule = build_delivery_schedule(scheme, demands)
+        drawn, pieces = [], simulator._random_words
+
+        def counted(*args):
+            for piece in pieces(*args):
+                drawn.append(piece[2].size)
+                yield piece
+
+        monkeypatch.setattr(caps_module, "WORK_BYTES", 64)
+        monkeypatch.setattr(simulator, "_random_words", counted)
+        store = make_file_store(10, file_len, 7)
+        rows = [row.tobytes() for row in store.coded_rows(schedule)]
+        assert 2 * words < sum(drawn) <= 2 * words + -(-last[user] * sub // 4) + 8
+        assert store._libraries == {}
+        assert rows == int_xor_payloads(schedule, store)
 
 
 class TestDecoderFaults:

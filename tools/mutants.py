@@ -2,12 +2,13 @@
 
 Each entry of ``MUTANTS`` names a source file, an exact piece of its text,
 the text that replaces it and the tests to run.  The script copies
-``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
-runs the entries' tests there once unmutated (they must pass), then
-applies each entry in turn, runs its tests with ``pytest -x`` and puts the
-file back.  A mutant is caught when its tests fail or time out, and
-survives when they pass.  Every anchor must occur exactly once in its
-file, checked before anything runs, so the list keeps up with refactors.
+``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` (which a CLI
+test reads) into a temporary directory, runs the entries' tests there
+once unmutated (they must pass), then applies each entry in turn, runs
+its tests with ``pytest -x`` and puts the file back.  A mutant is caught
+when its tests fail or time out, and survives when they pass.  Every
+anchor must occur exactly once in its file, checked before anything runs,
+so the list keeps up with refactors.
 
     python tools/mutants.py
 
@@ -41,6 +42,7 @@ class Mutant(NamedTuple):
 
 SIM = "src/crdcache/simulator.py"
 SCHEME = "src/crdcache/scheme.py"
+BASELINES = "src/crdcache/baselines.py"
 PASS = "tests/test_simulator.py::TestTransmissionPass"
 FAULTS = "tests/test_simulator.py::TestDecoderFaults"
 CLOSED = "tests/test_closed_forms.py"
@@ -96,7 +98,7 @@ MUTANTS = (
     Mutant(
         "residual participants unmarked",
         SIM,
-        "        wrong[schedule.users[rows][resid.any(axis=1)]] = True\n",
+        "        wrong[schedule.users[rows][unequal]] = True\n",
         "",
         (FAULTS,),
     ),
@@ -130,7 +132,7 @@ MUTANTS = (
     ),
     Mutant(
         "MaN rate without its 1 + t",
-        "src/crdcache/baselines.py",
+        BASELINES,
         "        rate=Fraction(users * (b - a), b * (1 + t)),\n",
         "        rate=Fraction(users * (b - a), b),\n",
         ("tests/test_baselines.py::TestManPoint", CLOSED),
@@ -285,6 +287,55 @@ MUTANTS = (
         ("tests/test_closed_forms.py::test_table_text_equals_the_rowwise_renderer",),
     ),
     Mutant(
+        "Payloads writes without copying",
+        SIM,
+        "        if not self.rows.flags.writeable:\n            self.rows = self.rows.copy()\n",
+        "",
+        ("tests/test_simulator.py::TestPayloads::test_a_write_copies_the_rows_and_fails_only_that_row",),
+    ),
+    Mutant(
+        "stream XOR drops a file's last partial word",
+        SIM,
+        "        lo, hi = 4 * start, min(4 * (start + raw.shape[1]), file_len)\n",
+        "        lo, hi = 4 * start, min(4 * (start + raw.shape[1]), file_len // 4 * 4)\n",
+        ("tests/test_simulator.py::TestFileStore::test_coded_rows_stream_crosses_the_default_chunk",),
+    ),
+    Mutant(
+        "stream XOR applies every copy of a subfile a row names twice",
+        SIM,
+        "    if repeat.any():\n",
+        "    if False:\n",
+        ("tests/test_simulator.py::TestFileStore::test_spanning_rows_keep_the_parity_of_a_repeated_subfile",),
+    ),
+    Mutant(
+        "store streams every file up to N",
+        SIM,
+        "            needed = np.zeros((int(keys.max()) // v + 1) * v, dtype=bool)\n",
+        "            needed = np.zeros(self.n_files * v, dtype=bool)\n",
+        ("tests/test_simulator.py::TestStreamStops::test_a_huge_library_streams_only_the_demanded_files",),
+    ),
+    Mutant(
+        "stream XOR runs past the last needed subfile",
+        SIM,
+        "        if g == len(needed):  # the last needed byte is read\n            return\n",
+        "",
+        ("tests/test_simulator.py::TestStreamStops::test_spanning_files_stop_after_the_last_needed_subfile",),
+    ),
+    Mutant(
+        "man_point without its subpacketization cap",
+        BASELINES,
+        "    if _comb_bits(users, t) > _MAX_SUBPACKETIZATION_BITS:\n",
+        "    if False:\n",
+        ("tests/test_baselines.py::TestManPoint::test_subpacketization_cap",),
+    ),
+    Mutant(
+        "ag_family_table without its subpacketization cap",
+        BASELINES,
+        "    if (m - 1) * log(q, 2) > _MAX_SUBPACKETIZATION_BITS:",
+        "    if False:",
+        ("tests/test_cli.py::TestTable::test_huge_ag_exponent_is_refused_before_q_to_the_m[10000000]",),
+    ),
+    Mutant(
         "caps.WORK_BYTES set to 1 GiB",
         "src/crdcache/caps.py",
         "WORK_BYTES = 1 << 22\n",
@@ -329,7 +380,8 @@ def main() -> int:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, tree / name, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", tree)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy2(ROOT / name, tree)
         selection = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
         if run_tests(tree, selection) != 0:
             print(f"the unmutated tests do not pass: {' '.join(selection)}", file=sys.stderr)

@@ -11,8 +11,10 @@ call's wall time minus the sum of that same call's stages, the time the
 stages do not cover (such as teardown after the last mark), as its median
 and quartiles over the calls in ms; a median of stages over the median of
 calls cannot show it, since both move with the host.  ``column_mb`` is the
-size of the schedule's two int32 columns, 8 T 2^z bytes, and
-``peak_rss_mb`` the process ``ru_maxrss`` after the calls.
+size of the schedule's two int32 columns, 8 T 2^z bytes,
+``peak_rss_mb`` the process ``ru_maxrss`` after the calls, and
+``traced_peak_mb`` the ``tracemalloc`` peak of one more call after the
+timed ones, which tracing would slow.
 
 The script times whichever ``crdcache`` is importable, so that two source
 trees can be compared by running it under each tree's ``PYTHONPATH`` in a
@@ -39,6 +41,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -66,6 +69,12 @@ def measure(spec: str, z: int, file_len: int, repeats: int) -> dict:
         gaps.append((whole - sum(report.stage_ns.values())) / 1e6)
         del report  # freed outside the next call's span
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    tracemalloc.start()
+    try:
+        simulator.verify_all(res, z, n_users, file_len, 0)
+        _, traced_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     q1, median, q3 = np.percentile(gaps, [25, 50, 75])
     return {
         "spec": spec,
@@ -78,6 +87,7 @@ def measure(spec: str, z: int, file_len: int, repeats: int) -> dict:
         "gap_ms": {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)},
         "column_mb": round(8 * n_sent * 2**z / 1e6, 3),
         "peak_rss_mb": round(peak_rss_mb, 1),
+        "traced_peak_mb": round(traced_peak / 1e6, 3),
     }
 
 
