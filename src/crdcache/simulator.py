@@ -2,8 +2,9 @@
 
 The server holds N equal-length pseudo-random files, file i being the i-th
 ``random.Random(seed).randbytes(file_len)``, generated by numpy's MT19937
-started in that generator's state, at most ``WORK_BYTES`` at a time.  A
-schedule names each term's subfile by one flat key (``DeliverySchedule.term_keys``)
+started in that generator's state, at most ``WORK_BYTES`` at a time (a
+file longer than that in ``CACHE_BYTES`` pieces).  A schedule names
+each term's subfile by one flat key (``DeliverySchedule.term_keys``)
 and the store alone decides where those bytes sit.  Every coded
 transmission is the bytewise XOR of its subfiles, and
 ``FileStore.coded_rows`` builds the T rows once, reading each term subfile
@@ -170,18 +171,17 @@ class FileStore:
         return tuple(memoryview(row[: self.file_len]) for row in rows)
 
 
-def _random_words(
-    n_files: int, file_len: int, seed: int, budget: int | None = None
-) -> Iterator[tuple[int, int, np.ndarray]]:
+def _random_words(n_files: int, file_len: int, seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """The files' MT19937 outputs, in stream order, as ``(first file, first
     word, words)`` pieces: ``words`` is an (n, span) ``uint64`` array of the
     outputs first..first+span-1 of files first..first+n-1.
 
     ``randbytes(L)`` is ceil(L/4) MT19937 outputs, so the N files are one
     consecutive output stream.  It is drawn from numpy's MT19937 loaded with
-    the state of ``random.Random(seed)``, at most ``budget`` bytes
-    (``WORK_BYTES`` by default) of outputs at a time: several whole files,
-    or part of one.
+    the state of ``random.Random(seed)``: several whole files per piece,
+    at most ``WORK_BYTES`` of outputs, if a file fits in that; else each
+    file in parts of at most ``min(WORK_BYTES, CACHE_BYTES)`` of outputs,
+    so the piece and its consumer's converted copy stay small.
     """
     from numpy.random import MT19937  # kept out of the package import
 
@@ -191,7 +191,9 @@ def _random_words(
     gen = MT19937(_unseeded())
     gen.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
     words = -(-file_len // 4)
-    step = max(1, (_caps.WORK_BYTES if budget is None else budget) // 8)  # outputs per piece
+    step = max(1, _caps.WORK_BYTES // 8)  # outputs per piece
+    if words > step:
+        step = max(1, min(_caps.WORK_BYTES, _caps.CACHE_BYTES) // 8)
     per = max(1, step // words)  # files per piece
     for first in range(0, n_files, per):
         n = min(per, n_files - first)
@@ -255,10 +257,9 @@ def _stream_xor(out: np.ndarray, keys: np.ndarray, v: int, file_len: int, seed: 
     One stable argsort of the keys groups the terms by subfile, rows
     ascending.  A row that names one subfile twice XORs it twice, so only
     the parity of each (subfile, row) pair is kept; then no row repeats
-    within a group, and a fancy-indexed ``^=`` is exact.  The stream runs
-    in pieces of at most ``min(WORK_BYTES, CACHE_BYTES)`` bytes of outputs
-    and stops after the last needed subfile; the needed words of each piece
-    are XORed into the rows of the subfiles they belong to.
+    within a group, and a fancy-indexed ``^=`` is exact.  The stream stops
+    after the last needed subfile; the needed words of each piece are
+    XORed into the rows of the subfiles they belong to.
     """
     order = np.argsort(keys.ravel(), kind="stable")
     flat, rows = keys.ravel()[order], order // keys.shape[1]
@@ -282,10 +283,11 @@ def _stream_xor(out: np.ndarray, keys: np.ndarray, v: int, file_len: int, seed: 
     ]
     if not needed:
         return
-    budget = min(_caps.WORK_BYTES, _caps.CACHE_BYTES)
-    buffer = np.empty((1, 4 * max(1, budget // 8)), dtype=np.uint8)
+    buffer = None
     g = 0
-    for f, start, raw in _random_words(needed[-1][0] + 1, file_len, seed, budget):
+    for f, start, raw in _random_words(needed[-1][0] + 1, file_len, seed):
+        if buffer is None:  # the first piece is the widest
+            buffer = np.empty((1, 4 * raw.shape[1]), dtype=np.uint8)
         lo, hi = 4 * start, min(4 * (start + raw.shape[1]), file_len)
         while g < len(needed) and needed[g][0] == f and needed[g][1] < hi:
             _, a, e, terms = needed[g]

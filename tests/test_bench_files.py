@@ -70,14 +70,19 @@ def _check_stage_row(row: dict, single_call: bool = False) -> None:
         assert "verify_all" in row["median_s"], row["spec"]
 
 
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_stage_tool_writes_rows_in_that_schema(tmp_path):
     """``tools/verify_stages.py`` reads verify_all's own stage record, so its
     rows name exactly the report's stages and keep the schema above; each
     row also carries the per-call gap between the span and the stage sum
     and the traced peak of one more call, both outside ``median_s``."""
-    spec = importlib.util.spec_from_file_location("verify_stages", ROOT / "tools" / "verify_stages.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    tool = _tool("verify_stages")
     row = tool.measure("example:3", 2, 16, 2)
     out = tmp_path / "BENCH_0.json"
     tool.append_row(out, "change", row)
@@ -90,13 +95,6 @@ def test_stage_tool_writes_rows_in_that_schema(tmp_path):
     assert list(gap) == ["median", "q1", "q3"] and gap["q1"] <= gap["median"] <= gap["q3"]
     assert 0 <= gap["median"] < 1e3 * row["median_s"]["verify_all"]
     assert 0 < row["traced_peak_mb"] < row["peak_rss_mb"]
-
-
-def _tool(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 
 
 def test_output_grid_is_fixed_and_its_digests_repeat(tmp_path):

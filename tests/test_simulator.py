@@ -191,16 +191,20 @@ class TestFileStore:
                 acc ^= int.from_bytes(subs[schedule.demands[u] - 1][p - 1], "big")
             expected.append(acc.to_bytes(subfile_length(file_len, v), "big"))
         store = make_file_store(n_files, file_len, seed)
-        drawn = []
-        words = simulator._random_words
+        drawn, tables = [], []
+        words, sift = simulator._random_words, simulator._stream_subfiles
 
         def counted(n, *args):
             drawn.append(n)
             return words(n, *args)
 
+        def sifted(*args):
+            tables.append(sift(*args))
+            return tables[-1]
+
         with mock.patch.object(caps_module, "WORK_BYTES", chunk_bytes), mock.patch.object(
             simulator, "_random_words", counted
-        ):
+        ), mock.patch.object(simulator, "_stream_subfiles", sifted):
             if library_first:
                 store.library(v)
             rows = store.coded_rows(schedule)
@@ -209,9 +213,18 @@ class TestFileStore:
         assert [row.tobytes() for row in rows] == expected
         assert store.coded_rows(schedule) is rows  # memoized for the last schedule
         whole = n_files * v * subfile_length(file_len, v) <= chunk_bytes
-        if not (library_first or whole):
+        keys = schedule.term_keys()
+        if library_first or whole:
+            # the library is read in place: only its build streamed
+            assert v in store._libraries and drawn == [n_files] and tables == []
+        else:
             assert store._libraries == {}
             assert all(n <= max(schedule.demands) for n in drawn)
+            if keys.size and 8 * -(-file_len // 4) <= chunk_bytes:
+                # the sifted table held each keyed subfile once
+                assert [len(t) for t in tables] == [len(np.unique(keys))]
+            else:
+                assert tables == []
 
     def test_coded_rows_stream_crosses_the_default_chunk(self):
         # each file's stream spans two generation chunks of the real size; file

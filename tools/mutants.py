@@ -294,6 +294,13 @@ MUTANTS = (
         ("tests/test_simulator.py::TestPayloads::test_a_write_copies_the_rows_and_fails_only_that_row",),
     ),
     Mutant(
+        "store sifts a library that fits one stream chunk",
+        SIM,
+        "            table = self.library(v)  # one stream chunk: cheaper whole than sifted\n",
+        "            pass\n",
+        ("tests/test_simulator.py::TestFileStore::test_coded_rows_xor_the_randbytes_subfiles",),
+    ),
+    Mutant(
         "stream XOR drops a file's last partial word",
         SIM,
         "        lo, hi = 4 * start, min(4 * (start + raw.shape[1]), file_len)\n",
