@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from typing import Iterable
 
 from .baselines import (
     FAMILY_TABLES,
@@ -41,7 +41,7 @@ from .constructions import FAMILIES, from_spec, parse_ints, parse_params
 from .designs import Resolution, crd_profile, design_to_json, resolution_from_json
 from .errors import BadSpec, CrdCacheError
 from .render import cell_text, sweep_csv, table_csv, table_text
-from .scheme import build_delivery_schedule, build_scheme, schedule_to_json
+from .scheme import build_delivery_schedule, build_scheme, schedule_text
 from .simulator import encode_payloads, make_file_store, payload_hex_dump, report_to_json, verify_all
 
 
@@ -61,11 +61,14 @@ def _load_design(text: str, caps: SizeCaps) -> Resolution:
         return resolution_from_json(json.load(fh))
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, one string or text chunks, to ``out`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _parse_demands(spec: str, n_users: int) -> tuple[int, ...] | None:
@@ -125,17 +128,7 @@ def cmd_schedule(args: argparse.Namespace, caps: SizeCaps) -> int:
     res = _load_design(args.design, caps)
     scheme = build_scheme(res, args.z, args.files, caps)
     schedule = build_delivery_schedule(scheme, _parse_demands(args.demands, scheme.n_users))
-    if args.format == "text":
-        lines = [
-            f"K={scheme.n_users} transmissions={len(schedule.transmissions)} "
-            f"rate={len(schedule.transmissions)}/{res.design.v}"
-        ]
-        for idx, t in enumerate(schedule.transmissions):
-            terms = " ".join(f"u{uid + 1}:{y}" for uid, y in t.terms)
-            lines.append(f"{idx + 1}: {t.label()} {terms}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(schedule_to_json(schedule), indent=2) + "\n", args.out)
+    _emit(schedule_text(schedule, args.format), args.out)
     return 0
 
 
@@ -148,7 +141,8 @@ def cmd_simulate(args: argparse.Namespace, caps: SizeCaps) -> int:
         schedule = build_delivery_schedule(scheme, demands)
         store = make_file_store(args.files, args.len, args.seed)
         payloads = encode_payloads(schedule, store)
-        sys.stdout.write("\n".join(payload_hex_dump(schedule, payloads)) + "\n")
+        sys.stdout.writelines(payload_hex_dump(schedule, payloads))
+        sys.stdout.write("\n")
     if args.format == "json":
         _emit(json.dumps(report_to_json(report), indent=2) + "\n", args.out)
     else:

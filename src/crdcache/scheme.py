@@ -24,18 +24,22 @@ array passes per block of class subsets and without one Python object per
 transmission: a user's id is its class subset's rank times b_r^z plus its
 mixed-radix block positions (the lexicographic order above), and f_m is a row
 of the class subset's points sorted by joint label.  The provenance (the
-classes, the block pairs and s) follows from the users and the row number,
-and only ``CodedTransmission`` objects, built when asked for, carry it.
+classes, the block pairs and s) follows from the users and the row number
+as three integer columns (``DeliverySchedule.provenance``).  The printed
+forms, ``schedule_to_json`` and ``schedule_text``, read those columns:
+``schedule_text`` fills one per-row ``%`` template per chunk of rows.
 """
 
 from __future__ import annotations
 
+import json
+import textwrap
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -208,12 +212,6 @@ class CodedTransmission:
     s: int
     terms: tuple[tuple[int, int], ...]
 
-    def label(self) -> str:
-        """Provenance as ``classes=1,2 pairs=1-2;3-4 s=1`` (1-based)."""
-        classes = ",".join(str(c + 1) for c in self.classes)
-        pairs = ";".join(f"{i + 1}-{j + 1}" for i, j in self.pairs)
-        return f"classes={classes} pairs={pairs} s={self.s}"
-
 
 _COLUMNS = ("users", "subfiles")
 
@@ -226,8 +224,9 @@ class DeliverySchedule:
     users ascending.  The provenance follows from them: the first user holds
     one block of each class's pair and the last user the other, and the mu_z
     rows of one class subset and pair choice are consecutive, so row t has
-    s = t mod mu_z + 1.  ``transmissions`` derives the classes, pairs and s
-    on demand.
+    s = t mod mu_z + 1.  ``provenance`` derives the classes, pairs and s of
+    any run of rows as integer columns; every printed form reads them, and
+    ``transmissions`` builds its objects from them.
     """
 
     scheme: SchemeInstance
@@ -256,23 +255,33 @@ class DeliverySchedule:
             state[name].flags.writeable = False
         self.__dict__.update(state)
 
-    @cached_property
-    def transmissions(self) -> tuple[CodedTransmission, ...]:
-        """The rows as ``CodedTransmission`` objects, built on first use.
+    def provenance(self, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The provenance of ``rows`` as integer columns: ``classes`` (n, z)
+        and block ``pairs`` (n, z, 2), both 0-based, and ``s`` (n,), 1-based.
 
-        Only the schedule's JSON and text and the payload hex dump read them;
-        encoding, checking and decoding read the columns.
+        Row t's pair in class c is the blocks of its first and its last user
+        in that class, and its s is t mod mu_z + 1.
         """
         res = self.scheme.res
         class_of = np.argsort(np.ravel(res.classes)) // res.b_r  # block -> its class
-        ends = self.scheme.users[self.users[:, [0, -1]]]  # (T, 2, z)
-        classes = class_of[ends[:, 0]].tolist()
-        pairs = [tuple(zip(*row)) for row in ends.tolist()]
-        mu_z = self.scheme.mu_z
+        pairs = self.scheme.users[self.users[rows][:, [0, -1]]].transpose(0, 2, 1)
+        start, stop, _ = rows.indices(len(self.users))
+        return class_of[pairs[:, :, 0]], pairs, np.arange(start, stop) % self.scheme.mu_z + 1
+
+    @cached_property
+    def transmissions(self) -> tuple[CodedTransmission, ...]:
+        """The rows as ``CodedTransmission`` objects, built on first use from
+        the ``provenance`` columns.
+
+        No printed form reads them, nor do encoding, checking and decoding,
+        which read the columns; they are the schedule as Python objects, for
+        callers that walk it row by row.
+        """
+        classes, pairs, s = self.provenance()
         return tuple(
-            CodedTransmission(classes=tuple(c), pairs=p, s=t % mu_z + 1, terms=tuple(zip(u, y)))
-            for t, (c, p, u, y) in enumerate(
-                zip(classes, pairs, self.users.tolist(), self.subfiles.tolist())
+            CodedTransmission(classes=tuple(c), pairs=tuple(map(tuple, p)), s=t, terms=tuple(zip(u, y)))
+            for c, p, t, u, y in zip(
+                classes.tolist(), pairs.tolist(), s.tolist(), self.users.tolist(), self.subfiles.tolist()
             )
         )
 
@@ -300,29 +309,41 @@ class DeliverySchedule:
         terms.flags.writeable = bounds.flags.writeable = False
         return terms, bounds
 
-    def term_keys(self, terms: np.ndarray | None = None) -> np.ndarray:
+    def term_keys(self, terms: np.ndarray | None = None, files: np.ndarray | None = None) -> np.ndarray:
         """The flat subfile key ``(demanded file - 1) * v + point - 1`` of every
         term, shaped like ``users``, or of the flat term positions ``terms``
         (positions in ``users.ravel()``), shaped like ``terms``.
 
         A key names one subfile of the (N, v) file library in row-major
-        order; keys are int32, or int64 past 2^31 subfiles.  All terms are
+        order; keys are int32, or int64 past 2^31 subfiles.  Given ``files``,
+        the ascending 0-based files of ``demanded_files``, a key names the
+        subfile in the (len(files), v) library of those files alone: the
+        demanded file's index in ``files`` takes its place.  All terms are
         keyed in row chunks of at most ``WORK_BYTES`` of the intp copies
         numpy makes of int32 index arrays.
         """
+        demanded = self._demanded
+        if files is not None:
+            demanded = np.searchsorted(files, demanded).astype(demanded.dtype)
         if terms is not None:
-            return self._keys(self.users.ravel()[terms], self.subfiles.ravel()[terms])
-        keys = np.empty(self.users.shape, dtype=self._demanded.dtype)
+            return self._keys(demanded, self.users.ravel()[terms], self.subfiles.ravel()[terms])
+        keys = np.empty(self.users.shape, dtype=demanded.dtype)
         for rows in row_chunks(len(keys), 8 * max(1, self.users.shape[1])):
-            keys[rows] = self._keys(self.users[rows], self.subfiles[rows])
+            keys[rows] = self._keys(demanded, self.users[rows], self.subfiles[rows])
         return keys
 
-    def _keys(self, users: np.ndarray, points: np.ndarray) -> np.ndarray:
-        keys = np.take(self._demanded, users)
+    def _keys(self, demanded: np.ndarray, users: np.ndarray, points: np.ndarray) -> np.ndarray:
+        keys = np.take(demanded, users)
         keys *= self.scheme.res.design.v
         keys += points
         keys -= 1
         return keys
+
+    def demanded_files(self) -> np.ndarray:
+        """The distinct demanded files, 0-based and ascending (sorted and
+        deduplicated by hand: ``np.unique`` imports ``numpy.ma`` on first use)."""
+        files = np.sort(self._demanded)
+        return files[np.diff(files, prepend=-1) != 0]
 
     @cached_property
     def _demanded(self) -> np.ndarray:
@@ -441,17 +462,115 @@ def _build_schedule(scheme: SchemeInstance, demands: tuple[int, ...]) -> Deliver
 
 
 def schedule_to_json(schedule: DeliverySchedule) -> dict:
-    """Serialize a schedule with 1-based users, blocks, classes and subfiles."""
+    """Serialize a schedule with 1-based users, blocks, classes and subfiles,
+    from the ``provenance`` and term columns, not ``transmissions``."""
+    classes, pairs, s = schedule.provenance()
     return {
         "z": schedule.scheme.z,
         "demands": list(schedule.demands),
         "transmissions": [
-            {
-                "classes": [c + 1 for c in t.classes],
-                "pairs": [[i + 1, j + 1] for i, j in t.pairs],
-                "s": t.s,
-                "terms": [{"user": uid + 1, "subfile": y} for uid, y in t.terms],
-            }
-            for t in schedule.transmissions
+            {"classes": c, "pairs": p, "s": t, "terms": [{"user": u, "subfile": y} for u, y in zip(us, ys)]}
+            for c, p, t, us, ys in zip(
+                (classes + 1).tolist(),
+                (pairs + 1).tolist(),
+                s.tolist(),
+                (schedule.users + 1).tolist(),
+                schedule.subfiles.tolist(),
+            )
         ],
     }
+
+
+def _label_template(z: int) -> str:
+    """A row's provenance as ``classes=1,2 pairs=1-2;4-5 s=1``, with a ``%d``
+    for each of the ``_label_fields`` of a z-class row."""
+    return f"classes={','.join(['%d'] * z)} pairs={';'.join(['%d-%d'] * z)} s=%d"
+
+
+def _label_fields(schedule: DeliverySchedule, rows: slice) -> np.ndarray:
+    """The (n, 3z + 1) fields of ``_label_template`` for ``rows``: the classes,
+    the block pairs (both 1-based) and s."""
+    classes, pairs, s = schedule.provenance(rows)
+    return np.hstack([classes + 1, (pairs + 1).reshape(len(s), -1), s[:, None]])
+
+
+def _term_fields(schedule: DeliverySchedule, rows: slice) -> np.ndarray:
+    """Each row's terms as (n, 2^(z+1)) fields: user (1-based), subfile, ..."""
+    users, subfiles = schedule.users[rows], schedule.subfiles[rows]
+    return np.stack([users + 1, subfiles], axis=2).reshape(len(users), -1)
+
+
+def _filled_rows(
+    template: str, sep: str, n_rows: int, width: int, fields: Callable[[slice], Sequence]
+) -> Iterator[str]:
+    """``template`` filled from ``fields(rows)`` (every row's fields, row after
+    row) for rows 0..n_rows-1, the rows joined by ``sep``, as text chunks.
+
+    ``width`` bounds one row's text.  A chunk's rows fit ``WORK_BYTES`` of
+    that text plus the row's template and its fields as Python objects (an
+    int and its list and tuple slots, under 48 bytes each), so no chunk's
+    text, template or fields outgrow the budget.
+    """
+    row_bytes = len(sep) + width + len(template) + 48 * template.count("%")
+    for rows in row_chunks(n_rows, row_bytes):
+        if rows.start:
+            yield sep
+        yield sep.join([template] * (rows.stop - rows.start)) % tuple(fields(rows))
+
+
+def _row_width(schedule: DeliverySchedule, template: str) -> int:
+    """A bound on the text of one row filling ``template``: no field of a row
+    is wider than the most users, points, blocks or rows."""
+    design = schedule.scheme.res.design
+    widest = max(schedule.scheme.n_users, design.v, design.b, len(schedule.users))
+    return len(template) + template.count("%") * len(str(widest))
+
+
+def schedule_text(schedule: DeliverySchedule, fmt: str) -> Iterator[str]:
+    """``crdcache schedule``'s output, as text chunks of at most about
+    ``WORK_BYTES`` each, written from the columns.
+
+    ``fmt="json"`` is ``json.dumps(schedule_to_json(schedule), indent=2)``
+    plus a newline, byte for byte: each transmission fills one template,
+    that dump of a row with a ``%d`` for each integer.  ``fmt="text"`` is a
+    header line ``K=.. transmissions=T rate=T/v``, then one line per row:
+    its 1-based number, its ``_label_template`` and its terms as
+    ``u<user>:<subfile>``.
+    """
+    scheme = schedule.scheme
+    z, n_rows, gain = scheme.z, len(schedule.users), coding_gain(scheme.z)
+    if fmt == "text":
+        template = f"%d: {_label_template(z)} {' '.join(['u%d:%d'] * gain)}"
+
+        def fields(rows: slice) -> list:
+            number = np.arange(rows.start + 1, rows.stop + 1)[:, None]
+            return np.hstack([number, _label_fields(schedule, rows), _term_fields(schedule, rows)]).ravel().tolist()
+
+        yield f"K={scheme.n_users} transmissions={n_rows} rate={n_rows}/{scheme.res.design.v}\n"
+        yield from _filled_rows(template, "\n", n_rows, _row_width(schedule, template), fields)
+        if n_rows:
+            yield "\n"
+        return
+    yield f'{{\n  "z": {z},\n  "demands": '
+    demands = schedule.demands
+    yield from _json_list("    %d", len(demands), 4 + len(str(max(demands))), lambda rows: demands[rows])
+    yield ',\n  "transmissions": '
+    row = {"classes": [-1] * z, "pairs": [[-1, -1]] * z, "s": -1, "terms": [{"user": -1, "subfile": -1}] * gain}
+    template = textwrap.indent(json.dumps(row, indent=2), "    ").replace("-1", "%d")
+
+    def fields(rows: slice) -> list:
+        return np.hstack([_label_fields(schedule, rows), _term_fields(schedule, rows)]).ravel().tolist()
+
+    yield from _json_list(template, n_rows, _row_width(schedule, template), fields)
+    yield "\n}\n"
+
+
+def _json_list(template: str, n_rows: int, width: int, fields: Callable[[slice], Sequence]) -> Iterator[str]:
+    """A list at depth 1 of ``json.dumps(indent=2)``, its items filling
+    ``template``, which holds their indent."""
+    if not n_rows:
+        yield "[]"
+        return
+    yield "[\n"
+    yield from _filled_rows(template, ",\n", n_rows, width, fields)
+    yield "\n  ]"

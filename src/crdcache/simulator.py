@@ -11,11 +11,12 @@ transmission is the bytewise XOR of its subfiles, and
 once: gathered one term column at a time in cache-sized row chunks from
 the library, if it is held or fits in one generator chunk; else from the
 files up to the last one a term reads, streamed, through a compact table
-of the keyed subfiles (at most mu_z (b_r-1)^z per user) if each file fits
-in one chunk, or XORed straight into the rows as the stream yields them if
-files span several, so no (N, v, sub) array and no table of the term
-subfiles exists.  The payloads are a sequence of ``bytes`` rows over those
-read-only rows, copied on the first write.
+of the keyed subfiles (at most mu_z (b_r-1)^z per user), indexed by the
+distinct demanded files alone, if each file fits in one chunk, or XORed
+straight into the rows as the stream yields them if files span several,
+so no (N, v, sub) array, no array over the undemanded files and no table
+of the term subfiles exists.  The payloads are a sequence of ``bytes``
+rows over those read-only rows, copied on the first write.
 ``build_caches``, ``decode_user`` and ``files`` read the whole library, one
 read-only zero-padded ``uint8`` array of shape (N, v, sub), generated for
 each subpacketization v asked for; the first one's rows are the ``files``.
@@ -70,7 +71,17 @@ from . import caps as _caps
 from .caps import DEFAULT_CAPS, SizeCaps, row_chunks
 from .designs import Resolution
 from .errors import DemandOutOfRange, IncompleteRecovery, IndexOutOfRange, InternalMuMismatch, MissingSideInformation
-from .scheme import DeliverySchedule, _build_schedule, build_scheme, delivery_rate, demand_vector
+from .scheme import (
+    DeliverySchedule,
+    _build_schedule,
+    _filled_rows,
+    _label_fields,
+    _label_template,
+    _row_width,
+    build_scheme,
+    delivery_rate,
+    demand_vector,
+)
 
 @dataclass(frozen=True)
 class FileStore:
@@ -117,13 +128,16 @@ class FileStore:
         If ``library(v)`` is held, or is built because it fits in one stream
         chunk (``WORK_BYTES``), the rows are gathered from it through the
         schedule's ``term_keys``.  Otherwise only the files up to the last
-        one a term reads are streamed.  If each file fits in one chunk, one
-        scatter marks the keyed subfiles in a (files, v) mask, one cumsum
-        numbers them row-major, the stream keeps only them in a compact
-        table, each key becomes its number and the rows are gathered from
-        that table, which is freed before returning; the keys are marked and
-        numbered in row chunks of at most ``WORK_BYTES`` of the intp copies
-        numpy makes of int32 index arrays.  If a file spans several chunks,
+        one a term reads are streamed.  If each file fits in one chunk, the
+        keys number subfiles within the distinct demanded files
+        (``demanded_files``), one scatter marks the keyed subfiles in a
+        (demanded files, v) mask, one cumsum numbers them row-major, the
+        stream keeps only them in a compact table, each key becomes its
+        number and the rows are gathered from that table, which is freed
+        before returning; so a far demand costs stream time but no memory
+        for the files before it.  The keys are marked and numbered in row
+        chunks of at most ``WORK_BYTES`` of the intp copies numpy makes of
+        int32 index arrays.  If a file spans several chunks,
         no table exists: ``_stream_xor`` XORs each needed subfile's bytes
         into the rows of its terms as the stream yields them.
         """
@@ -133,15 +147,16 @@ class FileStore:
         if n_files > self.n_files:
             raise DemandOutOfRange(f"the schedule is for {n_files} files but the store holds {self.n_files}")
         sub = subfile_length(self.file_len, v)
-        keys = schedule.term_keys()
         table = self._libraries.get(v)
         if table is None and self.n_files * v * sub <= _caps.WORK_BYTES:
             table = self.library(v)  # one stream chunk: cheaper whole than sifted
         if table is not None:
-            table = table.reshape(-1, sub)
-        elif keys.size and 8 * -(-self.file_len // 4) <= _caps.WORK_BYTES:
-            # the stream stops at the last file a term reads
-            needed = np.zeros((int(keys.max()) // v + 1) * v, dtype=bool)
+            keys, table = schedule.term_keys(), table.reshape(-1, sub)
+        elif len(schedule.users) and 8 * -(-self.file_len // 4) <= _caps.WORK_BYTES:
+            # the mask and the table cover the demanded files alone
+            files = schedule.demanded_files()
+            keys = schedule.term_keys(files=files)
+            needed = np.zeros(len(files) * v, dtype=bool)
             chunks = list(row_chunks(len(keys), 8 * keys.shape[1]))
             for part in chunks:
                 needed[keys[part]] = True
@@ -150,8 +165,10 @@ class FileStore:
             for part in chunks:
                 keys[part] = np.take(ranks, keys[part])
             del ranks
-            table = _stream_subfiles(needed.reshape(-1, v), self.file_len, self.seed)
+            table = _stream_subfiles(files, needed.reshape(-1, v), self.file_len, self.seed)
             del needed  # before the rows exist
+        else:
+            keys = schedule.term_keys()
         rows = np.zeros((len(keys), sub), dtype=np.uint8)
         if table is not None:
             _xor_gather(rows, table, keys)
@@ -228,24 +245,28 @@ def _write_random_files(rows: np.ndarray, file_len: int, seed: int) -> None:
         del raw  # before the next chunk is drawn
 
 
-def _stream_subfiles(needed: np.ndarray, file_len: int, seed: int) -> np.ndarray:
-    """The (file, point) subfiles ``needed`` marks, zero-padded, in row-major
-    order, from one pass of ``_random_words`` over files that each fit in
-    one piece: a piece of whole files is written into a buffer of padded
-    rows sized to that piece, whose marked subfiles are copied out."""
-    n_files, v = needed.shape
+def _stream_subfiles(files: np.ndarray, needed: np.ndarray, file_len: int, seed: int) -> np.ndarray:
+    """The subfiles ``needed`` marks, zero-padded, in row-major order: row i
+    of the (len(files), v) mask marks points of file ``files[i]`` (0-based,
+    ascending).  One pass of ``_random_words`` walks the files up to the
+    last of ``files``, each fitting in one piece; a piece holding some of
+    them is written from its first to its last such file into padded rows,
+    whose marked subfiles are copied out."""
+    v = needed.shape[1]
     sub = subfile_length(file_len, v)
     out = np.zeros((np.count_nonzero(needed), sub), dtype=np.uint8)
     done = 0  # rows of ``out`` written so far
-    buffer = None
-    for first, _, raw in _random_words(n_files, file_len, seed):
-        n = len(raw)
-        if buffer is None:  # its padding columns stay zero
-            buffer = np.zeros((n, v * sub), dtype=np.uint8)
-        _put_words(buffer[:n], raw, 0, file_len)
-        kept = np.flatnonzero(needed[first : first + n])
-        np.take(buffer.reshape(-1, sub), kept, axis=0, out=out[done : done + len(kept)], mode="clip")
-        done += len(kept)
+    for first, _, raw in _random_words(int(files[-1]) + 1, file_len, seed):
+        lo, hi = np.searchsorted(files, (first, first + len(raw)))
+        if lo < hi:
+            span = raw[files[lo] - first : files[hi - 1] - first + 1]
+            padded = np.zeros((len(span), v * sub), dtype=np.uint8)  # padding stays zero
+            _put_words(padded, span, 0, file_len)
+            at = (files[lo:hi] - files[lo])[:, None] * v + np.arange(v)
+            kept = at[needed[lo:hi]]
+            np.take(padded.reshape(-1, sub), kept, axis=0, out=out[done : done + len(kept)], mode="clip")
+            done += len(kept)
+            del span, padded
         del raw  # before the next chunk is drawn
     return out
 
@@ -775,6 +796,25 @@ def report_to_json(report: SimulationReport) -> dict:
     }
 
 
-def payload_hex_dump(schedule: DeliverySchedule, payloads: Sequence[bytes]) -> list[str]:
-    """Debug view: one line per transmission, provenance triple then hex bytes."""
-    return [f"{t.label()}: {payload.hex()}" for t, payload in zip(schedule.transmissions, payloads)]
+def payload_hex_dump(schedule: DeliverySchedule, payloads: Sequence[bytes]) -> Iterator[str]:
+    """Debug view: one line per transmission, its provenance
+    (``classes=1,2 pairs=1-2;4-5 s=1``) then its payload's hex bytes.
+
+    The lines, joined by newlines with none after the last, come as text
+    chunks of at most about ``WORK_BYTES``, each filling one per-row
+    template from the schedule's provenance columns and one ``hex`` of the
+    chunk's payload rows.
+    """
+    n_rows = len(schedule.users)
+    sub = len(payloads[0]) if n_rows else 0
+    label = _label_template(schedule.scheme.z)
+
+    def fields(rows: slice) -> list:
+        labels = _label_fields(schedule, rows)
+        out = np.empty((len(labels), labels.shape[1] + 1), dtype=object)
+        out[:, :-1] = labels
+        out[:, -1] = _air_rows(payloads, rows, sub).tobytes().hex("\n", sub).split("\n")
+        return out.ravel().tolist()
+
+    template = label + ": %s"
+    yield from _filled_rows(template, "\n", n_rows, _row_width(schedule, template) + 2 * sub, fields)

@@ -221,6 +221,32 @@ def int_xor_payloads(schedule: DeliverySchedule, store: FileStore) -> list[bytes
     return payloads
 
 
+def transmission_label(t) -> str:
+    """A ``CodedTransmission``'s provenance as ``classes=1,2 pairs=1-2;3-4
+    s=1`` (1-based), from its fields."""
+    classes = ",".join(str(c + 1) for c in t.classes)
+    pairs = ";".join(f"{i + 1}-{j + 1}" for i, j in t.pairs)
+    return f"classes={classes} pairs={pairs} s={t.s}"
+
+
+def object_schedule_text(schedule: DeliverySchedule) -> str:
+    """``crdcache schedule --format text`` written one ``transmissions``
+    object at a time."""
+    lines = [
+        f"K={schedule.scheme.n_users} transmissions={len(schedule.transmissions)} "
+        f"rate={len(schedule.transmissions)}/{schedule.scheme.res.design.v}"
+    ]
+    for idx, t in enumerate(schedule.transmissions):
+        terms = " ".join(f"u{uid + 1}:{y}" for uid, y in t.terms)
+        lines.append(f"{idx + 1}: {transmission_label(t)} {terms}")
+    return "\n".join(lines) + "\n"
+
+
+def object_hex_lines(schedule: DeliverySchedule, payloads) -> list[str]:
+    """One ``<label>: <hex>`` line per ``transmissions`` object and payload."""
+    return [f"{transmission_label(t)}: {payload.hex()}" for t, payload in zip(schedule.transmissions, payloads)]
+
+
 def scan_participation(schedule: DeliverySchedule, user: int) -> list[tuple[int, int]]:
     """Every (transmission index, subfile) term of one user, scanning all T."""
     return [

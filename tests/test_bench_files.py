@@ -123,3 +123,47 @@ def test_output_grid_is_fixed_and_its_digests_repeat(tmp_path):
     assert tool.differing(one, other) == [" ".join(picked[0]), changed]
     assert tool.main(["--compare", str(paths[0]), str(paths[0])]) == 0
     assert tool.main(["--compare", *map(str, paths)]) == 1
+
+
+WRITER_FILES = [path for path in BENCH_FILES if "schedule_cli" in json.loads(path.read_text(encoding="utf-8"))]
+
+
+@pytest.mark.parametrize("path", WRITER_FILES, ids=lambda p: p.name)
+def test_writer_rows_compare_equal_outputs_on_both_sides(path):
+    """Where a file times ``crdcache schedule`` on both sides, each row names
+    its case and both sides' wall time and traced peak, the two sides printed
+    the same bytes, and at affine:n=11 json runs at least 5x faster and text
+    faster, both with a lower traced peak.  The far-demand row yields the
+    same payloads under 5 MB traced, and the output grid's digest files are
+    equal.  The ten pairs keep every metric within its bound, and the
+    change lowers sim-users' peak RSS in at least 9 of them, by more than
+    the parent's quartile spread."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    rows = doc["schedule_cli"]["rows"]
+    assert {(row["spec"], row["format"]) for row in rows} == {
+        (f"affine:n={n}", fmt) for n in (5, 7, 9, 11) for fmt in ("json", "text")
+    }
+    for row in rows:
+        assert row["parent"]["output_sha256"] == row["change"]["output_sha256"], row["spec"]
+        for side in ("parent", "change"):
+            assert {"wall_s", "traced_peak_mb", "peak_rss_mb"} <= set(row[side]), (row["spec"], side)
+    big = {row["format"]: row for row in rows if row["spec"] == "affine:n=11"}
+    assert big["json"]["parent"]["wall_s"]["median"] >= 5 * big["json"]["change"]["wall_s"]["median"]
+    assert big["text"]["change"]["wall_s"]["median"] < big["text"]["parent"]["wall_s"]["median"]
+    for fmt in ("json", "text"):
+        assert big[fmt]["change"]["traced_peak_mb"] < big[fmt]["parent"]["traced_peak_mb"], fmt
+    far = doc["far_demand"]
+    assert far["n_files"] == 10**6 and far["change"]["traced_peak_mb"] < 5
+    assert far["parent"]["payload_sha256"] == far["change"]["payload_sha256"]
+    outputs = doc["outputs"]
+    assert outputs["commands"] == 3055 and outputs["parent_digests_sha256"] == outputs["change_digests_sha256"]
+    for workload, metrics in doc["summary"].items():
+        if workload == "how":
+            continue
+        for name, row in metrics.items():
+            assert row["parent"]["n"] == row["change"]["n"] == 10, (workload, name)
+            assert row["verdict"] == "within bound", (workload, name)
+    claim = doc["summary"]["sim-users"]["peak_rss_mb"]
+    assert int(claim["change_lower_in_pairs"].split("/")[0]) >= 9
+    assert claim["change"]["median"] < claim["parent"]["median"]
+    assert claim["median_gap_over_parent_quartile_spread"] > 1

@@ -387,7 +387,7 @@ class TestPayloads:
         res = catalog_example(3)
         schedule = build_delivery_schedule(build_scheme(res, 2, 9), range(1, 10))
         store = make_file_store(9, 18, 0)
-        lines = payload_hex_dump(schedule, encode_payloads(schedule, store))
+        lines = "".join(payload_hex_dump(schedule, encode_payloads(schedule, store))).split("\n")
         assert len(lines) == 9
         assert lines[0].startswith("classes=1,2 pairs=1-2;4-5 s=1: ")
 
@@ -1209,6 +1209,29 @@ class TestStreamStops:
             assert report.all_recovered and len(report.users) == 375
             assert peak < 1 << 20, (n_files, peak)
             assert streamed == [375]
+
+    def test_a_far_demand_keeps_no_array_over_the_files_before_it(self):
+        """affine:n=5's 375 users demand files 1..374 and N = 10^6 of one-byte
+        files: the store keys its sift mask and table by the 375 demanded
+        files, so verify_all stays under a 5 MB traced peak, one
+        ``WORK_BYTES`` piece of the stream and the run's small arrays, where
+        a mask sized by the last demanded file traced 225 MB.  The coded rows
+        equal those gathered from the whole library."""
+        res, n_files = from_spec("affine:n=5"), 10**6
+        demands = [*range(1, 375), n_files]
+        verify_all(res, 2, n_files, 1, demands=demands)  # first-use imports stay untraced
+        tracemalloc.start()
+        try:
+            report = verify_all(res, 2, n_files, 1, demands=demands)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_recovered and peak < 5_000_000, peak
+        schedule = build_delivery_schedule(build_scheme(res, 2, n_files), demands)
+        sifted, whole = make_file_store(n_files, 1, 0), make_file_store(n_files, 1, 0)
+        whole.library(res.design.v)
+        assert np.array_equal(sifted.coded_rows(schedule), whole.coded_rows(schedule))
+        assert sifted._libraries == {}
 
     def test_spanning_files_stop_after_the_last_needed_subfile(self, monkeypatch):
         """Files that span several pieces (64-byte chunks): of 10 files, only

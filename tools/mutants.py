@@ -51,6 +51,7 @@ DESIGNS = "src/crdcache/designs.py"
 CONSTRUCTIONS = "src/crdcache/constructions.py"
 LABELS = "tests/test_labels.py::TestLabelSearch"
 POINT_CAP = "tests/test_constructions.py::TestErrors::test_point_cap"
+WRITERS = "tests/test_writers.py::test_writers_equal_json_dumps_and_the_objects"
 
 MUTANTS = (
     Mutant(
@@ -317,9 +318,30 @@ MUTANTS = (
     Mutant(
         "store streams every file up to N",
         SIM,
-        "            needed = np.zeros((int(keys.max()) // v + 1) * v, dtype=bool)\n",
-        "            needed = np.zeros(self.n_files * v, dtype=bool)\n",
+        "            files = schedule.demanded_files()\n",
+        "            files = np.arange(self.n_files)\n",
         ("tests/test_simulator.py::TestStreamStops::test_a_huge_library_streams_only_the_demanded_files",),
+    ),
+    Mutant(
+        "store sizes its sift mask by the last demanded file",
+        SIM,
+        "            files = schedule.demanded_files()\n",
+        "            files = np.arange(schedule.demanded_files()[-1] + 1)\n",
+        ("tests/test_simulator.py::TestStreamStops::test_a_far_demand_keeps_no_array_over_the_files_before_it",),
+    ),
+    Mutant(
+        "json row template swaps a term's user and subfile keys",
+        SCHEME,
+        '"terms": [{"user": -1, "subfile": -1}] * gain}',
+        '"terms": [{"subfile": -1, "user": -1}] * gain}',
+        (WRITERS,),
+    ),
+    Mutant(
+        "text rows put the label before the row number",
+        SCHEME,
+        "np.hstack([number, _label_fields(schedule, rows), _term_fields(schedule, rows)])",
+        "np.hstack([_label_fields(schedule, rows), number, _term_fields(schedule, rows)])",
+        (WRITERS,),
     ),
     Mutant(
         "stream XOR runs past the last needed subfile",
