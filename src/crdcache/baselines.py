@@ -15,14 +15,17 @@ Two baselines are in scope:
   and 4) is reported as a static annotation.
 
 Table builders return a small column-oriented structure that renders to
-aligned text or CSV; sweep builders return per-parameter rows with exact
+aligned text or CSV.  The family formula tables build their MaN and CRD
+columns with the same column builders as the design tables, leaving M'/N
+n/a; ``analyze_table`` turns a refused baseline (a MaN point past its cap
+included) into a note.  Sweep builders return per-parameter rows with exact
 rationals for plotting per-user rate and subpacketization against cache
 size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, inf, lgamma, log, log2
 from typing import Callable, Sequence
@@ -141,22 +144,7 @@ def man_counterpart(res: Resolution) -> ManPoint:
     return man_point(res.design.b, Fraction(res.design.k, res.design.v))
 
 
-# --- closed-form family tables -------------------------------------------------
-
-# each scheme's cells, keyed "man_<field>" and "crd_<field>"
-_FAMILY_KEYS = ("users", "subpacketization", "rate", "per_user_rate", "gain")
-
-
-def _family_cells(params: FamilyParams, z: int) -> dict[str, object]:
-    """Formula cells of one family member at z: the scheme's closed forms at
-    the member's predicted counts, beside the MaN point with the same caches
-    and cache fraction."""
-    man = man_point(params.b, Fraction(params.k, params.v))
-    crd = closed_form_metrics(params.v, params.b, params.r, params.k, {2: params.mu2}, z)
-    cells: dict[str, object] = {"caches": params.b, "m_over_n": crd.m_over_n}
-    for scheme, point in (("man", man), ("crd", crd)):
-        cells.update((f"{scheme}_{key}", getattr(point, key)) for key in _FAMILY_KEYS)
-    return cells
+# --- family member checks ----------------------------------------------------
 
 
 def _affine_plane_member(n: int) -> FamilyParams:
@@ -165,18 +153,7 @@ def _affine_plane_member(n: int) -> FamilyParams:
     return affine_plane_params(n)
 
 
-def affine_family_table(n: int) -> dict[str, object]:
-    """Formula cells for the affine-plane family at order n, z = 2."""
-    return _family_cells(_affine_plane_member(n), 2)
-
-
-def affine_family_z1_table(n: int) -> dict[str, object]:
-    """Formula cells for the affine-plane family at order n, z = 1."""
-    return _family_cells(_affine_plane_member(n), 1)
-
-
-def ag_family_table(q: int, m: int) -> dict[str, object]:
-    """Formula cells for the affine-geometry family at (q, m), z = 2."""
+def _ag_member(q: int, m: int) -> FamilyParams:
     if q < 2 or m < 2:
         raise BadFamilyParameter(
             f"the affine-geometry family needs q >= 2 and m >= 2, got q={q}, m={m}"
@@ -186,14 +163,13 @@ def ag_family_table(q: int, m: int) -> dict[str, object]:
             f"the MaN subpacketization C(K, t) for K > {q}**{m} "
             f"has more than {_MAX_SUBPACKETIZATION_BITS} bits"
         )
-    return _family_cells(affine_geometry_params(q, m), 2)
+    return affine_geometry_params(q, m)
 
 
-def hadamard_family_table(m: int) -> dict[str, object]:
-    """Formula cells for the Hadamard family at order parameter m, z = 2."""
+def _hadamard_member(m: int) -> FamilyParams:
     if m < 1:
         raise BadFamilyParameter(f"the Hadamard family needs m >= 1, got m={m}")
-    return _family_cells(hadamard_params(m), 2)
+    return hadamard_params(m)
 
 
 # --- comparison tables ----------------------------------------------------------
@@ -303,7 +279,7 @@ def analyze_table(res: Resolution, z: int, caps: SizeCaps = DEFAULT_CAPS) -> Com
     notes: list[str] = []
     try:
         columns.append(("MaN", _man_column(man_counterpart(res))))
-    except NonIntegerCacheRedundancy as exc:
+    except (NonIntegerCacheRedundancy, SizeCapExceeded) as exc:
         notes.append(f"MaN baseline unavailable: {exc}")
     try:
         columns.append(("SPE", _spe_column(spe_structural(res.design.b, z))))
@@ -333,45 +309,28 @@ def z_sweep_table(res: Resolution, label: str, caps: SizeCaps = DEFAULT_CAPS) ->
     )
 
 
-def family_comparison(cells: dict[str, object], z: int, title: str) -> ComparisonTable:
-    """MaN and CRD columns of one family's formula cells."""
-    man_col = (
-        cells["caches"],
-        1,
-        cells["man_users"],
-        cells["man_subpacketization"],
-        cells["m_over_n"],
-        cells["m_over_n"],
-        cells["man_rate"],
-        cells["man_per_user_rate"],
-        cells["man_gain"],
-    )
-    crd_col = (
-        cells["caches"],
-        z,
-        cells["crd_users"],
-        cells["crd_subpacketization"],
-        cells["m_over_n"],
-        None,
-        cells["crd_rate"],
-        cells["crd_per_user_rate"],
-        cells["crd_gain"],
-    )
+def family_table(params: FamilyParams, z: int, title: str) -> ComparisonTable:
+    """One family member at z from its formulas alone: the scheme's closed
+    forms at the member's predicted counts, beside the MaN point with the
+    same caches and cache fraction.  M'/N is not predicted and prints n/a."""
+    man = man_point(params.b, Fraction(params.k, params.v))
+    crd = closed_form_metrics(params.v, params.b, params.r, params.k, {2: params.mu2}, z)
     return ComparisonTable(
         title=title,
         row_labels=_ROW_LABELS,
-        columns=(("MaN", man_col), ("CRD", crd_col)),
+        columns=(
+            ("MaN", _man_column(man)),
+            ("CRD", _crd_column(replace(crd, m_prime_over_n=None))),
+        ),
     )
 
 
-# table name -> (parameters, formula cells, z, title)
-FAMILY_TABLES: dict[str, tuple[tuple[str, ...], Callable[..., dict[str, object]], int, str]] = {
-    "affine-man": (("n",), affine_family_table, 2, "Affine-plane family at n={n}, z=2 (formulas)"),
-    "affine-z1": (("n",), affine_family_z1_table, 1, "Affine-plane family at n={n}, z=1 (formulas)"),
-    "ag-man": (
-        ("q", "m"), ag_family_table, 2, "Affine-geometry family at q={q}, m={m}, z=2 (formulas)"
-    ),
-    "hadamard-man": (("m",), hadamard_family_table, 2, "Hadamard family at m={m}, z=2 (formulas)"),
+# table name -> (parameters, member check, z, title)
+FAMILY_TABLES: dict[str, tuple[tuple[str, ...], Callable[..., FamilyParams], int, str]] = {
+    "affine-man": (("n",), _affine_plane_member, 2, "Affine-plane family at n={n}, z=2 (formulas)"),
+    "affine-z1": (("n",), _affine_plane_member, 1, "Affine-plane family at n={n}, z=1 (formulas)"),
+    "ag-man": (("q", "m"), _ag_member, 2, "Affine-geometry family at q={q}, m={m}, z=2 (formulas)"),
+    "hadamard-man": (("m",), _hadamard_member, 2, "Hadamard family at m={m}, z=2 (formulas)"),
 }
 
 

@@ -30,7 +30,7 @@ from .baselines import (
     FAMILY_TABLES,
     ComparisonTable,
     analyze_table,
-    family_comparison,
+    family_table,
     man_example_table,
     spe_example_table,
     sweep_family,
@@ -171,9 +171,9 @@ def cmd_table(args: argparse.Namespace, caps: SizeCaps) -> int:
     elif name == "zsweep":
         table = z_sweep_table(_load_design(rest, caps), rest, caps)
     elif name in FAMILY_TABLES:
-        keys, cells, z, title = FAMILY_TABLES[name]
+        keys, member, z, title = FAMILY_TABLES[name]
         params = parse_params(f"table {args.name!r}", rest, keys)
-        table = family_comparison(cells(*params.values()), z, title.format(**params))
+        table = family_table(member(*params.values()), z, title.format(**params))
     else:
         formulas = [
             f"{n}:" + ",".join(f"{k}=.." for k in keys) for n, (keys, *_) in FAMILY_TABLES.items()

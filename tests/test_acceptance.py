@@ -13,10 +13,8 @@ import pytest
 
 from crdcache import errors
 from crdcache.baselines import (
-    affine_family_table,
-    affine_family_z1_table,
-    ag_family_table,
-    hadamard_family_table,
+    FAMILY_TABLES,
+    family_table,
     man_counterpart,
     spe_structural,
     sweep_family,
@@ -52,6 +50,15 @@ def criterion(number: int, description: str, budget_s: float | None = None):
     if budget_s is not None:
         assert elapsed < budget_s, f"criterion {number} took {elapsed:.2f}s (budget {budget_s}s)"
     print(f"criterion {number} ({description}): PASS [{elapsed:.2f}s]")
+
+
+def _family_columns(name, *args):
+    """The MaN and CRD columns of formula table ``name`` at ``args``, each
+    keyed by row label."""
+    _, member, z, title = FAMILY_TABLES[name]
+    table = family_table(member(*args), z, title)
+    columns = dict(table.columns)
+    return tuple(dict(zip(table.row_labels, columns[scheme])) for scheme in ("MaN", "CRD"))
 
 
 def _catalog_designs():
@@ -140,42 +147,42 @@ def test_criterion_4_family_formulas():
         for n in (2, 3, 4, 5, 7, 8, 9):
             res = affine_plane(n)
             m2 = scheme_metrics(res, 2)
-            cells = affine_family_table(n)
-            assert m2.users == cells["crd_users"] == n**3 * (n + 1) // 2
+            man_cells, cells = _family_columns("affine-man", n)
+            assert m2.users == cells["users (K)"] == n**3 * (n + 1) // 2
             assert m2.subpacketization == n * n
-            assert m2.rate == cells["crd_rate"] == F(n * (n + 1) * (n - 1) ** 2, 8)
+            assert m2.rate == cells["rate (R)"] == F(n * (n + 1) * (n - 1) ** 2, 8)
             assert m2.gain == 4
             man = man_counterpart(res)
-            assert man.rate == cells["man_rate"]
-            assert man.gain == cells["man_gain"] == n + 2
+            assert man.rate == man_cells["rate (R)"]
+            assert man.gain == man_cells["gain (g)"] == n + 2
             assert man.subpacketization == comb(n * (n + 1), n + 1)
 
             m1 = scheme_metrics(res, 1)
-            z1 = affine_family_z1_table(n)
-            assert m1.rate == z1["crd_rate"] == F((n + 1) * (n - 1), 2)
+            _, z1 = _family_columns("affine-z1", n)
+            assert m1.rate == z1["rate (R)"] == F((n + 1) * (n - 1), 2)
             assert m1.gain == 2
             assert m1.users == n * (n + 1)
 
         for q, m in ((2, 3), (3, 3), (2, 4)):
             res = affine_geometry_bibd(q, m)
             metrics = scheme_metrics(res, 2)
-            cells = ag_family_table(q, m)
-            assert metrics.users == cells["crd_users"]
+            man_cells, cells = _family_columns("ag-man", q, m)
+            assert metrics.users == cells["users (K)"]
             assert metrics.subpacketization == q**m
-            assert metrics.rate == cells["crd_rate"]
-            assert metrics.per_user_rate == cells["crd_per_user_rate"]
+            assert metrics.rate == cells["rate (R)"]
+            assert metrics.per_user_rate == cells["rate per user (R/K)"]
             man = man_counterpart(res)
-            assert man.rate == cells["man_rate"]
-            assert man.per_user_rate == cells["man_per_user_rate"]
-            assert man.gain == cells["man_gain"]
+            assert man.rate == man_cells["rate (R)"]
+            assert man.per_user_rate == man_cells["rate per user (R/K)"]
+            assert man.gain == man_cells["gain (g)"]
 
         for m in (1, 2, 3):
             res = hadamard_crd(m)
             metrics = scheme_metrics(res, 2)
-            cells = hadamard_family_table(m)
-            assert metrics.users == cells["crd_users"] == 4 * (2 * m - 1) * (4 * m - 1)
+            _, cells = _family_columns("hadamard-man", m)
+            assert metrics.users == cells["users (K)"] == 4 * (2 * m - 1) * (4 * m - 1)
             assert metrics.subpacketization == 4 * m
-            assert metrics.rate == cells["crd_rate"] == F((2 * m - 1) * (4 * m - 1), 4)
+            assert metrics.rate == cells["rate (R)"] == F((2 * m - 1) * (4 * m - 1), 4)
             assert metrics.per_user_rate == F(1, 16)
             man = man_counterpart(res)
             assert man.rate == F(4 * m - 1, 4 * m)

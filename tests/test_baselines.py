@@ -6,13 +6,11 @@ from math import comb
 
 import pytest
 
-from crdcache import errors
+from crdcache import baselines, errors
 from crdcache.baselines import (
-    affine_family_table,
-    affine_family_z1_table,
-    ag_family_table,
+    FAMILY_TABLES,
     analyze_table,
-    hadamard_family_table,
+    family_table,
     man_counterpart,
     man_example_table,
     man_point,
@@ -29,6 +27,15 @@ from crdcache.constructions import (
     hadamard_crd,
 )
 from crdcache.scheme import scheme_metrics
+
+
+def _family_columns(name, *args):
+    """The MaN and CRD columns of formula table ``name`` at ``args``, each
+    keyed by row label."""
+    _, member, z, title = FAMILY_TABLES[name]
+    table = family_table(member(*args), z, title)
+    columns = dict(table.columns)
+    return tuple(dict(zip(table.row_labels, columns[scheme])) for scheme in ("MaN", "CRD"))
 
 
 class TestManPoint:
@@ -89,24 +96,25 @@ class TestManPoint:
 
 class TestFamilyParameters:
     @pytest.mark.parametrize(
-        "build, args, parameter",
+        "name, args, parameter",
         [
-            (affine_family_table, (0,), "n=0"),
-            (affine_family_table, (1,), "n=1"),
-            (affine_family_z1_table, (1,), "n=1"),
-            (ag_family_table, (1, 3), "q=1"),
-            (ag_family_table, (3, 1), "m=1"),
-            (hadamard_family_table, (0,), "m=0"),
+            ("affine-man", (0,), "n=0"),
+            ("affine-man", (1,), "n=1"),
+            ("affine-z1", (1,), "n=1"),
+            ("ag-man", (1, 3), "q=1"),
+            ("ag-man", (3, 1), "m=1"),
+            ("hadamard-man", (0,), "m=0"),
         ],
     )
-    def test_out_of_range_is_a_typed_error(self, build, args, parameter):
+    def test_out_of_range_is_a_typed_error(self, name, args, parameter):
+        _, member, _, _ = FAMILY_TABLES[name]
         with pytest.raises(errors.BadFamilyParameter, match=parameter):
-            build(*args)
+            member(*args)
 
     def test_smallest_members_build(self):
-        assert affine_family_table(2)["crd_users"] == 12
-        assert ag_family_table(2, 2)["caches"] == 6
-        assert hadamard_family_table(1)["caches"] == 6
+        assert _family_columns("affine-man", 2)[1]["users (K)"] == 12
+        assert _family_columns("ag-man", 2, 2)[1]["caches (b)"] == 6
+        assert _family_columns("hadamard-man", 1)[1]["caches (b)"] == 6
 
 
 class TestSpeStructural:
@@ -134,61 +142,61 @@ class TestSpeStructural:
 class TestFamilyFormulaTables:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_affine_matches_built_design(self, n):
-        cells = affine_family_table(n)
+        man_cells, cells = _family_columns("affine-man", n)
         res = affine_plane(n)
         metrics = scheme_metrics(res, 2)
         man = man_counterpart(res)
-        assert metrics.users == cells["crd_users"]
-        assert metrics.subpacketization == cells["crd_subpacketization"]
-        assert metrics.rate == cells["crd_rate"]
-        assert metrics.per_user_rate == cells["crd_per_user_rate"]
-        assert metrics.gain == cells["crd_gain"]
-        assert man.rate == cells["man_rate"]
-        assert man.per_user_rate == cells["man_per_user_rate"]
-        assert man.gain == cells["man_gain"]
-        assert man.subpacketization == cells["man_subpacketization"]
+        assert metrics.users == cells["users (K)"]
+        assert metrics.subpacketization == cells["subpacketization (F)"]
+        assert metrics.rate == cells["rate (R)"]
+        assert metrics.per_user_rate == cells["rate per user (R/K)"]
+        assert metrics.gain == cells["gain (g)"]
+        assert man.rate == man_cells["rate (R)"]
+        assert man.per_user_rate == man_cells["rate per user (R/K)"]
+        assert man.gain == man_cells["gain (g)"]
+        assert man.subpacketization == man_cells["subpacketization (F)"]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_affine_z1_matches_built_design(self, n):
-        cells = affine_family_z1_table(n)
+        _, cells = _family_columns("affine-z1", n)
         metrics = scheme_metrics(affine_plane(n), 1)
-        assert metrics.users == cells["crd_users"] == n * (n + 1)
-        assert metrics.rate == cells["crd_rate"] == Fraction((n + 1) * (n - 1), 2)
+        assert metrics.users == cells["users (K)"] == n * (n + 1)
+        assert metrics.rate == cells["rate (R)"] == Fraction((n + 1) * (n - 1), 2)
         assert metrics.gain == 2
 
     @pytest.mark.parametrize("q,m", [(2, 3), (3, 3), (2, 4)])
     def test_geometry_matches_built_design(self, q, m):
-        cells = ag_family_table(q, m)
+        man_cells, cells = _family_columns("ag-man", q, m)
         res = affine_geometry_bibd(q, m)
         metrics = scheme_metrics(res, 2)
         man = man_counterpart(res)
-        assert metrics.users == cells["crd_users"]
-        assert metrics.rate == cells["crd_rate"]
-        assert metrics.per_user_rate == cells["crd_per_user_rate"] == Fraction(
+        assert metrics.users == cells["users (K)"]
+        assert metrics.rate == cells["rate (R)"]
+        assert metrics.per_user_rate == cells["rate per user (R/K)"] == Fraction(
             (q - 1) ** 2, 4 * q * q
         )
-        assert man.rate == cells["man_rate"]
-        assert man.per_user_rate == cells["man_per_user_rate"]
-        assert man.gain == cells["man_gain"]
+        assert man.rate == man_cells["rate (R)"]
+        assert man.per_user_rate == man_cells["rate per user (R/K)"]
+        assert man.gain == man_cells["gain (g)"]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_hadamard_matches_built_design(self, m):
-        cells = hadamard_family_table(m)
+        _, cells = _family_columns("hadamard-man", m)
         res = hadamard_crd(m)
         metrics = scheme_metrics(res, 2)
         man = man_counterpart(res)
-        assert metrics.users == cells["crd_users"]
-        assert metrics.rate == cells["crd_rate"]
+        assert metrics.users == cells["users (K)"]
+        assert metrics.rate == cells["rate (R)"]
         assert metrics.per_user_rate == Fraction(1, 16)
         assert man.per_user_rate == Fraction(1, 8 * m)
         assert man.gain == 4 * m
 
     def test_small_geometry_example_values(self):
-        cells = ag_family_table(2, 3)
-        assert cells["crd_users"] == 84
-        assert cells["crd_subpacketization"] == 8
-        assert cells["crd_rate"] == Fraction(21, 4)
-        assert cells["crd_per_user_rate"] == Fraction(1, 16)
+        _, cells = _family_columns("ag-man", 2, 3)
+        assert cells["users (K)"] == 84
+        assert cells["subpacketization (F)"] == 8
+        assert cells["rate (R)"] == Fraction(21, 4)
+        assert cells["rate per user (R/K)"] == Fraction(1, 16)
 
     @pytest.mark.parametrize(
         "q,m", [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)]
@@ -196,8 +204,8 @@ class TestFamilyFormulaTables:
     def test_per_user_rate_crossover(self, q, m):
         # the scheme beats the dedicated baseline exactly when
         # q(q^m + q - 2) <= 4q^2
-        cells = ag_family_table(q, m)
-        wins = cells["crd_per_user_rate"] <= cells["man_per_user_rate"]
+        man_cells, cells = _family_columns("ag-man", q, m)
+        wins = cells["rate per user (R/K)"] <= man_cells["rate per user (R/K)"]
         assert wins == (q * (q**m + q - 2) <= 4 * q * q)
 
 
@@ -268,6 +276,20 @@ class TestComparisonTables:
         assert names == ["CRD", "MaN"]
         assert any("SPE baseline unavailable" in note for note in table.notes)
 
+    def test_analyze_table_notes_a_man_baseline_over_its_cap(self, monkeypatch):
+        # a MaN subpacketization past the bit cap drops that column to a
+        # note, as a fractional K*M/N does, and keeps the CRD and SPE columns
+        res = catalog_example(3)
+        full = analyze_table(res, 2)
+        monkeypatch.setattr(baselines, "_MAX_SUBPACKETIZATION_BITS", 2)
+        table = analyze_table(res, 2)
+        assert [name for name, _ in table.columns] == ["CRD", "SPE"]
+        assert dict(table.columns)["CRD"] == dict(full.columns)["CRD"]
+        assert any(
+            note.startswith("MaN baseline unavailable: the MaN subpacketization")
+            for note in table.notes
+        )
+
 
 class TestSweep:
     def test_affine_rows(self):
@@ -296,6 +318,10 @@ class TestSweep:
     def test_single_cache_sweep(self):
         rows = sweep_family("affine", [2, 3], z=1)
         assert rows[0].rk_crd == Fraction(1, 4)  # ((n+1)(n-1)/2)/(n(n+1)) at n=2
+
+    def test_unknown_family_is_a_typed_error(self):
+        with pytest.raises(errors.BadSpec, match="unknown sweep family 'grid'"):
+            sweep_family("grid", [2, 3])
 
     def test_needs_dimension(self):
         with pytest.raises(errors.BadSpec):

@@ -52,6 +52,7 @@ CONSTRUCTIONS = "src/crdcache/constructions.py"
 LABELS = "tests/test_labels.py::TestLabelSearch"
 POINT_CAP = "tests/test_constructions.py::TestErrors::test_point_cap"
 WRITERS = "tests/test_writers.py::test_writers_equal_json_dumps_and_the_objects"
+FAMILY_RANGE = "tests/test_baselines.py::TestFamilyParameters::test_out_of_range_is_a_typed_error"
 
 MUTANTS = (
     Mutant(
@@ -358,11 +359,81 @@ MUTANTS = (
         ("tests/test_baselines.py::TestManPoint::test_subpacketization_cap",),
     ),
     Mutant(
-        "ag_family_table without its subpacketization cap",
+        "ag-man member check without its subpacketization cap",
         BASELINES,
         "    if (m - 1) * log(q, 2) > _MAX_SUBPACKETIZATION_BITS:",
         "    if False:",
         ("tests/test_cli.py::TestTable::test_huge_ag_exponent_is_refused_before_q_to_the_m[10000000]",),
+    ),
+    Mutant(
+        "formula tables show M'/N",
+        BASELINES,
+        '("CRD", _crd_column(replace(crd, m_prime_over_n=None))),',
+        '("CRD", _crd_column(crd)),',
+        (GOLDEN_TABLES,),
+    ),
+    Mutant(
+        "affine-plane member check accepts n < 2",
+        BASELINES,
+        "    if n < 2:\n",
+        "    if False:\n",
+        (FAMILY_RANGE,),
+    ),
+    Mutant(
+        "ag-man member check accepts q < 2 or m < 2",
+        BASELINES,
+        "    if q < 2 or m < 2:\n",
+        "    if False:\n",
+        (FAMILY_RANGE,),
+    ),
+    Mutant(
+        "Hadamard member check accepts m < 1",
+        BASELINES,
+        "    if m < 1:\n",
+        "    if False:\n",
+        (FAMILY_RANGE,),
+    ),
+    Mutant(
+        "man_point accepts a non-integer K*M/N",
+        BASELINES,
+        "    if rem or t < 1 or t > users:\n",
+        "    if False:\n",
+        ("tests/test_baselines.py::TestManPoint::test_non_integer_redundancy",),
+    ),
+    Mutant(
+        "spe_structural accepts a non-integer K(K-2z+2)/4",
+        BASELINES,
+        "    if numerator <= 0 or numerator % 4:\n",
+        "    if False:\n",
+        ("tests/test_baselines.py::TestSpeStructural::test_non_integer",),
+    ),
+    Mutant(
+        "sweep_family accepts an unknown family",
+        BASELINES,
+        "    if family not in FAMILIES:\n",
+        "    if False:\n",
+        ("tests/test_baselines.py::TestSweep::test_unknown_family_is_a_typed_error",),
+    ),
+    Mutant(
+        "sweep_family runs ag without its fixed dimension",
+        BASELINES,
+        "    if len(keys) > 1 and m is None:\n",
+        "    if False:\n",
+        ("tests/test_baselines.py::TestSweep::test_needs_dimension",),
+    ),
+    Mutant(
+        "sweep_family gives a one-parameter family a dimension",
+        BASELINES,
+        "    if len(keys) == 1 and m is not None:\n",
+        "    if False:\n",
+        ("tests/test_baselines.py::TestSweep::test_one_parameter_family_refuses_a_dimension_before_building",),
+    ),
+    Mutant(
+        "analyze aborts on a MaN baseline over its cap",
+        BASELINES,
+        "    except (NonIntegerCacheRedundancy, SizeCapExceeded) as exc:\n",
+        "    except NonIntegerCacheRedundancy as exc:\n",
+        ("tests/test_baselines.py::TestComparisonTables::test_analyze_table_notes_a_man_baseline_over_its_cap",),
     ),
     Mutant(
         "caps.WORK_BYTES set to 1 GiB",
